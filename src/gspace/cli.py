@@ -214,11 +214,12 @@ def table_cmd(ctx, within):
     g = _groupoid(ctx)
     view = _view_for(ctx, g, within)
     labels = [_show(g, f) for f in view.elements]
+    rows = view.table.tolist()
     payload = {
         "within": within,
         "closed": view.closed,
         "labels": labels,
-        "table": [list(row) for row in view.table],
+        "table": rows,
     }
     if not view.closed:
         i, j, p = view.escape
@@ -228,7 +229,7 @@ def table_cmd(ctx, within):
     if fmt == "csv":
         lines = ["# legend: " + "; ".join(f"{i}={lab}" for i, lab in enumerate(labels))]
         lines.append("," + ",".join(str(j) for j in range(view.size)))
-        for i, row in enumerate(view.table):
+        for i, row in enumerate(rows):
             lines.append(f"{i}," + ",".join(str(x) for x in row))
         click.echo("\n".join(lines))
         return
@@ -236,7 +237,7 @@ def table_cmd(ctx, within):
         lines = ["digraph product {"]
         for i, lab in enumerate(labels):
             lines.append(f'  n{i} [label="{lab}"];')
-        for i, row in enumerate(view.table):
+        for i, row in enumerate(rows):
             for j, k in enumerate(row):
                 if k >= 0:
                     lines.append(f'  n{i} -> n{k} [label="o {j}"];')
@@ -246,7 +247,7 @@ def table_cmd(ctx, within):
     text = [f"closed: {view.closed}"]
     width = max(len(str(view.size - 1)), 2)
     text.append("     " + " ".join(f"{j:>{width}}" for j in range(view.size)))
-    for i, row in enumerate(view.table):
+    for i, row in enumerate(rows):
         text.append(f"{i:>4} " + " ".join(f"{x:>{width}}" for x in row))
     text.extend(f"{i} = {lab}" for i, lab in enumerate(labels))
     _emit(ctx, _report(ctx, payload), text)
@@ -263,7 +264,7 @@ def analyze_cmd(ctx, within):
         i, j, p = view.escape
         raise InputError(
             f"class {within!r} is not product-closed: "
-            f"{view.labels[i]} o {view.labels[j]} escapes")
+            f"{view.label(i)} o {view.label(j)} escapes")
     spec = special_elements(view)
     cen = center(view)
     labels = [_show(g, f) for f in view.elements]
@@ -308,13 +309,13 @@ def orbits_cmd(ctx, within):
         "within": within,
         "orbit_count": len(dec.orbits),
         "orbits": [[labels[i] for i in orb] for orb in dec.orbits],
-        "quotient_table": [list(r) for r in dec.quotient.table],
+        "quotient_table": dec.quotient.table.tolist(),
     }
     lines = [f"{len(dec.orbits)} orbits"]
     for k, orb in enumerate(dec.orbits):
         lines.append(f"  orbit {k}: " + ", ".join(labels[i] for i in orb))
     lines.append("quotient table rows: " +
-                 "; ".join(" ".join(map(str, r)) for r in dec.quotient.table))
+                 "; ".join(" ".join(map(str, r)) for r in payload["quotient_table"]))
     _emit(ctx, _report(ctx, payload), lines)
 
 

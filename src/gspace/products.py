@@ -91,26 +91,18 @@ def selector_count(u: Hyperspace, v: Hyperspace) -> int:
 
 
 def product(g: Groupoid, u: Hyperspace, v: Hyperspace) -> Hyperspace:
-    """U o V = {A : {x : x^-1 A in V} in U}."""
-    _require_carrier(g, u, v)
-    pre = _preimage_table(g)
-    n, ub, vb = g.n, u.bits, v.bits
-    w = 0
-    for a in range(1, 1 << n):
-        s = 0
-        for x in range(n):
-            if (vb >> pre[x][a]) & 1:
-                s |= 1 << x
-        if (ub >> s) & 1:
-            w |= 1 << a
-    return Hyperspace._raw(n, w)
+    """U o V = {A : {x : x^-1 A in V} in U}, U.bits gathered through V's transform."""
+    _require_carrier(g, u)
+    t = product_transform(g, v)
+    member = format(u.bits, f"0{len(t)}b")[::-1]     # member[A] == "1" iff A in U
+    return Hyperspace._raw(g.n, int("".join([member[s] for s in reversed(t)]), 2))
 
 
 def product_transform(g: Groupoid, v: Hyperspace) -> list[int]:
     """t[A] = mask {x : x^-1 A in V}, so that (U o V).bits gathers U.bits at t.
 
-    The right translation by V is the same subset-gather for every U; batch
-    table builders exploit this.
+    The right translation by V is the same subset-gather for every U; the
+    composition-table builder gathers whole columns through it.
     """
     _require_carrier(g, v)
     pre = _preimage_table(g)

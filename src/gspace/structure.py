@@ -1,9 +1,15 @@
 """Semigroup-theoretic analysis of G(X) and its sub-semigroups.
 
-Everything here works on an explicit SemigroupView (element list plus
-composition table). Cancelability, zeros, ideals and the like are decided
-by brute force on the table; the classical characterizations then become
-checkable statements in the test suite instead of implementation shortcuts.
+Everything here works on an explicit SemigroupView: an element list plus
+its composition table, held as one 2-D numpy integer array. Cancelability,
+zeros, ideals and the like are decided by brute force on that array; the
+classical characterizations then become checkable statements in the test
+suite instead of implementation shortcuts.
+
+Views need carriers up to 6 points, so that a family's membership vector
+fits one 64-bit word. One builder fills every table a column at a time:
+for a right factor V, (U o V).bits[A] = U.bits[t_V[A]] with t_V from
+product_transform, gathered over the words of all elements U at once.
 """
 
 from __future__ import annotations
@@ -12,42 +18,54 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .classify import is_shift_invariant, maximal_linked_families
-from .errors import BudgetExceeded, InputError
-from .groupoids import Groupoid
+from .errors import BudgetExceeded, GspaceError, InputError
+from .groupoids import MAX_ENUM_CARRIER, Groupoid
 from .hyperspaces import (Hyperspace, enumerate_all, generate, largest,
                           principal, smallest)
-from .products import _image_table, _preimage_table, product
+from .products import (_image_table, _preimage_table, product,
+                       product_transform)
 
 SECTION_BUDGET = 10 ** 7
-_BATCH_THRESHOLD = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemigroupView:
     """A finite magma extracted from G(X): elements and their composition table.
 
-    Quotient views carry labels instead of hyperspace elements; `table`
-    entries index the element list, -1 marking a product that escaped.
+    `table` is a read-only 2-D int32 array whose entries index the element
+    list, -1 marking a product that escaped; a table given as nested
+    sequences is converted once on construction. Quotient views carry
+    labels instead of hyperspace elements. Views compare by identity.
     """
     groupoid: Groupoid
     elements: tuple[Hyperspace, ...] | None
-    labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    labels: tuple[str, ...] | None
+    table: np.ndarray
     closed: bool
     escape: Optional[tuple[int, int, Hyperspace]] = None
+
+    def __post_init__(self):
+        table = np.asarray(self.table, dtype=np.int32)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
     @property
     def size(self) -> int:
         return len(self.table)
 
+    def label(self, i: int) -> str:
+        """Element i's label: the stored one, else the element's repr."""
+        return self.labels[i] if self.labels is not None else repr(self.elements[i])
+
     def is_associative(self) -> bool:
+        """Exact m^3 check, one row gather per element: (ij)k = i(jk)."""
         if not self.closed:
             raise InputError("associativity needs a closed view")
         t = self.table
-        rng = range(self.size)
-        return all(t[t[i][j]][k] == t[i][t[j][k]]
-                   for i in rng for j in rng for k in rng)
+        return all(np.array_equal(t[t[i]], t[i][t]) for i in range(self.size))
 
     def index_of(self, h: Hyperspace) -> int:
         if self.elements is None:
@@ -58,41 +76,59 @@ class SemigroupView:
             raise InputError(f"{h!r} is not an element of this view") from None
 
 
+def _compose(g: Groupoid, elements, rights) -> np.ndarray:
+    """table[i, j] = index in `elements` of elements[i] o rights[j], or -1.
+
+    Column j gathers the bits of every element's membership word through
+    the transform of rights[j]; the resulting words are looked up by
+    binary search in the sorted element words.
+    """
+    words = np.array([h.bits for h in elements], dtype="<u8")
+    bit_rows = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+    order = np.argsort(words, kind="stable")
+    ranked = words[order]
+    gather = np.zeros(64, dtype=np.intp)   # bit 0 (the empty set) is never set
+    table = np.empty((len(elements), len(rights)), dtype=np.int32)
+    for j, v in enumerate(rights):
+        t = product_transform(g, v)
+        gather[:len(t)] = t
+        col = np.packbits(bit_rows.take(gather, axis=1), axis=1,
+                          bitorder="little").view("<u8")[:, 0]
+        pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
+        table[:, j] = np.where(ranked[pos] == col, order[pos], -1)
+    return table
+
+
+def _first_escape(table: np.ndarray) -> tuple[int, int] | None:
+    """Row-major first -1 entry of a table, or None."""
+    bad = np.flatnonzero(table < 0)
+    return divmod(int(bad[0]), table.shape[1]) if bad.size else None
+
+
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
+
+
 def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     """Composition table over the given hyperspaces; flags the first escape."""
+    if g.n > MAX_ENUM_CARRIER:
+        raise InputError(f"views need carrier <= {MAX_ENUM_CARRIER}")
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
         raise InputError("view elements must be distinct")
     for h in elements:
         if h.n != g.n:
             raise InputError("carrier mismatch in view elements")
-    m = len(elements)
-    if m == 0:
+    if not elements:
         raise InputError("view needs at least one element")
-    if m * m * (1 << g.n) >= _BATCH_THRESHOLD and g.n <= 6:
-        from ._batch import build_table
-        table, escape = build_table(g, list(elements))
-    else:
-        index = {h.bits: i for i, h in enumerate(elements)}
-        table = []
-        escape = None
-        for i, u in enumerate(elements):
-            row = []
-            for j, v in enumerate(elements):
-                p = product(g, u, v)
-                k = index.get(p.bits, -1)
-                if k < 0 and escape is None:
-                    escape = (i, j, p)
-                row.append(k)
-            table.append(row)
-    closed = escape is None
-    return SemigroupView(
-        groupoid=g,
-        elements=elements,
-        labels=tuple(repr(h) for h in elements),
-        table=tuple(tuple(r) for r in table),
-        closed=closed,
-        escape=escape)
+    table = _compose(g, elements, elements)
+    escape = _first_escape(table)
+    if escape is not None:
+        i, j = escape
+        escape = (i, j, product(g, elements[i], elements[j]))
+    return SemigroupView(groupoid=g, elements=elements, labels=None,
+                         table=table, closed=escape is None, escape=escape)
 
 
 def full_view(g: Groupoid) -> SemigroupView:
@@ -117,16 +153,19 @@ def special_elements(view: SemigroupView) -> SpecialElements:
     if not view.closed:
         raise InputError("special_elements needs a closed view")
     t = view.table
-    m = view.size
-    rng = range(m)
-    idem = tuple(i for i in rng if t[i][i] == i)
-    lz = tuple(i for i in rng if all(t[i][j] == i for j in rng))
-    rz = tuple(i for i in rng if all(t[j][i] == i for j in rng))
-    zeros = tuple(i for i in lz if i in rz)
-    ident = next((e for e in rng if all(t[e][x] == x == t[x][e] for x in rng)), None)
-    lc = tuple(i for i in rng if len(set(t[i])) == m)
-    rc = tuple(j for j in rng if len({t[i][j] for i in rng}) == m)
-    return SpecialElements(idem, lz, rz, zeros, ident, lc, rc)
+    ar = np.arange(view.size)
+    by_col = t == ar             # t[i, j] == j
+    by_row = t == ar[:, None]    # t[i, j] == i
+    lz, rz = by_row.all(axis=1), by_col.all(axis=0)
+    units = _indices(by_col.all(axis=1) & by_row.all(axis=0))
+    return SpecialElements(
+        idempotents=_indices(t[ar, ar] == ar),
+        left_zeros=_indices(lz),
+        right_zeros=_indices(rz),
+        zeros=_indices(lz & rz),
+        identity=units[0] if units else None,
+        left_cancelable=_indices((np.sort(t, axis=1) == ar).all(axis=1)),
+        right_cancelable=_indices((np.sort(t, axis=0) == ar[:, None]).all(axis=0)))
 
 
 def center(view: SemigroupView) -> tuple[int, ...]:
@@ -134,8 +173,7 @@ def center(view: SemigroupView) -> tuple[int, ...]:
     if not view.closed:
         raise InputError("center needs a closed view")
     t = view.table
-    rng = range(view.size)
-    return tuple(i for i in rng if all(t[i][j] == t[j][i] for j in rng))
+    return _indices((t == t.T).all(axis=1))
 
 
 def center_of_gx(g: Groupoid, samples: int = 200, seed: int = 7) -> list[Hyperspace]:
@@ -212,17 +250,17 @@ def shift_invariant_core(g: Groupoid, fallback_limit: int = 200_000) -> list[Hyp
 # -- ideals ----------------------------------------------------------------------
 
 def _principal_two_sided_ideal(t, x: int) -> frozenset[int]:
-    m = len(t)
-    seen = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for s in range(m):
-            for p in (t[s][y], t[y][s]):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-    return frozenset(seen)
+    """Closure of {x} under multiplication by the view on either side."""
+    seen = np.zeros(len(t), dtype=bool)
+    seen[x] = True
+    frontier = np.array([x])
+    while frontier.size:
+        hit = np.zeros(len(t), dtype=bool)
+        hit[t[frontier]] = True
+        hit[t[:, frontier]] = True
+        frontier = np.flatnonzero(hit & ~seen)
+        seen |= hit
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def minimal_ideal(view: SemigroupView) -> tuple[int, ...]:
@@ -252,12 +290,25 @@ def minimal_ideal(view: SemigroupView) -> tuple[int, ...]:
     return tuple(sorted(current))
 
 
-def _minimal_among(ideals) -> list[tuple[int, ...]]:
-    distinct = sorted(set(ideals), key=lambda s: (len(s), sorted(s)))
+def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
+    """Inclusion-minimal sets among {x} u {t[x, s] : s}, over all rows x.
+
+    Distinct sets are visited by size; one still alive is minimal, and it
+    removes every set containing it.
+    """
+    m = len(t)
+    ar = np.arange(m)
+    member = np.zeros((m, m), dtype=bool)
+    member[ar, ar] = True
+    member[ar[:, None], t] = True
+    ideals = np.unique(np.packbits(member, axis=1), axis=0)
+    sizes = np.unpackbits(ideals, axis=1).sum(axis=1)
+    alive = np.ones(len(ideals), dtype=bool)
     out = []
-    for i, s in enumerate(distinct):
-        if not any(o < s for o in distinct[:i]):
-            out.append(tuple(sorted(s)))
+    for r in np.argsort(sizes, kind="stable"):
+        if alive[r]:
+            out.append(_indices(np.unpackbits(ideals[r], count=m)))
+            alive &= (ideals[r] & ~ideals).any(axis=1)
     return sorted(out)
 
 
@@ -265,19 +316,13 @@ def minimal_left_ideals(view: SemigroupView) -> list[tuple[int, ...]]:
     """Inclusion-minimal principal left ideals {x} u S*x."""
     if not view.closed:
         raise InputError("minimal_left_ideals needs a closed view")
-    t = view.table
-    m = view.size
-    ideals = [frozenset({x} | {t[s][x] for s in range(m)}) for x in range(m)]
-    return _minimal_among(ideals)
+    return _minimal_row_ideals(view.table.T)
 
 
 def minimal_right_ideals(view: SemigroupView) -> list[tuple[int, ...]]:
     if not view.closed:
         raise InputError("minimal_right_ideals needs a closed view")
-    t = view.table
-    m = view.size
-    ideals = [frozenset({x} | {t[x][s] for s in range(m)}) for x in range(m)]
-    return _minimal_among(ideals)
+    return _minimal_row_ideals(view.table)
 
 
 # -- orbits and quotients ----------------------------------------------------------
@@ -305,57 +350,46 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
     if not view.closed:
         i, j, p = view.escape
         raise InputError(f"element set not closed under the product: "
-                         f"{view.labels[i]} o {view.labels[j]} = {p!r}")
+                         f"{view.label(i)} o {view.label(j)} = {p!r}")
     elems = view.elements
-    index = {h.bits: i for i, h in enumerate(elems)}
-    m = len(elems)
     points = [principal(g.n, h) for h in range(g.n)]
-    shift = []  # shift[i][h] = index of elems[i] o <h>
-    for i, u in enumerate(elems):
-        row = []
-        for ph in points:
-            p = product(g, u, ph)
-            k = index.get(p.bits, -1)
-            if k < 0:
-                raise InputError(f"element set not closed under right shifts: "
-                                 f"{view.labels[i]} o point -> {p!r}")
-            row.append(k)
-        shift.append(row)
-    orbit_of = [-1] * m
+    shift = _compose(g, elems, points)  # shift[i, h] = index of elems[i] o <h>
+    escape = _first_escape(shift)
+    if escape is not None:
+        i, h = escape
+        p = product(g, elems[i], points[h])
+        raise InputError(f"element set not closed under right shifts: "
+                         f"{view.label(i)} o point -> {p!r}")
+    orbit_of = np.full(len(elems), -1)
     orbs = []
-    for i in range(m):
-        if orbit_of[i] >= 0:
-            continue
-        members = sorted(set(shift[i]) | {i})
-        oi = len(orbs)
-        for x in members:
-            orbit_of[x] = oi
-        orbs.append(tuple(members))
-    reps = tuple(o[0] for o in orbs)
+    for i in range(len(elems)):
+        if orbit_of[i] < 0:
+            members = np.union1d(shift[i], i)
+            orbit_of[members] = len(orbs)
+            orbs.append(tuple(members.tolist()))
+    representatives = tuple(o[0] for o in orbs)
+    reps = np.array(representatives)
     t = view.table
-    qtab = [[orbit_of[t[a][b]] for b in reps] for a in reps]
+    qtab = orbit_of[t[np.ix_(reps, reps)]]
     # well-definedness: shifting the left factor must not move the product's orbit
-    for ia, a in enumerate(reps):
-        for ib, b in enumerate(reps):
-            want = qtab[ia][ib]
-            for ha in shift[a]:
-                if orbit_of[t[ha][b]] != want:
-                    raise InputError(
-                        "quotient multiplication ill-defined: the orbit "
-                        "relation is not a congruence (the carrier must be "
-                        "a commutative group for point shifts to slide past "
-                        "the left factor)")
+    shifted = orbit_of[t[shift[reps][:, :, None], reps[None, None, :]]]
+    if not (shifted == qtab[:, None, :]).all():
+        raise InputError(
+            "quotient multiplication ill-defined: the orbit "
+            "relation is not a congruence (the carrier must be "
+            "a commutative group for point shifts to slide past "
+            "the left factor)")
     quotient = SemigroupView(
         groupoid=g,
         elements=None,
-        labels=tuple(f"orbit({view.labels[r]})" for r in reps),
-        table=tuple(tuple(r) for r in qtab),
+        labels=tuple(f"orbit({view.label(r)})" for r in representatives),
+        table=qtab,
         closed=True)
     return OrbitDecomposition(
         view=view,
         orbits=tuple(orbs),
-        orbit_of=tuple(orbit_of),
-        representatives=reps,
+        orbit_of=tuple(orbit_of.tolist()),
+        representatives=representatives,
         quotient=quotient)
 
 
@@ -392,7 +426,7 @@ def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> Sectio
         while stack:
             x = stack.pop()
             for y in list(chosen.values()):
-                for p in (t[x][y], t[y][x]):
+                for p in (int(t[x, y]), int(t[y, x])):
                     nodes += 1
                     if nodes > budget:
                         raise BudgetExceeded(
@@ -429,8 +463,11 @@ def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> Sectio
 
     walk(0)
     for sec in sections:
-        assert len({orbit_of[x] for x in sec}) == len(dec.orbits)
-        assert all(t[a][b] in sec for a in sec for b in sec)
+        idx = np.array(sec)
+        if sorted(orbit_of[x] for x in sec) != list(range(len(dec.orbits))):
+            raise GspaceError(f"section {sec} is not one representative per orbit")
+        if not np.isin(t[np.ix_(idx, idx)], idx).all():
+            raise GspaceError(f"section {sec} is not closed under the product")
     return SectionSearch(decomposition=dec, sections=tuple(sorted(sections)), nodes=nodes)
 
 
@@ -443,19 +480,23 @@ def section_view(search: SectionSearch, section: tuple[int, ...]) -> SemigroupVi
 
 # -- isomorphism -----------------------------------------------------------------
 
-def _refine_colors(t) -> list[int]:
+def _refine_colors(t) -> np.ndarray:
+    """Colour refinement from idempotency; each colour is a canonical rank.
+
+    Element i's signature is its colour plus the sorted multiset of the
+    triples (colour of j, of ij, of ji) over all j, each triple coded as
+    one integer.
+    """
     m = len(t)
-    colors = [int(t[i][i] == i) for i in range(m)]
+    ar = np.arange(m)
+    colors = (t[ar, ar] == ar).astype(np.int64)
     for _ in range(m):
-        sigs = [
-            (colors[i],
-             tuple(sorted((colors[j], colors[t[i][j]], colors[t[j][i]])
-                          for j in range(m))))
-            for i in range(m)
-        ]
-        palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        nxt = [palette[s] for s in sigs]
-        if nxt == colors:
+        k = int(colors.max()) + 1
+        triples = np.sort((colors * k + colors[t]) * k + colors[t.T], axis=1)
+        _, nxt = np.unique(np.column_stack([colors, triples]), axis=0,
+                           return_inverse=True)
+        nxt = nxt.ravel()
+        if np.array_equal(nxt, colors):
             break
         colors = nxt
     return colors
@@ -470,9 +511,9 @@ def are_isomorphic(v1: SemigroupView, v2: SemigroupView) -> tuple[int, ...] | No
     if len(t2) != m:
         return None
     c1, c2 = _refine_colors(t1), _refine_colors(t2)
-    if sorted(c1) != sorted(c2):
+    if not np.array_equal(np.sort(c1), np.sort(c2)):
         return None
-    candidates = [[j for j in range(m) if c2[j] == c1[i]] for i in range(m)]
+    candidates = [np.flatnonzero(c2 == c).tolist() for c in c1]
     order = sorted(range(m), key=lambda i: len(candidates[i]))
     image = [-1] * m
     used = [False] * m
@@ -488,9 +529,9 @@ def are_isomorphic(v1: SemigroupView, v2: SemigroupView) -> tuple[int, ...] | No
             used[j] = True
             ok = True
             for k in order[:pos + 1]:
-                a, b = image[t1[i][k]], image[t1[k][i]]
-                if (a >= 0 and t2[image[i]][image[k]] != a) or \
-                   (b >= 0 and t2[image[k]][image[i]] != b):
+                a, b = image[t1[i, k]], image[t1[k, i]]
+                if (a >= 0 and t2[image[i], image[k]] != a) or \
+                   (b >= 0 and t2[image[k], image[i]] != b):
                     ok = False
                     break
             if ok and extend(pos + 1):

@@ -97,10 +97,10 @@ def check_z2_structure() -> CheckResult:
     ok = True
     if set(spec.right_zeros) != {mn, mx}:
         ok = False
-    details.append(f"right zeros: {[view.labels[i] for i in spec.right_zeros]}")
+    details.append(f"right zeros: {[view.label(i) for i in spec.right_zeros]}")
     if spec.identity != e:
         ok = False
-    details.append(f"unit: {None if spec.identity is None else view.labels[spec.identity]}")
+    details.append(f"unit: {None if spec.identity is None else view.label(spec.identity)}")
     if len(search.sections) != 1:
         ok = False
     else:
@@ -224,7 +224,7 @@ def check_lambda_z3() -> CheckResult:
         expected={"size": 4, "zero": "triangle family"},
         computed={"size": len(lam), "zero_is_triangle": zero_ok},
         details=[f"lambda(Z3) = {len(lam)} elements, "
-                 f"two-sided zero = {view.labels[spec.zeros[0]] if spec.zeros else None}"])
+                 f"two-sided zero = {view.label(spec.zeros[0]) if spec.zeros else None}"])
 
 
 def check_triple_linked_square() -> CheckResult:

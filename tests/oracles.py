@@ -135,6 +135,13 @@ def naive_product_base(table, u_fam, v_fam) -> frozenset[frozenset[int]]:
     return up_close(n, base)
 
 
+def naive_is_associative(table) -> bool:
+    """(ij)k == i(jk) for every triple of a composition table (nested lists)."""
+    rng = range(len(table))
+    return all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i in rng for j in rng for k in rng)
+
+
 def naive_shift_invariant(table, fam) -> bool:
     n = len(table)
     for a in fam:

@@ -202,3 +202,51 @@ def test_verify_paper_exit_and_summary():
     assert "8 passed, 1 failed" in res.stdout
     assert "[FAIL] z3-transversal-count" in res.stdout
     assert "[PASS] lambda-z6-left-ideals" in res.stdout
+
+
+def _table_payloads(verb):
+    args = ("--groupoid", "cyclic:3", "--format", "json", verb)
+    return [json.loads(run_cli(*args).output)["payload"] for _ in range(2)]
+
+
+def test_table_json_entries_are_product_indices():
+    from gspace import build_builtin, enumerate_all, product
+    from gspace.cli import _show
+    g = build_builtin("cyclic", 3)
+    elems = sorted(enumerate_all(3))
+    index = {h.bits: k for k, h in enumerate(elems)}
+    first, second = _table_payloads("table")
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    assert first["labels"] == [_show(g, h) for h in elems]
+    for i, row in enumerate(first["table"]):
+        for j, k in enumerate(row):
+            assert type(k) is int
+            assert k == index[product(g, elems[i], elems[j]).bits]
+
+
+def test_orbits_json_quotient_entries_are_orbit_indices():
+    from gspace import build_builtin, enumerate_all, product
+    from gspace.cli import _show
+    g = build_builtin("cyclic", 3)
+    elems = sorted(enumerate_all(3))
+    index = {h.bits: k for k, h in enumerate(elems)}
+    first, second = _table_payloads("orbits")
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    labels = [_show(g, h) for h in elems]
+    orbit_of = {labels.index(lab): o for o, orb in enumerate(first["orbits"]) for lab in orb}
+    reps = [labels.index(orb[0]) for orb in first["orbits"]]
+    for a, row in enumerate(first["quotient_table"]):
+        for b, k in enumerate(row):
+            assert type(k) is int
+            assert k == orbit_of[index[product(g, elems[reps[a]], elems[reps[b]]).bits]]
+
+
+def test_sections_payload_unchanged_under_optimize():
+    args = ("--groupoid", "cyclic:3", "--format", "json", "sections")
+    plain = run_proc(*args)
+    optimized = subprocess.run([sys.executable, "-O", "-m", "gspace", *args],
+                               capture_output=True, text=True)
+    assert plain.returncode == optimized.returncode == 0
+    payload = json.loads(optimized.stdout)["payload"]
+    assert payload == json.loads(plain.stdout)["payload"]
+    assert payload["section_count"] == 3

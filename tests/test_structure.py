@@ -1,7 +1,11 @@
 import itertools
+import random
 import time
 
+import numpy as np
 import pytest
+
+import oracles
 
 from gspace import (BudgetExceeded, InputError, build_builtin, center,
                     center_of_gx, enumerate_all, find_sections, generate,
@@ -11,8 +15,8 @@ from gspace import (BudgetExceeded, InputError, build_builtin, center,
                     principal, product, right_cancelable_certificate,
                     shift_invariant_core, smallest, special_elements,
                     subset_mask, subsemigroup_view, are_isomorphic)
-from gspace.structure import (SemigroupView, _principal_two_sided_ideal,
-                              section_view)
+from gspace.structure import (SemigroupView, _compose,
+                              _principal_two_sided_ideal, section_view)
 
 
 def masks(n, *sets):
@@ -21,6 +25,22 @@ def masks(n, *sets):
 
 def triangle():
     return generate(3, masks(3, (0, 1), (0, 2), (1, 2)))
+
+
+def reference_index(g, elements):
+    """(u, v) -> index of u o v in `elements` by the reference product, or -1."""
+    index = {h.bits: k for k, h in enumerate(elements)}
+    return lambda u, v: index.get(product(g, u, v).bits, -1)
+
+
+def check_cells(g, view, cells):
+    lookup, elems = reference_index(g, view.elements), view.elements
+    for i, j in cells:
+        assert view.table[i, j] == lookup(elems[i], elems[j]), (g.name, i, j)
+
+
+def check_associativity(view):
+    assert view.is_associative() == oracles.naive_is_associative(view.table.tolist())
 
 
 # -- views -------------------------------------------------------------------------
@@ -32,7 +52,7 @@ def test_full_g3_view_closed(g3_view):
 
 def test_full_view_helper(z2, g2_view):
     from gspace import full_view
-    assert full_view(z2).table == g2_view.table
+    assert np.array_equal(full_view(z2).table, g2_view.table)
 
 
 def test_lambda_z3_view(z3):
@@ -63,26 +83,72 @@ def test_view_rejects_duplicates(z3):
         subsemigroup_view(z3, [principal(3, 0), principal(3, 0)])
 
 
-def test_batch_table_matches_pure(z5):
-    from gspace._batch import build_table
-    elems = maximal_linked_families(5)
-    batch_table, escape = build_table(z5, elems)
-    assert escape is None
-    index = {h.bits: i for i, h in enumerate(elems)}
-    for i in range(0, 81, 7):
-        for j in range(0, 81, 5):
-            want = index[product(z5, elems[i], elems[j]).bits]
-            assert batch_table[i][j] == want
+BUILDER_CASES = [("cyclic", 1), ("cyclic", 2), ("cyclic", 3), ("left-zero", 2),
+                 ("left-zero", 3), ("right-zero", 2), ("right-zero", 3),
+                 ("magma3", 3), ("cyclic", 4), ("klein-4", 4),
+                 ("lambda-cyclic", 4), ("lambda-cyclic", 5)]
 
 
-def test_batch_table_reports_escape(z3):
-    from gspace._batch import build_table
-    e, a = principal(3, 0), principal(3, 1)
-    table, escape = build_table(z3, [e & a, e | a])
-    assert escape is not None
-    i, j, p = escape
-    assert product(z3, [e & a, e | a][i], [e & a, e | a][j]) == p
-    assert table[i][j] == -1
+@pytest.mark.parametrize("kind,n", BUILDER_CASES)
+def test_table_matches_product_exhaustively(kind, n, magma3):
+    if kind == "magma3":
+        g, elems = magma3, sorted(enumerate_all(3))
+    elif kind == "lambda-cyclic":
+        g, elems = build_builtin("cyclic", n), maximal_linked_families(n)
+    else:
+        g, elems = build_builtin(kind, n), sorted(enumerate_all(n))
+    view = subsemigroup_view(g, elems)
+    assert isinstance(view.table, np.ndarray) and view.table.ndim == 2
+    assert view.closed and view.escape is None
+    check_cells(g, view, itertools.product(range(view.size), repeat=2))
+    check_associativity(view)
+
+
+def test_escape_witness_is_row_major_first(z6):
+    elems = maximal_linked_families(6)[:200]
+    view = subsemigroup_view(z6, elems)
+    lookup = reference_index(z6, elems)
+    want = next((i, j) for i in range(200) for j in range(200)
+                if lookup(elems[i], elems[j]) < 0)
+    assert want == (1, 2)
+    i, j, p = view.escape
+    assert (i, j) == want
+    assert p == product(z6, elems[i], elems[j])
+    assert not view.closed and view.table[i, j] == -1
+    assert (view.table[:i] >= 0).all() and (view.table[i, :j] >= 0).all()
+
+
+def test_orbit_shift_table_matches_product(z3, z5, g3_all):
+    for g, elems in ((z3, g3_all), (z5, maximal_linked_families(5))):
+        points = [principal(g.n, h) for h in range(g.n)]
+        shift = _compose(g, elems, points)
+        dec = orbits(g, elems)
+        lookup = reference_index(g, elems)
+        for i, u in enumerate(elems):
+            for h, ph in enumerate(points):
+                k = lookup(u, ph)
+                assert shift[i, h] == k >= 0
+                assert dec.orbit_of[k] == dec.orbit_of[i]
+
+
+def test_view_carrier_cap():
+    g7 = build_builtin("cyclic", 7)
+    with pytest.raises(InputError):
+        subsemigroup_view(g7, [principal(7, 0)])
+
+
+def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all):
+    views = [lambda_view(z3)]
+    for g, elems in ((z2, g2_all), (z3, g3_all)):
+        search = find_sections(g, elems)
+        views.append(search.decomposition.quotient)
+        views += [section_view(search, sec) for sec in search.sections]
+    g = build_builtin("cyclic", 2)
+    views += [SemigroupView(g, None, ("0", "1"), table, True)
+              for table in (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0)),
+                            ((1, 1), (0, 0)))]
+    for view in views:
+        check_associativity(view)
 
 
 # -- special elements ------------------------------------------------------------------
@@ -471,6 +537,8 @@ def test_certificate_family_translates_disjoint(z3):
 def test_lambda_z6_view_and_ideals(z6):
     view = lambda_view(z6)
     assert view.closed and view.size == 2646
+    rnd = random.Random(6)
+    check_cells(z6, view, [(rnd.randrange(2646), rnd.randrange(2646)) for _ in range(60)])
     ideals = minimal_left_ideals(view)
     ults = {view.index_of(principal(6, x)) for x in range(6)}
     assert ideals
