@@ -7,17 +7,22 @@ principal hyperspaces. Maximality is decided by single-set extensions: the
 classes here are closed under unions of chains, so a family is maximal iff
 no one additional set keeps the property (asserted against the brute-force
 definition in the tests).
+
+The predicates above take one family. Class censuses instead filter the
+whole census at once, as bit operations on its array of 64-bit membership
+words (`upset_words`); the tests hold each filter equal to its predicate.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
-from .hyperspaces import Hyperspace, enumeration_shards, generate, iter_upset_bits
+from .hyperspaces import Hyperspace, _point_words, generate, upset_words
 from .products import _image_table, _preimage_table
 
 CLASS_TOKENS = ("all", "filters", "ultrafilters", "linked", "centered",
@@ -189,26 +194,6 @@ def maximal_linked_families(n: int) -> list[Hyperspace]:
     return out
 
 
-def _class_predicate(token: str, k: int | None, g: Groupoid | None):
-    if token == "all":
-        return lambda f: True
-    if token == "centered":
-        return is_centered
-    if token == "linked":
-        if k is None or k < 2:
-            raise InputError("linked:k needs k >= 2")
-        return lambda f: is_k_linked(f, k)
-    if token == "maxlinked":
-        if k is None or k < 2:
-            raise InputError("maxlinked:k needs k >= 2")
-        return lambda f: is_maximal_k_linked(f, k)
-    if token == "shiftinv":
-        if g is None:
-            raise InputError("shiftinv needs a groupoid")
-        return lambda f: is_shift_invariant(g, f)
-    raise InputError(f"unknown class token {token!r}")
-
-
 def parse_class_token(spec: str) -> tuple[str, int | None]:
     """Split a CLI class token like `linked:3` into (name, k)."""
     name, _, karg = spec.partition(":")
@@ -228,47 +213,130 @@ def parse_class_token(spec: str) -> tuple[str, int | None]:
     return name, None
 
 
-def _filter_shard(args):
-    n, prefix_bits, next_mask, token, k, gkey = args
-    g = Groupoid(*gkey) if gkey is not None else None
-    pred = _class_predicate(token, k, g)
-    return [bits for bits in iter_upset_bits(n, prefix_bits, next_mask)
-            if pred(Hyperspace._raw(n, bits))]
+def shift_closures(g: Groupoid) -> dict[int, int | None]:
+    """For each non-empty seed A, the word of its closure under supersets,
+    x * A and x^-1 A, or None when the closure reaches the empty set.
+
+    A family is shift-invariant iff it contains the closure of each of its
+    members, and no member has a closure reaching the empty set.
+    """
+    n = g.n
+    img, pre = _image_table(g), _preimage_table(g)
+    out: dict[int, int | None] = {}
+    for seed in range(1, 1 << n):
+        seen = 1 << seed
+        stack = [seed]
+        while stack:
+            a = stack.pop()
+            nxt = [img[x][a] for x in range(n)] + [pre[x][a] for x in range(n)]
+            nxt += [a | (1 << i) for i in range(n) if not (a >> i) & 1]
+            if 0 in nxt:
+                seen = None
+                break
+            for b in nxt:
+                if not (seen >> b) & 1:
+                    seen |= 1 << b
+                    stack.append(b)
+        out[seed] = seen
+    return out
 
 
-def enumerate_class(g: Groupoid, token: str, k: int | None = None,
-                    workers: int = 1) -> list[Hyperspace]:
+def _partitions(n: int, t: int) -> list[list[int]]:
+    """Set partitions of the n points into exactly t blocks, as block masks."""
+    parts: list[list[int]] = [[]]
+    for i in range(n):
+        nxt = []
+        for blocks in parts:
+            for j in range(len(blocks)):
+                nxt.append(blocks[:j] + [blocks[j] | (1 << i)] + blocks[j + 1:])
+            if len(blocks) < t:
+                nxt.append(blocks + [1 << i])
+        parts = nxt
+    return [p for p in parts if len(p) == t]
+
+
+def _centered_mask(n: int, words: np.ndarray) -> np.ndarray:
+    """F is centered iff F lies inside the principal ultrafilter of some point."""
+    everything = (1 << (1 << n)) - 1
+    keep = np.zeros(len(words), dtype=bool)
+    for p in _point_words(n):
+        keep |= (words & np.uint64(everything ^ p)) == 0
+    return keep
+
+
+def _linked_mask(n: int, k: int, words: np.ndarray) -> np.ndarray:
+    """F fails to be k-linked iff, for some partition of the carrier into
+    min(k, n) blocks, the complement of every block is a member.
+
+    Members A_1..A_j (j <= k) with no common point have complements covering
+    the carrier; refine that cover into min(k, n) disjoint blocks, each inside
+    some complement, and upward closure puts every block's complement in F.
+    """
+    full = (1 << n) - 1
+    keep = np.ones(len(words), dtype=bool)
+    for blocks in _partitions(n, min(k, n)):
+        m = np.uint64(sum(1 << (full ^ b) for b in blocks))
+        keep &= (words & m) != m
+    return keep
+
+
+def _shift_invariant_mask(g: Groupoid, words: np.ndarray) -> np.ndarray:
+    """Keep F iff every seed class it meets has its closure inside F.
+
+    Seeds sharing a closure are tested together; the poisoned seeds (closure
+    None) must all stay outside F.
+    """
+    seeds: dict[int | None, int] = {}
+    for a, c in shift_closures(g).items():
+        seeds[c] = seeds.get(c, 0) | (1 << a)
+    keep = np.ones(len(words), dtype=bool)
+    for c, s in seeds.items():
+        meets = (words & np.uint64(s)) != 0
+        if c is None:
+            keep &= ~meets
+        else:
+            c = np.uint64(c)
+            keep &= ~meets | ((words & c) == c)
+    return keep
+
+
+def enumerate_class(g: Groupoid, token: str, k: int | None = None) -> list[Hyperspace]:
     """All members of a distinguished class, canonically ordered.
 
     Filters and ultrafilters are produced directly (every filter on a finite
     carrier is the closure of one set); maximal 2-linked via the pair search
-    above; everything else by predicate filtering of the full census, sharded
-    across `workers` processes when asked.
+    above; everything else by masking the census words with the bit filters
+    above, then, for maximal k-linked with k >= 3, by the scalar maximality
+    check on the k-linked survivors.
     """
     n = g.n
     if n > MAX_ENUM_CARRIER:
         raise InputError(f"class enumeration needs carrier <= {MAX_ENUM_CARRIER}")
+    if token in ("linked", "maxlinked") and (k is None or k < 2):
+        raise InputError(f"{token}:k needs k >= 2")
     if token == "filters":
         return sorted(generate(n, [a]) for a in range(1, 1 << n))
     if token == "ultrafilters":
         return sorted(generate(n, [1 << x]) for x in range(n))
     if token == "maxlinked" and k == 2:
         return maximal_linked_families(n)
-    if token == "maxlinked" and (k or 0) >= 3 and n > 5:
+    if token == "maxlinked" and n > 5:
         raise InputError("maximal-k-linked censuses with k >= 3 need carrier <= 5")
-    pred = _class_predicate(token, k, g)
-    if workers <= 1:
-        return [Hyperspace._raw(n, b) for b in iter_upset_bits(n)
-                if pred(Hyperspace._raw(n, b))]
-    shards = enumeration_shards(n, depth=max(2, workers.bit_length() + 1))
-    gkey = None if token != "shiftinv" else (g.names, g.table, g.name)
-    args = [(n, bits, nm, token, k, gkey) for bits, nm in shards]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
-        chunks = pool.map(_filter_shard, args)
-    return [Hyperspace._raw(n, b) for chunk in chunks for b in chunk]
+    words = upset_words(n)
+    if token == "centered":
+        words = words[_centered_mask(n, words)]
+    elif token in ("linked", "maxlinked"):
+        words = words[_linked_mask(n, k, words)]
+    elif token == "shiftinv":
+        words = words[_shift_invariant_mask(g, words)]
+    elif token != "all":
+        raise InputError(f"unknown class token {token!r}")
+    fams = [Hyperspace._raw(n, b) for b in words.tolist()]
+    if token == "maxlinked":
+        return [f for f in fams if is_maximal_k_linked(f, k)]
+    return fams
 
 
 def census_count(n: int) -> int:
     """Number of inclusion hyperspaces on n points."""
-    return sum(1 for _ in iter_upset_bits(n))
+    return len(upset_words(n))

@@ -17,11 +17,10 @@ import click
 
 from . import verify as verify_mod
 from .classify import classify as classify_fn
-from .classify import enumerate_class, parse_class_token
+from .classify import census_count, enumerate_class, parse_class_token
 from .errors import BudgetExceeded, InputError
 from .groupoids import Groupoid, build_builtin, groupoid_properties, parse_groupoid
-from .hyperspaces import (enumerate_all, format_hyperspace, iter_upset_bits,
-                          parse_hyperspace)
+from .hyperspaces import enumerate_all, format_hyperspace, parse_hyperspace
 from .products import product, product_via_base
 from .structure import (center, find_sections, minimal_ideal,
                         minimal_left_ideals, minimal_right_ideals, orbits,
@@ -60,11 +59,11 @@ def _show(g: Groupoid, f) -> str:
     return term if term is not None else format_hyperspace(f, g.names)
 
 
-def _class_elements(g: Groupoid, spec: str, workers: int):
+def _class_elements(g: Groupoid, spec: str):
     token, k = parse_class_token(spec)
     if token == "all":
-        return sorted(enumerate_all(g.n))
-    return enumerate_class(g, token, k, workers=workers)
+        return list(enumerate_all(g.n))
+    return enumerate_class(g, token, k)
 
 
 def _report(ctx, payload: dict, verdicts: dict | None = None) -> dict:
@@ -98,18 +97,13 @@ def _emit(ctx, report: dict, text_lines) -> None:
               default="text", show_default=True)
 @click.option("--budget", type=int, default=10 ** 7, show_default=True,
               help="node budget for exhaustive searches")
-@click.option("--parallel", type=int, default=1, show_default=True,
-              help="worker processes for census filtering")
 @click.pass_context
-def cli(ctx, gspec, fmt, budget, parallel):
+def cli(ctx, gspec, fmt, budget):
     """Inclusion-hyperspace semigroups over finite groupoids."""
-    if parallel < 1:
-        raise InputError("--parallel must be at least 1")
     ctx.obj = {
         "gspec": gspec,
         "format": fmt,
         "budget": budget,
-        "parallel": parallel,
         "command_echo": "gspace " + " ".join(sys.argv[1:]),
         "t0": time.perf_counter(),
         "groupoid_loaded": None,
@@ -133,11 +127,11 @@ def enumerate_cmd(ctx, class_spec, count_only):
     g = _groupoid(ctx)
     token, k = parse_class_token(class_spec)
     if count_only and token == "all":
-        count = sum(1 for _ in iter_upset_bits(g.n))
+        count = census_count(g.n)
         payload = {"class": class_spec, "count": count}
         _emit(ctx, _report(ctx, payload), [str(count)])
         return
-    elems = _class_elements(g, class_spec, ctx.obj["parallel"])
+    elems = _class_elements(g, class_spec)
     payload = {"class": class_spec, "count": len(elems)}
     lines = [str(len(elems))] if count_only else [
         f"{i}: {_show(g, f)}" for i, f in enumerate(elems)]
@@ -202,7 +196,7 @@ def product_cmd(ctx, left, right, oracle):
 
 
 def _view_for(ctx, g, within):
-    elems = _class_elements(g, within, ctx.obj["parallel"])
+    elems = _class_elements(g, within)
     return subsemigroup_view(g, elems)
 
 
@@ -302,7 +296,7 @@ def analyze_cmd(ctx, within):
 def orbits_cmd(ctx, within):
     """Right-action orbit partition and the quotient table."""
     g = _groupoid(ctx)
-    elems = _class_elements(g, within, ctx.obj["parallel"])
+    elems = _class_elements(g, within)
     dec = orbits(g, elems)
     labels = [_show(g, f) for f in dec.view.elements]
     payload = {
@@ -325,7 +319,7 @@ def orbits_cmd(ctx, within):
 def sections_cmd(ctx, within):
     """Product-closed transversals of the orbit partition (splittability)."""
     g = _groupoid(ctx)
-    elems = _class_elements(g, within, ctx.obj["parallel"])
+    elems = _class_elements(g, within)
     search = find_sections(g, elems, budget=ctx.obj["budget"])
     labels = [_show(g, f) for f in search.decomposition.view.elements]
     payload = {
@@ -370,7 +364,7 @@ def verify_cmd(ctx):
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
-_GLOBAL_FLAGS = ("--groupoid", "--format", "--budget", "--parallel")
+_GLOBAL_FLAGS = ("--groupoid", "--format", "--budget")
 
 
 def _hoist_globals(argv):

@@ -8,11 +8,19 @@ identity: equality, hashing, and all report ordering compare it directly.
 
 The bit at position 0 (the empty set) is permanently zero, and the bit at
 position 2^n - 1 (the full carrier) is permanently one.
+
+Single hyperspaces hold their vector as a Python int (up to n = 16). The
+census of all hyperspaces on n <= 6 points is one ascending numpy uint64
+array of these vectors (`upset_words`), built by the half-cube
+decomposition; `enumerate_all` wraps its entries as Python ints.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
+
+import numpy as np
 
 from .errors import InputError
 from .groupoids import MAX_CARRIER, MAX_ENUM_CARRIER
@@ -30,6 +38,18 @@ def subset_mask(n: int, elements) -> int:
 
 def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+@functools.cache
+def _point_words(n: int) -> tuple[int, ...]:
+    """For each point i, the word with bit A set iff mask A contains i.
+
+    Bit A of that word is bit i of A, so it repeats a block of 2^i zeros
+    then 2^i ones; it is also the word of the principal ultrafilter of i.
+    """
+    nsub = 1 << n
+    return tuple(((1 << nsub) - 1) // ((1 << (2 << i)) - 1)
+                 * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n))
 
 
 def _check_carrier(n: int) -> None:
@@ -86,15 +106,23 @@ class Hyperspace:
         return bin(self.bits).count("1")
 
     def minimal_sets(self) -> tuple[int, ...]:
-        """The canonical antichain base: inclusion-minimal members, ascending."""
+        """The canonical antichain base: inclusion-minimal members, ascending.
+
+        A member is minimal iff no member is one point smaller. Shifting the
+        word left by 2^i moves bit A - 2^i onto bit A; masking with the word
+        of the sets containing point i keeps the A for which A - {i} is in.
+        """
         if self._mins is None:
             bits = self.bits
+            non = 0
+            for i, c in enumerate(_point_words(self.n)):
+                non |= (bits << (1 << i)) & c
+            rest = bits & ~non
             mins = []
-            for a in range(1, 1 << self.n):
-                if (bits >> a) & 1 and all(
-                        not (bits >> (a ^ (1 << i))) & 1
-                        for i in range(self.n) if (a >> i) & 1):
-                    mins.append(a)
+            while rest:
+                low = rest & -rest
+                mins.append(low.bit_length() - 1)
+                rest ^= low
             self._mins = tuple(mins)
         return self._mins
 
@@ -225,64 +253,31 @@ def support(f: Hyperspace) -> int:
 
 # -- exhaustive enumeration ----------------------------------------------------
 
-def iter_upset_bits(n: int, prefix_bits: int | None = None,
-                    next_mask: int | None = None) -> Iterator[int]:
-    """Membership vectors of all hyperspaces on n points, ascending.
+def upset_words(n: int) -> np.ndarray:
+    """Membership vectors of all hyperspaces on n points, ascending, as uint64.
 
-    Masks are decided from 2^n - 2 down to 1 (the full carrier is preset,
-    the empty set excluded), absent branch before present; a mask may be
-    included only when all its immediate supersets already are. This emits
-    every upward-closed family exactly once in ascending vector order.
-
-    `prefix_bits`/`next_mask` resume from a partial assignment where all
-    masks above `next_mask` were already decided into `prefix_bits`; used
-    to shard the enumeration across workers.
+    Half-cube decomposition: an up-set on m + 1 points is a pair f0 <= f1 of
+    up-sets on m points (f0 on the masks without point m, f1 on those with
+    it), with word f1 << 2^m | f0. Looping f1 in ascending order and keeping
+    the f0 inside it builds the up-sets of every size in ascending order;
+    the first and last (the empty family and the one containing the empty
+    set) are not hyperspaces.
     """
-    full = (1 << n) - 1
-    imm_sup = [[m | (1 << i) for i in range(n) if not (m >> i) & 1]
-               for m in range(full)]
-    if prefix_bits is None:
-        prefix_bits = 1 << full
-        next_mask = full - 1
-    stack = [(next_mask, prefix_bits)]
-    while stack:
-        m, bits = stack.pop()
-        while m >= 1:
-            if all((bits >> s) & 1 for s in imm_sup[m]):
-                stack.append((m - 1, bits | (1 << m)))
-            m -= 1
-        yield bits
+    if not 1 <= n <= MAX_ENUM_CARRIER:
+        raise InputError(
+            f"full enumeration supports carrier sizes 1..{MAX_ENUM_CARRIER}, got {n}")
+    words = np.array([0, 1], dtype=np.uint64)
+    for m in range(n):
+        half = np.uint64(1 << m)
+        words = np.concatenate(
+            [(f1 << half) | words[(words & ~f1) == 0] for f1 in words])
+    return words[1:-1]
 
 
 def enumerate_all(n: int) -> Iterator[Hyperspace]:
     """Every inclusion hyperspace on n points, in ascending canonical order."""
-    if not 1 <= n <= MAX_ENUM_CARRIER:
-        raise InputError(
-            f"full enumeration supports carrier sizes 1..{MAX_ENUM_CARRIER}, got {n}")
-    for bits in iter_upset_bits(n):
+    for bits in upset_words(n).tolist():
         yield Hyperspace._raw(n, bits)
-
-
-def enumeration_shards(n: int, depth: int) -> list[tuple[int, int]]:
-    """Partial assignments (prefix_bits, next_mask) after `depth` decisions.
-
-    Returned in ascending prefix order, so concatenating shard outputs in
-    list order preserves the global ascending enumeration order.
-    """
-    full = (1 << n) - 1
-    depth = max(0, min(depth, full - 1))
-    shards = [((1 << full), full - 1)]
-    for _ in range(depth):
-        nxt = []
-        for bits, m in shards:
-            if m < 1:
-                nxt.append((bits, m))
-                continue
-            nxt.append((bits, m - 1))
-            if all((bits >> (m | (1 << i))) & 1 for i in range(n) if not (m >> i) & 1):
-                nxt.append((bits | (1 << m), m - 1))
-        shards = sorted(nxt)
-    return shards
 
 
 # -- CLI literal syntax ---------------------------------------------------------

@@ -20,13 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import is_shift_invariant, maximal_linked_families
+from .classify import enumerate_class, maximal_linked_families, shift_closures
 from .errors import BudgetExceeded, GspaceError, InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
 from .hyperspaces import (Hyperspace, enumerate_all, generate, largest,
                           principal, smallest)
-from .products import (_image_table, _preimage_table, product,
-                       product_transform)
+from .products import _image_table, product, product_transform
 
 SECTION_BUDGET = 10 ** 7
 
@@ -209,40 +208,18 @@ def shift_invariant_core(g: Groupoid, fallback_limit: int = 200_000) -> list[Hyp
     """All shift-invariant hyperspaces (the right zeros of G(X)), ascending.
 
     Shift-invariance is a per-member condition, so the invariant families are
-    exactly the unions of reachability closures (close each subset under
-    supersets, x * A, and x^-1 A; a closure hitting the empty set poisons
-    every family containing its seed). Falls back to census filtering if the
-    union lattice grows past `fallback_limit`.
+    exactly the unions of the unpoisoned `shift_closures`. Falls back to the
+    vectorized census filter if the union lattice grows past `fallback_limit`.
     """
     n = g.n
     if n > 6:
         raise InputError("shift-invariant core needs carrier <= 6")
-    img, pre = _image_table(g), _preimage_table(g)
-    nsub = 1 << n
-    closures = set()
-    for seed in range(1, nsub):
-        seen = 1 << seed
-        stack = [seed]
-        poisoned = False
-        while stack:
-            a = stack.pop()
-            nxt = [img[x][a] for x in range(n)] + [pre[x][a] for x in range(n)]
-            nxt += [a | (1 << i) for i in range(n) if not (a >> i) & 1]
-            for b in nxt:
-                if b == 0:
-                    poisoned = True
-                    stack = []
-                    break
-                if not (seen >> b) & 1:
-                    seen |= 1 << b
-                    stack.append(b)
-        if not poisoned:
-            closures.add(seen)
+    closures = {c for c in shift_closures(g).values() if c is not None}
     families = {0}
     for c in sorted(closures):
         families |= {f | c for f in families}
         if len(families) > fallback_limit:
-            return [f for f in enumerate_all(n) if is_shift_invariant(g, f)]
+            return enumerate_class(g, "shiftinv")
     families.discard(0)
     return sorted(Hyperspace._raw(n, b) for b in families)
 

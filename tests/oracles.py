@@ -48,6 +48,28 @@ def monotone_count(n: int) -> int:
     raise ValueError("oracle supports n <= 5")
 
 
+def iter_upset_bits(n: int):
+    """Membership vectors of all hyperspaces on n points, ascending, by DFS.
+
+    Masks are decided from 2^n - 2 down to 1 (the full carrier is preset,
+    the empty set excluded), absent branch before present; a mask may be
+    included only when all its immediate supersets already are. This emits
+    every upward-closed family exactly once in ascending vector order.
+    """
+    assert n <= 5, "the scalar walk is the reference for n <= 5"
+    full = (1 << n) - 1
+    imm_sup = [[m | (1 << i) for i in range(n) if not (m >> i) & 1]
+               for m in range(full)]
+    stack = [(full - 1, 1 << full)]
+    while stack:
+        m, bits = stack.pop()
+        while m >= 1:
+            if all((bits >> s) & 1 for s in imm_sup[m]):
+                stack.append((m - 1, bits | (1 << m)))
+            m -= 1
+        yield bits
+
+
 def naive_hyperspace_vectors(n: int) -> list[int]:
     """All valid membership vectors by filtering every 2^(2^n)-bit candidate."""
     assert n <= 3

@@ -188,11 +188,33 @@ def test_enumerate_class_ordering(z3):
         assert elems == sorted(elems)
 
 
-def test_enumerate_class_parallel_determinism(z3):
-    for token, k in [("linked", 2), ("centered", None), ("shiftinv", None)]:
-        serial = enumerate_class(z3, token, k, workers=1)
-        forked = enumerate_class(z3, token, k, workers=2)
-        assert serial == forked
+FILTER_GROUPOIDS = (
+    [f"cyclic:{n}" for n in (1, 2, 3, 4, 5)] + [f"left-zero:{n}" for n in (1, 2, 3, 4, 5)]
+    + [f"right-zero:{n}" for n in (1, 2, 3, 4, 5)] + ["klein-4:4"])
+
+
+@pytest.mark.parametrize("spec", FILTER_GROUPOIDS)
+def test_class_filters_match_predicates(spec):
+    kind, _, size = spec.partition(":")
+    g = build_builtin(kind, int(size))
+    n = g.n
+    census = list(enumerate_all(n))
+    cases = [("centered", None, is_centered),
+             ("shiftinv", None, lambda f: is_shift_invariant(g, f))]
+    for k in range(2, n + 2):
+        cases.append(("linked", k, lambda f, k=k: is_k_linked(f, k)))
+        cases.append(("maxlinked", k, lambda f, k=k: is_maximal_k_linked(f, k)))
+    for token, k, pred in cases:
+        assert enumerate_class(g, token, k) == [f for f in census if pred(f)], (token, k)
+
+
+def test_enumerate_class_deterministic_python_ints(z4):
+    for token, k in [("all", None), ("centered", None), ("linked", 3),
+                     ("maxlinked", 3), ("shiftinv", None)]:
+        first = [f.bits for f in enumerate_class(z4, token, k)]
+        assert first == [f.bits for f in enumerate_class(z4, token, k)]
+        assert all(type(b) is int for b in first), token
+    assert all(type(f.bits) is int for f in enumerate_all(4))
 
 
 def test_enumerate_class_limits(z6):

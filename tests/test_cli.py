@@ -59,12 +59,13 @@ def test_json_payload_deterministic():
     assert a == b
 
 
-def test_parallel_same_payload():
-    base = ("--groupoid", "cyclic:3", "--format", "json")
-    serial = json.loads(run_cli(*base, "enumerate", "--class", "centered").output)
-    forked = json.loads(run_cli(*base, "--parallel", "2", "enumerate",
-                                "--class", "centered").output)
-    assert serial["payload"] == forked["payload"]
+def test_parallel_flag_rejected():
+    assert run_proc("--groupoid", "cyclic:3", "--parallel", "2", "enumerate").returncode == 2
+
+
+def test_count_only_full_census_n6():
+    res = run_cli("--groupoid", "cyclic:6", "enumerate", "--class", "all", "--count-only")
+    assert res.output.strip() == "7828352"
 
 
 def test_classify_command():

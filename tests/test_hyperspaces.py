@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,7 @@ from gspace import (Hyperspace, InputError, enumerate_all, format_hyperspace,
                     generate, join, largest, lattice_combine, mask_elements,
                     meet, parse_hyperspace, principal, smallest, subset_mask,
                     transversal)
-from gspace.hyperspaces import enumeration_shards, iter_upset_bits
+from gspace.hyperspaces import upset_words
 
 
 def masks(n, *sets):
@@ -192,6 +194,31 @@ def test_minimal_sets_of_generate_prunes_base():
     assert h.minimal_sets() == (1, 6)
 
 
+def _mask_of(elements):
+    return sum(1 << i for i in elements)
+
+
+def _check_minimal_sets(h):
+    want = sorted(_mask_of(s) for s in oracles.naive_minimal_sets(oracles.family_of(h)))
+    assert list(h.minimal_sets()) == want
+
+
+def test_minimal_sets_match_oracle_exhaustive():
+    for n in (1, 2, 3, 4):
+        for h in enumerate_all(n):
+            _check_minimal_sets(h)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_minimal_sets_match_oracle_seeded(n):
+    rnd = random.Random(f"minimal-sets-{n}")
+    for _ in range(20):
+        # unions of two random masks are large, so each closure stays small
+        base = [rnd.getrandbits(n) | rnd.getrandbits(n) | 1 << rnd.randrange(n)
+                for _ in range(rnd.randint(1, 4))]
+        _check_minimal_sets(generate(n, base))
+
+
 def test_support():
     assert generate(3, masks(3, (0, 1))).support() == 0b011
     assert smallest(3).support() == 0b111
@@ -228,14 +255,19 @@ def test_enumeration_bounds():
         list(enumerate_all(7))
 
 
-def test_enumeration_shards_cover_stream():
-    for n in (3, 4):
-        full = list(iter_upset_bits(n))
-        for depth in (1, 2, 5):
-            shards = enumeration_shards(n, depth)
-            merged = [b for prefix, nm in shards
-                      for b in iter_upset_bits(n, prefix, nm)]
-            assert merged == full
+def test_upset_words_match_scalar_reference():
+    for n in (1, 2, 3, 4, 5):
+        words = upset_words(n).tolist()
+        assert words == list(oracles.iter_upset_bits(n))
+        assert len(words) == oracles.monotone_count(n) - 2
+
+
+def test_upset_words_n6_strictly_ascending():
+    words = upset_words(6)
+    assert words.dtype == np.uint64
+    assert len(words) == 7828352
+    assert bool(np.all(words[1:] > words[:-1]))
+    assert int(words[-1]) == ((1 << 64) - 1) ^ 1    # every non-empty set
 
 
 # -- literals ----------------------------------------------------------------------------

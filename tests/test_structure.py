@@ -213,6 +213,11 @@ def test_core_matches_predicate_filter(z2, z3, z4, magma3):
         assert fast == slow, g.name
 
 
+def test_core_fallback_matches_union_lattice(z5):
+    for g in (z5, build_builtin("left-zero", 5), build_builtin("right-zero", 5)):
+        assert shift_invariant_core(g, fallback_limit=1) == shift_invariant_core(g), g.name
+
+
 def test_right_zeros_are_exactly_shift_invariant(z2, z3, magma3):
     # over the full view, x is a right zero iff the family is shift-invariant
     for g in (z2, z3, magma3):
