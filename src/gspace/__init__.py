@@ -17,19 +17,17 @@ from .errors import BudgetExceeded, GspaceError, InputError
 from .groupoids import (Groupoid, build_builtin, groupoid_properties,
                         is_homomorphism, parse_groupoid)
 from .hyperspaces import (Hyperspace, enumerate_all, format_hyperspace,
-                          generate, join, largest, lattice_combine,
-                          mask_elements, meet, minimal_sets, parse_hyperspace,
-                          principal, smallest, subset_mask, support,
-                          transversal)
+                          generate, largest, mask_elements, parse_hyperspace,
+                          principal, smallest, subset_mask)
 from .products import (induced_map, left_shift, preimage_shift, product,
                        product_via_base)
 from .structure import (CancelCertificate, OrbitDecomposition, SectionSearch,
                         SemigroupView, SpecialElements, are_isomorphic,
-                        center, center_of_gx, find_sections, full_view,
-                        lambda_view, minimal_ideal, minimal_left_ideals,
+                        center, center_of_gx, find_sections, lambda_view,
+                        minimal_ideal, minimal_left_ideals,
                         minimal_right_ideals, orbits,
-                        right_cancelable_certificate, shift_invariant_core,
-                        special_elements, subsemigroup_view)
+                        right_cancelable_certificate, special_elements,
+                        subsemigroup_view)
 from .terms import term_string
 
 __version__ = "0.1.0"
@@ -40,15 +38,13 @@ __all__ = [
     "SectionSearch", "SemigroupView", "SpecialElements", "are_isomorphic",
     "build_builtin", "census_count", "center", "center_of_gx", "classify",
     "enumerate_all", "enumerate_class", "find_sections", "format_hyperspace",
-    "full_view", "generate", "groupoid_properties", "induced_map",
-    "is_centered", "is_filter", "is_homomorphism", "is_k_linked",
-    "is_maximal_k_linked", "is_self_transversal", "is_shift_invariant",
-    "is_ultrafilter", "join", "lambda_view", "largest", "lattice_combine",
-    "left_shift", "mask_elements", "maximal_linked_families", "meet",
-    "minimal_ideal", "minimal_left_ideals", "minimal_right_ideals",
-    "minimal_sets", "orbits", "parse_groupoid", "parse_hyperspace",
+    "generate", "groupoid_properties", "induced_map", "is_centered",
+    "is_filter", "is_homomorphism", "is_k_linked", "is_maximal_k_linked",
+    "is_self_transversal", "is_shift_invariant", "is_ultrafilter",
+    "lambda_view", "largest", "left_shift", "mask_elements",
+    "maximal_linked_families", "minimal_ideal", "minimal_left_ideals",
+    "minimal_right_ideals", "orbits", "parse_groupoid", "parse_hyperspace",
     "preimage_shift", "principal", "product", "product_via_base",
-    "right_cancelable_certificate", "shift_invariant_core", "smallest",
-    "special_elements", "subset_mask", "subsemigroup_view", "support",
-    "term_string", "transversal",
+    "right_cancelable_certificate", "smallest", "special_elements",
+    "subset_mask", "subsemigroup_view", "term_string",
 ]

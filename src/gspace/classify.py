@@ -11,6 +11,10 @@ definition in the tests).
 The predicates above take one family. Class censuses instead filter the
 whole census at once, as bit operations on its array of 64-bit membership
 words (`upset_words`); the tests hold each filter equal to its predicate.
+The maximal linked families are the self-transversal ones, F = F^T, and are
+read off the up-sets on one point fewer by half-cube self-duality (see
+`maximal_linked_families`); the shift-invariant ones are the right zeros of
+G(X), its shift-invariant core.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
-from .hyperspaces import Hyperspace, _point_words, generate, upset_words
+from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _point_words,
+                          _upsets, generate, upset_words)
 from .products import _image_table, _preimage_table
 
 CLASS_TOKENS = ("all", "filters", "ultrafilters", "linked", "centered",
@@ -133,65 +138,23 @@ def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
 def maximal_linked_families(n: int) -> list[Hyperspace]:
     """All maximal 2-linked hyperspaces, ascending.
 
-    Characterization used: an upward-closed family is maximal linked iff it
-    contains exactly one of A, X - A for every subset A. The search decides
-    complementary pairs with monotone propagation; much faster than filtering
-    the full census (which it matches on small carriers, see tests).
+    A family F is maximal linked iff F = F^T. Split F on the last point as
+    f1 << 2^(n-1) | f0, like the census words: then F^T splits as
+    f1^T << 2^(n-1) | f0^T (transversals on n - 1 points), so F = F^T iff
+    f0 = f1^T, and F is an up-set iff f1^T <= f1. The families are read off
+    the up-sets w on n - 1 points with w^T <= w, ascending with w.
     """
     if not 1 <= n <= MAX_ENUM_CARRIER:
         raise InputError(
             f"maximal linked enumeration supports carrier sizes 1..{MAX_ENUM_CARRIER}")
-    full = (1 << n) - 1
-    nsub = 1 << n
-    imm_sup = [[m | (1 << i) for i in range(n) if not (m >> i) & 1]
-               for m in range(nsub)]
-    imm_sub = [[m ^ (1 << i) for i in range(n) if (m >> i) & 1]
-               for m in range(nsub)]
-    pairs = sorted({(min(a, full ^ a), max(a, full ^ a)) for a in range(1, full)})
-    IN, OUT = 1, 2
-    state = [0] * nsub
-    state[0] = OUT
-    state[full] = IN
-    out: list[Hyperspace] = []
-
-    def assign(a: int, val: int, trail: list[int]) -> bool:
-        stack = [(a, val)]
-        while stack:
-            s, v = stack.pop()
-            if state[s] == v:
-                continue
-            if state[s] != 0:
-                return False
-            state[s] = v
-            trail.append(s)
-            stack.append((full ^ s, IN + OUT - v))
-            nbrs = imm_sup[s] if v == IN else imm_sub[s]
-            for t in nbrs:
-                stack.append((t, v))
-        return True
-
-    def walk(i: int) -> None:
-        if i == len(pairs):
-            bits = 0
-            for m in range(1, nsub):
-                if state[m] == IN:
-                    bits |= 1 << m
-            out.append(Hyperspace._raw(n, bits))
-            return
-        a, b = pairs[i]
-        if state[a] != 0:
-            walk(i + 1)
-            return
-        for side in (a, b):
-            trail: list[int] = []
-            if assign(side, IN, trail):
-                walk(i + 1)
-            for t in trail:
-                state[t] = 0
-
-    walk(0)
-    out.sort()
-    return out
+    half = 1 << (n - 1)
+    w = _upsets(n - 1)
+    flip = np.zeros(64, dtype=np.intp)      # bit E of w^T is bit (Y - E) of ~w
+    flip[:half] = (half - 1) ^ np.arange(half)
+    wt = ~_gather_words(_bit_rows(w), flip) & np.uint64((1 << half) - 1)
+    keep = (wt & ~w) == 0
+    words = (w[keep] << np.uint64(half)) | wt[keep]
+    return [Hyperspace._raw(n, b) for b in words.tolist()]
 
 
 def parse_class_token(spec: str) -> tuple[str, int | None]:
@@ -304,10 +267,10 @@ def enumerate_class(g: Groupoid, token: str, k: int | None = None) -> list[Hyper
     """All members of a distinguished class, canonically ordered.
 
     Filters and ultrafilters are produced directly (every filter on a finite
-    carrier is the closure of one set); maximal 2-linked via the pair search
-    above; everything else by masking the census words with the bit filters
-    above, then, for maximal k-linked with k >= 3, by the scalar maximality
-    check on the k-linked survivors.
+    carrier is the closure of one set); maximal 2-linked by half-cube
+    self-duality above; everything else by masking the census words with the
+    bit filters above, then, for maximal k-linked with k >= 3, by the scalar
+    maximality check on the k-linked survivors.
     """
     n = g.n
     if n > MAX_ENUM_CARRIER:

@@ -20,12 +20,11 @@ from .classify import classify as classify_fn
 from .classify import census_count, enumerate_class, parse_class_token
 from .errors import BudgetExceeded, InputError
 from .groupoids import Groupoid, build_builtin, groupoid_properties, parse_groupoid
-from .hyperspaces import enumerate_all, format_hyperspace, parse_hyperspace
+from .hyperspaces import format_hyperspace, parse_hyperspace
 from .products import product, product_via_base
-from .structure import (center, find_sections, minimal_ideal,
+from .structure import (SECTION_BUDGET, center, find_sections, minimal_ideal,
                         minimal_left_ideals, minimal_right_ideals, orbits,
-                        shift_invariant_core, special_elements,
-                        subsemigroup_view)
+                        special_elements, subsemigroup_view)
 from .terms import term_string
 
 EXIT_VERIFICATION_FAILED = 1
@@ -41,7 +40,11 @@ def _load_groupoid(spec: str | None) -> Groupoid:
         path = Path(arg)
         if not path.exists():
             raise InputError(f"groupoid file not found: {arg}")
-        return parse_groupoid(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read groupoid file {arg}: {exc}") from None
+        return parse_groupoid(text)
     if not arg:
         defaults = {"klein-4": 4, "symmetric-3": 6}
         if kind in defaults:
@@ -60,10 +63,7 @@ def _show(g: Groupoid, f) -> str:
 
 
 def _class_elements(g: Groupoid, spec: str):
-    token, k = parse_class_token(spec)
-    if token == "all":
-        return list(enumerate_all(g.n))
-    return enumerate_class(g, token, k)
+    return enumerate_class(g, *parse_class_token(spec))
 
 
 def _report(ctx, payload: dict, verdicts: dict | None = None) -> dict:
@@ -95,7 +95,7 @@ def _emit(ctx, report: dict, text_lines) -> None:
                    "right-zero) or file:PATH")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text", "dot"]),
               default="text", show_default=True)
-@click.option("--budget", type=int, default=10 ** 7, show_default=True,
+@click.option("--budget", type=int, default=SECTION_BUDGET, show_default=True,
               help="node budget for exhaustive searches")
 @click.pass_context
 def cli(ctx, gspec, fmt, budget):
@@ -195,18 +195,13 @@ def product_cmd(ctx, left, right, oracle):
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
-def _view_for(ctx, g, within):
-    elems = _class_elements(g, within)
-    return subsemigroup_view(g, elems)
-
-
 @cli.command("table")
 @click.option("--within", default="all", show_default=True, metavar="TOKEN")
 @click.pass_context
 def table_cmd(ctx, within):
     """Composition table of a class, as text, csv, json, or dot."""
     g = _groupoid(ctx)
-    view = _view_for(ctx, g, within)
+    view = subsemigroup_view(g, _class_elements(g, within))
     labels = [_show(g, f) for f in view.elements]
     rows = view.table.tolist()
     payload = {
@@ -253,7 +248,7 @@ def table_cmd(ctx, within):
 def analyze_cmd(ctx, within):
     """Special elements, ideals, and the center of a class."""
     g = _groupoid(ctx)
-    view = _view_for(ctx, g, within)
+    view = subsemigroup_view(g, _class_elements(g, within))
     if not view.closed:
         i, j, p = view.escape
         raise InputError(
@@ -284,7 +279,7 @@ def analyze_cmd(ctx, within):
         payload["minimal_right_ideals"] = [
             [labels[i] for i in ideal] for ideal in minimal_right_ideals(view)]
     if within == "all":
-        core = shift_invariant_core(g)
+        core = enumerate_class(g, "shiftinv")
         payload["shift_invariant_core"] = [_show(g, f) for f in core]
     lines = [f"{k}: {v}" for k, v in payload.items() if k != "groupoid"]
     _emit(ctx, _report(ctx, payload), lines)
@@ -375,13 +370,10 @@ def _hoist_globals(argv):
         arg = argv[i]
         name = arg.split("=", 1)[0]
         if name in _GLOBAL_FLAGS:
-            if "=" in arg:
-                hoisted.append(arg)
-            else:
-                hoisted.append(arg)
-                if i + 1 < len(argv):
-                    hoisted.append(argv[i + 1])
-                    i += 1
+            hoisted.append(arg)
+            if "=" not in arg and i + 1 < len(argv):
+                hoisted.append(argv[i + 1])
+                i += 1
         else:
             rest.append(arg)
         i += 1

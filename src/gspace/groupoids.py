@@ -16,9 +16,12 @@ import yaml
 from .errors import InputError
 
 # Carrier caps. Single-hyperspace operations carry 2^n-bit membership
-# vectors; full G(X) enumeration grows like the Dedekind numbers.
+# vectors; full G(X) enumeration grows like the Dedekind numbers. A view's
+# composition table has m^2 cells: the element cap admits all of G(5)
+# (7,579 elements, 57M cells) and refuses all of G(6) (7,828,352).
 MAX_CARRIER = 16
 MAX_ENUM_CARRIER = 6
+MAX_VIEW_ELEMENTS = 10_000
 
 BUILTIN_NAMES = ("cyclic", "symmetric-3", "klein-4", "left-zero", "right-zero")
 
@@ -59,15 +62,6 @@ class Groupoid:
         self.quasigroup = (
             all(set(row) == rng for row in tab)
             and all({tab[i][j] for i in range(n)} == rng for j in range(n)))
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def element_index(self, label: str) -> int:
-        try:
-            return self.names.index(label)
-        except ValueError:
-            raise InputError(f"unknown element {label!r}") from None
 
     def center(self) -> tuple[int, ...]:
         """Indices of elements commuting with every element."""

@@ -102,9 +102,6 @@ class Hyperspace:
             if (bits >> a) & 1:
                 yield a
 
-    def member_count(self) -> int:
-        return bin(self.bits).count("1")
-
     def minimal_sets(self) -> tuple[int, ...]:
         """The canonical antichain base: inclusion-minimal members, ascending.
 
@@ -125,13 +122,6 @@ class Hyperspace:
                 rest ^= low
             self._mins = tuple(mins)
         return self._mins
-
-    def support(self) -> int:
-        """Union of the minimal sets (the smallest carrier subset the family lives on)."""
-        s = 0
-        for m in self.minimal_sets():
-            s |= m
-        return s
 
     # -- lattice and transversality -----------------------------------------
 
@@ -221,57 +211,48 @@ def largest(n: int) -> Hyperspace:
     return Hyperspace._raw(n, ((1 << nsub) - 1) & ~1)
 
 
-# -- spec-surface wrappers ----------------------------------------------------
+# -- membership words in numpy ------------------------------------------------
 
-def lattice_combine(op: str, u: Hyperspace, v: Hyperspace) -> Hyperspace:
-    if op == "meet":
-        return u & v
-    if op == "join":
-        return u | v
-    raise InputError(f"unknown lattice op {op!r}; use 'meet' or 'join'")
-
-
-def meet(u: Hyperspace, v: Hyperspace) -> Hyperspace:
-    return u & v
+def _bit_rows(words) -> np.ndarray:
+    """Row i, column A: bit A of words[i], as a (len(words), 64) uint8 array."""
+    words = np.asarray(words, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")
 
 
-def join(u: Hyperspace, v: Hyperspace) -> Hyperspace:
-    return u | v
-
-
-def transversal(f: Hyperspace) -> Hyperspace:
-    return f.transversal()
-
-
-def minimal_sets(f: Hyperspace) -> tuple[int, ...]:
-    return f.minimal_sets()
-
-
-def support(f: Hyperspace) -> int:
-    return f.support()
+def _gather_words(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Words whose bit A is column index[A] of the bit rows (64 indices)."""
+    return np.packbits(rows.take(index, axis=1), axis=1,
+                       bitorder="little").view("<u8")[:, 0]
 
 
 # -- exhaustive enumeration ----------------------------------------------------
 
-def upset_words(n: int) -> np.ndarray:
-    """Membership vectors of all hyperspaces on n points, ascending, as uint64.
+def _upsets(m: int) -> np.ndarray:
+    """Every up-set of subsets of m points, ascending, as uint64 words.
 
     Half-cube decomposition: an up-set on m + 1 points is a pair f0 <= f1 of
     up-sets on m points (f0 on the masks without point m, f1 on those with
     it), with word f1 << 2^m | f0. Looping f1 in ascending order and keeping
-    the f0 inside it builds the up-sets of every size in ascending order;
-    the first and last (the empty family and the one containing the empty
-    set) are not hyperspaces.
+    the f0 inside it builds the up-sets of every size in ascending order.
+    The first and last words are the empty family and the family holding
+    the empty set.
     """
+    words = np.array([0, 1], dtype=np.uint64)
+    for i in range(m):
+        half = np.uint64(1 << i)
+        words = np.concatenate(
+            [(f1 << half) | words[(words & ~f1) == 0] for f1 in words])
+    return words
+
+
+def upset_words(n: int) -> np.ndarray:
+    """Membership vectors of all hyperspaces on n points, ascending, as uint64:
+    the up-sets on n points without the first and last (not hyperspaces)."""
     if not 1 <= n <= MAX_ENUM_CARRIER:
         raise InputError(
             f"full enumeration supports carrier sizes 1..{MAX_ENUM_CARRIER}, got {n}")
-    words = np.array([0, 1], dtype=np.uint64)
-    for m in range(n):
-        half = np.uint64(1 << m)
-        words = np.concatenate(
-            [(f1 << half) | words[(words & ~f1) == 0] for f1 in words])
-    return words[1:-1]
+    return _upsets(n)[1:-1]
 
 
 def enumerate_all(n: int) -> Iterator[Hyperspace]:

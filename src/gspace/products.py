@@ -60,15 +60,6 @@ def preimage_shift(g: Groupoid, x: int, mask: int) -> int:
     return _preimage_table(g)[x][mask]
 
 
-def image_shift(g: Groupoid, x: int, mask: int) -> int:
-    """The set x * A = {x * y : y in A}."""
-    if not 0 <= x < g.n:
-        raise InputError(f"element index {x} out of range [0, {g.n})")
-    if not 0 < mask < (1 << g.n):
-        raise InputError(f"subset mask {mask} out of range or empty")
-    return _image_table(g)[x][mask]
-
-
 def _require_carrier(g: Groupoid, *hs: Hyperspace) -> None:
     for h in hs:
         if h.n != g.n:

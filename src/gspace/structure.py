@@ -4,12 +4,15 @@ Everything here works on an explicit SemigroupView: an element list plus
 its composition table, held as one 2-D numpy integer array. Cancelability,
 zeros, ideals and the like are decided by brute force on that array; the
 classical characterizations then become checkable statements in the test
-suite instead of implementation shortcuts.
+suite instead of implementation shortcuts. The shift-invariant core (the
+right zeros of G(X)) is not searched for here: it is the `shiftinv` class
+census of `classify.enumerate_class`.
 
 Views need carriers up to 6 points, so that a family's membership vector
-fits one 64-bit word. One builder fills every table a column at a time:
-for a right factor V, (U o V).bits[A] = U.bits[t_V[A]] with t_V from
-product_transform, gathered over the words of all elements U at once.
+fits one 64-bit word, and at most MAX_VIEW_ELEMENTS elements. One builder
+fills every table a column at a time: for a right factor V,
+(U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform, gathered
+over the words of all elements U at once.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import enumerate_class, maximal_linked_families, shift_closures
+from .classify import maximal_linked_families
 from .errors import BudgetExceeded, GspaceError, InputError
-from .groupoids import MAX_ENUM_CARRIER, Groupoid
-from .hyperspaces import (Hyperspace, enumerate_all, generate, largest,
-                          principal, smallest)
+from .groupoids import MAX_ENUM_CARRIER, MAX_VIEW_ELEMENTS, Groupoid
+from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, enumerate_all,
+                          generate, largest, principal, smallest)
 from .products import _image_table, product, product_transform
 
 SECTION_BUDGET = 10 ** 7
+CENTER_SAMPLES = 200    # random non-principal probes in center_of_gx
+CENTER_SEED = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +88,7 @@ def _compose(g: Groupoid, elements, rights) -> np.ndarray:
     binary search in the sorted element words.
     """
     words = np.array([h.bits for h in elements], dtype="<u8")
-    bit_rows = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
+    rows = _bit_rows(words)
     order = np.argsort(words, kind="stable")
     ranked = words[order]
     gather = np.zeros(64, dtype=np.intp)   # bit 0 (the empty set) is never set
@@ -92,8 +96,7 @@ def _compose(g: Groupoid, elements, rights) -> np.ndarray:
     for j, v in enumerate(rights):
         t = product_transform(g, v)
         gather[:len(t)] = t
-        col = np.packbits(bit_rows.take(gather, axis=1), axis=1,
-                          bitorder="little").view("<u8")[:, 0]
+        col = _gather_words(rows, gather)
         pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
         table[:, j] = np.where(ranked[pos] == col, order[pos], -1)
     return table
@@ -114,6 +117,9 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     if g.n > MAX_ENUM_CARRIER:
         raise InputError(f"views need carrier <= {MAX_ENUM_CARRIER}")
     elements = tuple(elements)
+    if len(elements) > MAX_VIEW_ELEMENTS:
+        raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, "
+                         f"got {len(elements)}")
     if len(set(elements)) != len(elements):
         raise InputError("view elements must be distinct")
     for h in elements:
@@ -128,11 +134,6 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
         escape = (i, j, product(g, elements[i], elements[j]))
     return SemigroupView(groupoid=g, elements=elements, labels=None,
                          table=table, closed=escape is None, escape=escape)
-
-
-def full_view(g: Groupoid) -> SemigroupView:
-    """The view of all of G(X); carrier-capped by enumeration limits."""
-    return subsemigroup_view(g, sorted(enumerate_all(g.n)))
 
 
 # -- special elements --------------------------------------------------------
@@ -175,7 +176,7 @@ def center(view: SemigroupView) -> tuple[int, ...]:
     return _indices((t == t.T).all(axis=1))
 
 
-def center_of_gx(g: Groupoid, samples: int = 200, seed: int = 7) -> list[Hyperspace]:
+def center_of_gx(g: Groupoid) -> list[Hyperspace]:
     """Center of the full G(X) semigroup for a quasigroup carrier.
 
     Runs the extremal-element criterion instead of materializing G(X): an
@@ -186,11 +187,11 @@ def center_of_gx(g: Groupoid, samples: int = 200, seed: int = 7) -> list[Hypersp
     """
     if not g.quasigroup:
         raise InputError("the extremal-element criterion needs a quasigroup")
-    rnd = random.Random(seed)
+    rnd = random.Random(CENTER_SEED)
     xcenter = set(g.center())
     out = []
     probes = [smallest(g.n), largest(g.n)] + [principal(g.n, x) for x in range(g.n)]
-    for _ in range(samples):
+    for _ in range(CENTER_SAMPLES):
         base = [rnd.randrange(1, 1 << g.n) for _ in range(rnd.randint(1, 3))]
         probes.append(generate(g.n, base))
     for c in range(g.n):
@@ -200,28 +201,6 @@ def center_of_gx(g: Groupoid, samples: int = 200, seed: int = 7) -> list[Hypersp
         if all(product(g, p, q) == product(g, q, p) for q in probes):
             out.append(p)
     return out
-
-
-# -- shift-invariant core -------------------------------------------------------
-
-def shift_invariant_core(g: Groupoid, fallback_limit: int = 200_000) -> list[Hyperspace]:
-    """All shift-invariant hyperspaces (the right zeros of G(X)), ascending.
-
-    Shift-invariance is a per-member condition, so the invariant families are
-    exactly the unions of the unpoisoned `shift_closures`. Falls back to the
-    vectorized census filter if the union lattice grows past `fallback_limit`.
-    """
-    n = g.n
-    if n > 6:
-        raise InputError("shift-invariant core needs carrier <= 6")
-    closures = {c for c in shift_closures(g).values() if c is not None}
-    families = {0}
-    for c in sorted(closures):
-        families |= {f | c for f in families}
-        if len(families) > fallback_limit:
-            return enumerate_class(g, "shiftinv")
-    families.discard(0)
-    return sorted(Hyperspace._raw(n, b) for b in families)
 
 
 # -- ideals ----------------------------------------------------------------------
@@ -446,13 +425,6 @@ def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> Sectio
         if not np.isin(t[np.ix_(idx, idx)], idx).all():
             raise GspaceError(f"section {sec} is not closed under the product")
     return SectionSearch(decomposition=dec, sections=tuple(sorted(sections)), nodes=nodes)
-
-
-def section_view(search: SectionSearch, section: tuple[int, ...]) -> SemigroupView:
-    """A found section as its own closed SemigroupView."""
-    dec = search.decomposition
-    elems = [dec.view.elements[i] for i in section]
-    return subsemigroup_view(dec.view.groupoid, elems)
 
 
 # -- isomorphism -----------------------------------------------------------------

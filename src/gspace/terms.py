@@ -72,9 +72,3 @@ def term_string(f: Hyperspace, names) -> str | None:
         return None
     return _render(term, tuple(names))
 
-
-def all_term_strings(n: int, names) -> dict[int, str]:
-    """bits -> rendered term for every hyperspace on n <= 3 points."""
-    if n not in _TERM_TABLES:
-        return {}
-    return {bits: _render(t, tuple(names)) for bits, t in _term_bits(n).items()}

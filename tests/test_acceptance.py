@@ -17,10 +17,8 @@ from gspace import (build_builtin, center, center_of_gx, classify,
                     is_shift_invariant, lambda_view, largest,
                     maximal_linked_families, mask_elements, minimal_ideal,
                     minimal_left_ideals, orbits, principal, product,
-                    product_via_base, shift_invariant_core, smallest,
-                    special_elements, subset_mask, subsemigroup_view,
-                    transversal, are_isomorphic)
-from gspace.structure import section_view
+                    product_via_base, smallest, special_elements,
+                    subset_mask, subsemigroup_view, are_isomorphic)
 from gspace.verify import Z3_CHAIN_TABLE, _z3_chain
 
 
@@ -50,7 +48,7 @@ def test_criterion_1_census():
 # -- criterion 2: G(Z3) structure ------------------------------------------------------
 
 def test_criterion_2_g3_structure(z3, g3_all, g3_view):
-    core = shift_invariant_core(z3)
+    core = enumerate_class(z3, "shiftinv")
     spec = special_elements(g3_view)
     dec = orbits(z3, g3_all)
     kern = sorted(g3_all[i] for i in minimal_ideal(g3_view))
@@ -92,13 +90,18 @@ def test_criterion_3_chain_table(z3):
 
 # -- criterion 4: transversal sections ---------------------------------------------------
 
+def _section_view(search, sec):
+    view = search.decomposition.view
+    return subsemigroup_view(view.groupoid, [view.elements[i] for i in sec])
+
+
 def test_criterion_4_sections(z2, z3, z5, g2_all, g3_all):
     s2 = find_sections(z2, g2_all)
     ok2 = len(s2.sections) == 1
 
     s3 = find_sections(z3, g3_all)
     iso_ok = all(
-        are_isomorphic(section_view(s, sec), s.decomposition.quotient) is not None
+        are_isomorphic(_section_view(s, sec), s.decomposition.quotient) is not None
         for s in (s2, s3) for sec in s.sections)
 
     t0 = time.monotonic()
@@ -184,37 +187,37 @@ def test_criterion_7_algebraic_laws(z2, z3, g2_all, g3_all):
     # involution and De Morgan: exhaustive n <= 3
     for n, pool in ((1, list(enumerate_all(1))), (2, g2_all), (3, g3_all)):
         for u in pool:
-            check("involution", transversal(transversal(u)) == u)
+            check("involution", u.transversal().transversal() == u)
         for u in pool:
             for v in pool:
                 check("de-morgan-join",
-                      transversal(u | v) == transversal(u) & transversal(v))
+                      (u | v).transversal() == u.transversal() & v.transversal())
                 check("de-morgan-meet",
-                      transversal(u & v) == transversal(u) | transversal(v))
+                      (u & v).transversal() == u.transversal() | v.transversal())
 
     rnd = random.Random(2024)
     for n in (4, 5):
         for _ in range(300):
             u = _random_hyperspace(rnd, n)
-            check("involution-random", transversal(transversal(u)) == u)
+            check("involution-random", u.transversal().transversal() == u)
             v = _random_hyperspace(rnd, n)
             check("de-morgan-random",
-                  transversal(u | v) == transversal(u) & transversal(v))
+                  (u | v).transversal() == u.transversal() & v.transversal())
 
     # transversality is a product homomorphism: exhaustive Z2/Z3, random Z4/Z5
     for g, pool in ((z2, g2_all), (z3, g3_all)):
         for u in pool:
             for v in pool:
                 check("transversal-product",
-                      transversal(product(g, u, v))
-                      == product(g, transversal(u), transversal(v)))
+                      product(g, u, v).transversal()
+                      == product(g, u.transversal(), v.transversal()))
     for n in (4, 5):
         g = build_builtin("cyclic", n)
         for _ in range(200):
             u, v = _random_hyperspace(rnd, n), _random_hyperspace(rnd, n)
             check("transversal-product-random",
-                  transversal(product(g, u, v))
-                  == product(g, transversal(u), transversal(v)))
+                  product(g, u, v).transversal()
+                  == product(g, u.transversal(), v.transversal()))
 
     # right distributivity over meet and join: exhaustive Z2, sampled Z3/Z4
     for u, v, w in itertools.product(g2_all, repeat=3):
@@ -303,7 +306,7 @@ def test_criterion_8_theorem_replays(z2, z3, s3, magma3, g2_view, g3_view):
     # contrasting groupoids
     for g in (z2, z3, build_builtin("left-zero", 2),
               build_builtin("right-zero", 2)):
-        core = set(shift_invariant_core(g))
+        core = set(enumerate_class(g, "shiftinv"))
         solvable = all(any(g.table[a][x] == b for x in range(g.n))
                        for a in range(g.n) for b in range(g.n))
         check(f"extremes-in-core[{g.name}]",

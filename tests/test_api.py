@@ -1,0 +1,30 @@
+import importlib
+
+import gspace
+from gspace import Groupoid, Hyperspace
+
+# helpers deleted because nothing outside the tests called them
+DELETED = {
+    "gspace": ("full_view", "shift_invariant_core", "lattice_combine", "meet",
+               "join", "transversal", "minimal_sets", "support"),
+    "gspace.hyperspaces": ("lattice_combine", "meet", "join", "transversal",
+                           "minimal_sets", "support"),
+    "gspace.structure": ("full_view", "section_view", "shift_invariant_core"),
+    "gspace.products": ("image_shift",),
+    "gspace.terms": ("all_term_strings",),
+    "gspace.cli": ("_view_for",),
+}
+DELETED_METHODS = ((Hyperspace, "support"), (Hyperspace, "member_count"),
+                   (Groupoid, "mul"), (Groupoid, "element_index"))
+
+
+def test_public_surface():
+    for name in gspace.__all__:
+        assert hasattr(gspace, name), name
+    for module, names in DELETED.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(mod, name), f"{module}.{name}"
+            assert name not in gspace.__all__
+    for cls, name in DELETED_METHODS:
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"

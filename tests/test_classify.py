@@ -157,6 +157,16 @@ def test_maximal_linked_counts():
         assert len(maximal_linked_families(n)) == want
 
 
+def test_maximal_linked_n6_self_transversal():
+    # OEIS A001206; the string-reversal transversal is independent of the
+    # word gather that builds the families
+    fams = maximal_linked_families(6)
+    bits = [f.bits for f in fams]
+    assert len(fams) == 2646
+    assert all(a < b for a, b in zip(bits, bits[1:]))
+    assert all(f.transversal() == f for f in fams)
+
+
 def test_maximal_linked_fast_path_matches_filtering(z2, z3, z4, z5):
     for g in (z2, z3, z4, z5):
         fast = maximal_linked_families(g.n)

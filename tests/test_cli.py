@@ -171,6 +171,22 @@ def test_groupoid_from_file(tmp_path):
     assert res.output.strip() == "4"
 
 
+def _assert_input_error(res):
+    assert res.returncode == 2
+    assert res.stderr.startswith("input error:")
+    assert "Traceback" not in res.stderr
+
+
+def test_groupoid_file_is_directory(tmp_path):
+    _assert_input_error(run_proc("--groupoid", f"file:{tmp_path}", "enumerate"))
+
+
+def test_groupoid_file_invalid_utf8(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"name: Z\xe9\nelements: [e]\ntable: [[e]]\n")
+    _assert_input_error(run_proc("--groupoid", f"file:{path}", "enumerate"))
+
+
 def test_exit_codes():
     assert run_proc("--groupoid", "cyclic:2", "enumerate").returncode == 0
     assert run_proc("--groupoid", "nonsense:2", "enumerate").returncode == 2

@@ -8,7 +8,7 @@ import oracles
 from gspace import (BudgetExceeded, InputError, build_builtin, enumerate_all,
                     generate, induced_map, largest, left_shift,
                     preimage_shift, principal, product, product_via_base,
-                    smallest, subset_mask, transversal)
+                    smallest, subset_mask)
 
 
 def masks(n, *sets):
@@ -145,7 +145,7 @@ def test_oracle_and_transversality_on_random_magmas(gu):
     g, u, v = gu
     p = product(g, u, v)
     assert p == product_via_base(g, u, v)
-    assert transversal(p) == product(g, transversal(u), transversal(v))
+    assert p.transversal() == product(g, u.transversal(), v.transversal())
 
 
 def test_carrier_mismatch(z2, z3):
@@ -160,16 +160,16 @@ def test_carrier_mismatch(z2, z3):
 def test_transversality_homomorphism_exhaustive(z3, g3_all):
     for u in g3_all:
         for v in g3_all:
-            assert transversal(product(z3, u, v)) == \
-                product(z3, transversal(u), transversal(v))
+            assert product(z3, u, v).transversal() == \
+                product(z3, u.transversal(), v.transversal())
 
 
 @settings(max_examples=60)
 @given(hyperspaces(4), hyperspaces(4))
 def test_transversality_homomorphism_random(u, v):
     z4 = build_builtin("cyclic", 4)
-    assert transversal(product(z4, u, v)) == \
-        product(z4, transversal(u), transversal(v))
+    assert product(z4, u, v).transversal() == \
+        product(z4, u.transversal(), v.transversal())
 
 
 @settings(max_examples=60)

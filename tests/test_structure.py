@@ -7,16 +7,18 @@ import pytest
 
 import oracles
 
-from gspace import (BudgetExceeded, InputError, build_builtin, center,
-                    center_of_gx, enumerate_all, find_sections, generate,
-                    is_shift_invariant, lambda_view, largest,
-                    maximal_linked_families, minimal_ideal,
+from gspace import (BudgetExceeded, InputError, build_builtin, census_count,
+                    center, center_of_gx, enumerate_all, enumerate_class,
+                    find_sections, generate, is_shift_invariant, lambda_view,
+                    largest, maximal_linked_families, minimal_ideal,
                     minimal_left_ideals, minimal_right_ideals, orbits,
                     principal, product, right_cancelable_certificate,
-                    shift_invariant_core, smallest, special_elements,
-                    subset_mask, subsemigroup_view, are_isomorphic)
+                    smallest, special_elements, subset_mask,
+                    subsemigroup_view, are_isomorphic)
+from gspace.groupoids import MAX_VIEW_ELEMENTS
+from gspace.products import _image_table
 from gspace.structure import (SemigroupView, _compose,
-                              _principal_two_sided_ideal, section_view)
+                              _principal_two_sided_ideal)
 
 
 def masks(n, *sets):
@@ -39,6 +41,11 @@ def check_cells(g, view, cells):
         assert view.table[i, j] == lookup(elems[i], elems[j]), (g.name, i, j)
 
 
+def _section_view(search, sec):
+    view = search.decomposition.view
+    return subsemigroup_view(view.groupoid, [view.elements[i] for i in sec])
+
+
 def check_associativity(view):
     assert view.is_associative() == oracles.naive_is_associative(view.table.tolist())
 
@@ -51,8 +58,17 @@ def test_full_g3_view_closed(g3_view):
 
 
 def test_full_view_helper(z2, g2_view):
-    from gspace import full_view
-    assert np.array_equal(full_view(z2).table, g2_view.table)
+    # the CLI's `--within all` view: the class census equals the sorted census
+    view = subsemigroup_view(z2, enumerate_class(z2, "all"))
+    assert view.elements == g2_view.elements
+    assert np.array_equal(view.table, g2_view.table)
+
+
+def test_view_element_cap(z6):
+    assert census_count(5) <= MAX_VIEW_ELEMENTS < census_count(6)
+    elems = itertools.islice(enumerate_all(6), MAX_VIEW_ELEMENTS + 1)
+    with pytest.raises(InputError, match="at most"):
+        subsemigroup_view(z6, elems)
 
 
 def test_lambda_z3_view(z3):
@@ -142,7 +158,7 @@ def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all):
     for g, elems in ((z2, g2_all), (z3, g3_all)):
         search = find_sections(g, elems)
         views.append(search.decomposition.quotient)
-        views += [section_view(search, sec) for sec in search.sections]
+        views += [_section_view(search, sec) for sec in search.sections]
     g = build_builtin("cyclic", 2)
     views += [SemigroupView(g, None, ("0", "1"), table, True)
               for table in (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0)),
@@ -180,42 +196,37 @@ def test_g2_special_elements(z2, g2_view):
 
 def test_core_z3(z3):
     e, a, ai = (principal(3, i) for i in range(3))
-    assert shift_invariant_core(z3) == \
+    assert enumerate_class(z3, "shiftinv") == \
         sorted([smallest(3), triangle(), largest(3)])
 
 
 def test_core_z2(z2):
-    assert shift_invariant_core(z2) == sorted([smallest(2), largest(2)])
+    assert enumerate_class(z2, "shiftinv") == sorted([smallest(2), largest(2)])
 
 
 def test_core_left_zero_empty():
     lz = build_builtin("left-zero", 2)
-    core = shift_invariant_core(lz)
+    core = enumerate_class(lz, "shiftinv")
     assert smallest(2) not in core
     assert core == []
 
 
 def test_core_right_zero_is_everything():
     rz = build_builtin("right-zero", 2)
-    assert shift_invariant_core(rz) == sorted(enumerate_all(2))
+    assert enumerate_class(rz, "shiftinv") == sorted(enumerate_all(2))
 
 
 def test_core_size_limit():
     with pytest.raises(InputError):
-        shift_invariant_core(build_builtin("cyclic", 7))
+        enumerate_class(build_builtin("cyclic", 7), "shiftinv")
 
 
 def test_core_matches_predicate_filter(z2, z3, z4, magma3):
     for g in (z2, z3, z4, magma3, build_builtin("left-zero", 3),
               build_builtin("right-zero", 3), build_builtin("klein-4", 4)):
-        fast = shift_invariant_core(g)
+        fast = enumerate_class(g, "shiftinv")
         slow = [f for f in enumerate_all(g.n) if is_shift_invariant(g, f)]
         assert fast == slow, g.name
-
-
-def test_core_fallback_matches_union_lattice(z5):
-    for g in (z5, build_builtin("left-zero", 5), build_builtin("right-zero", 5)):
-        assert shift_invariant_core(g, fallback_limit=1) == shift_invariant_core(g), g.name
 
 
 def test_right_zeros_are_exactly_shift_invariant(z2, z3, magma3):
@@ -230,7 +241,7 @@ def test_right_zeros_are_exactly_shift_invariant(z2, z3, magma3):
 
 def test_core_lattice_and_transversal_closure(z2, z3):
     for g in (z2, z3):
-        core = shift_invariant_core(g)
+        core = enumerate_class(g, "shiftinv")
         pool = {f.bits for f in core}
         for u in core:
             assert u.transversal().bits in pool
@@ -242,7 +253,7 @@ def test_core_lattice_and_transversal_closure(z2, z3):
 
 
 def test_core_inside_every_principal_right_ideal(z3, g3_view):
-    core = shift_invariant_core(z3)
+    core = enumerate_class(z3, "shiftinv")
     elems = g3_view.elements
     core_idx = {g3_view.index_of(f) for f in core}
     t = g3_view.table
@@ -256,7 +267,7 @@ def test_min_max_membership_equivalence():
     for g in (build_builtin("cyclic", 2), build_builtin("cyclic", 3),
               build_builtin("left-zero", 2), build_builtin("right-zero", 2),
               build_builtin("left-zero", 3)):
-        core = set(shift_invariant_core(g))
+        core = set(enumerate_class(g, "shiftinv"))
         has_min = smallest(g.n) in core
         has_max = largest(g.n) in core
         solvable = all(
@@ -270,7 +281,7 @@ def test_min_max_membership_equivalence():
 def test_minimal_ideal_equals_core(z2, z3, g2_view, g3_view):
     for g, view in ((z2, g2_view), (z3, g3_view)):
         kern = minimal_ideal(view)
-        core = shift_invariant_core(g)
+        core = enumerate_class(g, "shiftinv")
         assert sorted(view.elements[i] for i in kern) == core
 
 
@@ -406,7 +417,7 @@ def test_sections_g3_match_bruteforce(z3, g3_all, g3_view):
     assert len(search.sections) == 3
     # every section is isomorphic to the quotient and covers the set by shifts
     for sec in search.sections:
-        sview = section_view(search, sec)
+        sview = _section_view(search, sec)
         assert are_isomorphic(sview, dec.quotient) is not None
         covered = {product(z3, g3_all[i], principal(3, h)).bits
                    for i in sec for h in range(3)}
@@ -448,13 +459,13 @@ def test_isomorphic_to_itself(g3_view):
 
 def test_sections_isomorphic_to_quotient(z2, g2_all):
     search = find_sections(z2, g2_all)
-    sview = section_view(search, search.sections[0])
+    sview = _section_view(search, search.sections[0])
     assert are_isomorphic(sview, search.decomposition.quotient) is not None
 
 
 def test_t_z2_not_isomorphic_to_left_zero_semigroup(z2, g2_all):
     search = find_sections(z2, g2_all)
-    sview = section_view(search, search.sections[0])
+    sview = _section_view(search, search.sections[0])
     lz = SemigroupView(
         groupoid=z2, elements=None, labels=("x", "y", "z"),
         table=((0, 0, 0), (1, 1, 1), (2, 2, 2)), closed=True)
@@ -531,8 +542,7 @@ def test_certificate_family_translates_disjoint(z3):
     cert = right_cancelable_certificate(z3, principal(3, 0))
     used = 0
     for x, s in enumerate(cert.disjoint_family):
-        from gspace.products import image_shift
-        tr = image_shift(z3, x, s)
+        tr = _image_table(z3)[x][s]
         assert tr & used == 0
         used |= tr
 
