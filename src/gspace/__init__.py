@@ -8,11 +8,10 @@ ultrafilters, maximal linked), and analyzes the resulting finite semigroups
 (zeros, ideals, centers, cancelability, orbits, splittability).
 """
 
-from .classify import (ClassFlags, census_count, classify, enumerate_class,
-                       is_centered, is_filter, is_k_linked,
-                       is_maximal_k_linked, is_self_transversal,
-                       is_shift_invariant, is_ultrafilter,
-                       maximal_linked_families)
+from .classify import (ClassFlags, classify, enumerate_class, is_centered,
+                       is_filter, is_k_linked, is_maximal_k_linked,
+                       is_self_transversal, is_shift_invariant,
+                       is_ultrafilter, maximal_linked_families)
 from .errors import BudgetExceeded, GspaceError, InputError
 from .groupoids import (Groupoid, build_builtin, groupoid_properties,
                         is_homomorphism, parse_groupoid)
@@ -36,10 +35,10 @@ __all__ = [
     "BudgetExceeded", "CancelCertificate", "ClassFlags", "Groupoid",
     "GspaceError", "Hyperspace", "InputError", "OrbitDecomposition",
     "SectionSearch", "SemigroupView", "SpecialElements", "are_isomorphic",
-    "build_builtin", "census_count", "center", "center_of_gx", "classify",
-    "enumerate_all", "enumerate_class", "find_sections", "format_hyperspace",
-    "generate", "groupoid_properties", "induced_map", "is_centered",
-    "is_filter", "is_homomorphism", "is_k_linked", "is_maximal_k_linked",
+    "build_builtin", "center", "center_of_gx", "classify", "enumerate_all",
+    "enumerate_class", "find_sections", "format_hyperspace", "generate",
+    "groupoid_properties", "induced_map", "is_centered", "is_filter",
+    "is_homomorphism", "is_k_linked", "is_maximal_k_linked",
     "is_self_transversal", "is_shift_invariant", "is_ultrafilter",
     "lambda_view", "largest", "left_shift", "mask_elements",
     "maximal_linked_families", "minimal_ideal", "minimal_left_ideals",

@@ -13,8 +13,10 @@ whole census at once, as bit operations on its array of 64-bit membership
 words (`upset_words`); the tests hold each filter equal to its predicate.
 The maximal linked families are the self-transversal ones, F = F^T, and are
 read off the up-sets on one point fewer by half-cube self-duality (see
-`maximal_linked_families`); the shift-invariant ones are the right zeros of
-G(X), its shift-invariant core.
+`_maxlinked_words`); the shift-invariant ones are the right zeros of G(X),
+its shift-invariant core. `class_words` returns a census as that ascending
+uint64 array, which views take directly; `enumerate_class` and
+`maximal_linked_families` wrap its entries as Hyperspaces.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
 from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _point_words,
-                          _upsets, generate, upset_words)
+                          _upsets, mask_elements, upset_words)
 from .products import _image_table, _preimage_table
 
 CLASS_TOKENS = ("all", "filters", "ultrafilters", "linked", "centered",
@@ -135,8 +137,8 @@ def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
 
 # -- class censuses --------------------------------------------------------------
 
-def maximal_linked_families(n: int) -> list[Hyperspace]:
-    """All maximal 2-linked hyperspaces, ascending.
+def _maxlinked_words(n: int) -> np.ndarray:
+    """The words of all maximal 2-linked hyperspaces, ascending.
 
     A family F is maximal linked iff F = F^T. Split F on the last point as
     f1 << 2^(n-1) | f0, like the census words: then F^T splits as
@@ -153,8 +155,12 @@ def maximal_linked_families(n: int) -> list[Hyperspace]:
     flip[:half] = (half - 1) ^ np.arange(half)
     wt = ~_gather_words(_bit_rows(w), flip) & np.uint64((1 << half) - 1)
     keep = (wt & ~w) == 0
-    words = (w[keep] << np.uint64(half)) | wt[keep]
-    return [Hyperspace._raw(n, b) for b in words.tolist()]
+    return (w[keep] << np.uint64(half)) | wt[keep]
+
+
+def maximal_linked_families(n: int) -> list[Hyperspace]:
+    """All maximal 2-linked hyperspaces on n points, ascending."""
+    return [Hyperspace._raw(n, b) for b in _maxlinked_words(n).tolist()]
 
 
 def parse_class_token(spec: str) -> tuple[str, int | None]:
@@ -263,26 +269,28 @@ def _shift_invariant_mask(g: Groupoid, words: np.ndarray) -> np.ndarray:
     return keep
 
 
-def enumerate_class(g: Groupoid, token: str, k: int | None = None) -> list[Hyperspace]:
-    """All members of a distinguished class, canonically ordered.
+def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
+    """The membership words of a distinguished class, ascending, as uint64.
 
-    Filters and ultrafilters are produced directly (every filter on a finite
-    carrier is the closure of one set); maximal 2-linked by half-cube
-    self-duality above; everything else by masking the census words with the
-    bit filters above, then, for maximal k-linked with k >= 3, by the scalar
-    maximality check on the k-linked survivors.
+    Filters and ultrafilters are produced directly (the filter generated by
+    a set A is the intersection of the principal ultrafilters of its points);
+    maximal 2-linked by half-cube self-duality above; everything else by
+    masking the census words with the bit filters above, then, for maximal
+    k-linked with k >= 3, by the scalar maximality check on the k-linked
+    survivors.
     """
     n = g.n
     if n > MAX_ENUM_CARRIER:
         raise InputError(f"class enumeration needs carrier <= {MAX_ENUM_CARRIER}")
     if token in ("linked", "maxlinked") and (k is None or k < 2):
         raise InputError(f"{token}:k needs k >= 2")
-    if token == "filters":
-        return sorted(generate(n, [a]) for a in range(1, 1 << n))
-    if token == "ultrafilters":
-        return sorted(generate(n, [1 << x]) for x in range(n))
+    if token in ("filters", "ultrafilters"):
+        points = _point_words(n)
+        seeds = range(1, 1 << n) if token == "filters" else [1 << x for x in range(n)]
+        return np.sort(np.array([_intersect(points[i] for i in mask_elements(a))
+                                 for a in seeds], dtype=np.uint64))
     if token == "maxlinked" and k == 2:
-        return maximal_linked_families(n)
+        return _maxlinked_words(n)
     if token == "maxlinked" and n > 5:
         raise InputError("maximal-k-linked censuses with k >= 3 need carrier <= 5")
     words = upset_words(n)
@@ -294,12 +302,12 @@ def enumerate_class(g: Groupoid, token: str, k: int | None = None) -> list[Hyper
         words = words[_shift_invariant_mask(g, words)]
     elif token != "all":
         raise InputError(f"unknown class token {token!r}")
-    fams = [Hyperspace._raw(n, b) for b in words.tolist()]
     if token == "maxlinked":
-        return [f for f in fams if is_maximal_k_linked(f, k)]
-    return fams
+        words = words[[is_maximal_k_linked(Hyperspace._raw(n, b), k)
+                       for b in words.tolist()]]
+    return words
 
 
-def census_count(n: int) -> int:
-    """Number of inclusion hyperspaces on n points."""
-    return len(upset_words(n))
+def enumerate_class(g: Groupoid, token: str, k: int | None = None) -> list[Hyperspace]:
+    """All members of a distinguished class, ascending (see class_words)."""
+    return [Hyperspace._raw(g.n, b) for b in class_words(g, token, k).tolist()]

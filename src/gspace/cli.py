@@ -17,7 +17,7 @@ import click
 
 from . import verify as verify_mod
 from .classify import classify as classify_fn
-from .classify import census_count, enumerate_class, parse_class_token
+from .classify import class_words, enumerate_class, parse_class_token
 from .errors import BudgetExceeded, InputError
 from .groupoids import Groupoid, build_builtin, groupoid_properties, parse_groupoid
 from .hyperspaces import format_hyperspace, parse_hyperspace
@@ -60,10 +60,6 @@ def _load_groupoid(spec: str | None) -> Groupoid:
 def _show(g: Groupoid, f) -> str:
     term = term_string(f, g.names)
     return term if term is not None else format_hyperspace(f, g.names)
-
-
-def _class_elements(g: Groupoid, spec: str):
-    return enumerate_class(g, *parse_class_token(spec))
 
 
 def _report(ctx, payload: dict, verdicts: dict | None = None) -> dict:
@@ -126,18 +122,14 @@ def enumerate_cmd(ctx, class_spec, count_only):
     """List (or count) the members of a class of hyperspaces."""
     g = _groupoid(ctx)
     token, k = parse_class_token(class_spec)
-    if count_only and token == "all":
-        count = census_count(g.n)
-        payload = {"class": class_spec, "count": count}
-        _emit(ctx, _report(ctx, payload), [str(count)])
+    if count_only:
+        count = len(class_words(g, token, k))
+        _emit(ctx, _report(ctx, {"class": class_spec, "count": count}), [str(count)])
         return
-    elems = _class_elements(g, class_spec)
-    payload = {"class": class_spec, "count": len(elems)}
-    lines = [str(len(elems))] if count_only else [
-        f"{i}: {_show(g, f)}" for i, f in enumerate(elems)]
-    if not count_only:
-        payload["elements"] = [format_hyperspace(f, g.names) for f in elems]
-    _emit(ctx, _report(ctx, payload), lines)
+    elems = enumerate_class(g, token, k)
+    payload = {"class": class_spec, "count": len(elems),
+               "elements": [format_hyperspace(f, g.names) for f in elems]}
+    _emit(ctx, _report(ctx, payload), [f"{i}: {_show(g, f)}" for i, f in enumerate(elems)])
 
 
 @cli.command("classify")
@@ -201,7 +193,7 @@ def product_cmd(ctx, left, right, oracle):
 def table_cmd(ctx, within):
     """Composition table of a class, as text, csv, json, or dot."""
     g = _groupoid(ctx)
-    view = subsemigroup_view(g, _class_elements(g, within))
+    view = subsemigroup_view(g, class_words(g, *parse_class_token(within)))
     labels = [_show(g, f) for f in view.elements]
     rows = view.table.tolist()
     payload = {
@@ -248,7 +240,7 @@ def table_cmd(ctx, within):
 def analyze_cmd(ctx, within):
     """Special elements, ideals, and the center of a class."""
     g = _groupoid(ctx)
-    view = subsemigroup_view(g, _class_elements(g, within))
+    view = subsemigroup_view(g, class_words(g, *parse_class_token(within)))
     if not view.closed:
         i, j, p = view.escape
         raise InputError(
@@ -291,8 +283,7 @@ def analyze_cmd(ctx, within):
 def orbits_cmd(ctx, within):
     """Right-action orbit partition and the quotient table."""
     g = _groupoid(ctx)
-    elems = _class_elements(g, within)
-    dec = orbits(g, elems)
+    dec = orbits(g, class_words(g, *parse_class_token(within)))
     labels = [_show(g, f) for f in dec.view.elements]
     payload = {
         "within": within,
@@ -314,8 +305,8 @@ def orbits_cmd(ctx, within):
 def sections_cmd(ctx, within):
     """Product-closed transversals of the orbit partition (splittability)."""
     g = _groupoid(ctx)
-    elems = _class_elements(g, within)
-    search = find_sections(g, elems, budget=ctx.obj["budget"])
+    search = find_sections(g, class_words(g, *parse_class_token(within)),
+                           budget=ctx.obj["budget"])
     labels = [_show(g, f) for f in search.decomposition.view.elements]
     payload = {
         "within": within,

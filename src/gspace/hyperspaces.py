@@ -226,6 +226,20 @@ def _gather_words(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
                        bitorder="little").view("<u8")[:, 0]
 
 
+def _hyperspace_mask(n: int, words: np.ndarray) -> np.ndarray:
+    """Which uint64 words are hyperspaces on n <= 6 points: the same checks
+    as the Hyperspace constructor, where upward closure means that shifting
+    the members without point i by 2^i (adding i) lands on members only."""
+    nsub = 1 << n
+    valid = np.uint64((1 << nsub) - 1)
+    full = np.uint64(1 << (nsub - 1))
+    ok = ((words & ~valid) == 0) & ((words & np.uint64(1)) == 0) & ((words & full) != 0)
+    for i, c in enumerate(_point_words(n)):
+        without = words & (valid ^ np.uint64(c))
+        ok &= ((without << np.uint64(1 << i)) & ~words) == 0
+    return ok
+
+
 # -- exhaustive enumeration ----------------------------------------------------
 
 def _upsets(m: int) -> np.ndarray:

@@ -75,12 +75,6 @@ def left_shift(g: Groupoid, a: int, f: Hyperspace) -> Hyperspace:
     return generate(g.n, [img[a][m] for m in f.minimal_sets()])
 
 
-def selector_count(u: Hyperspace, v: Hyperspace) -> int:
-    """Number of selector families product_via_base would enumerate."""
-    m = len(v.minimal_sets())
-    return sum(m ** bin(um).count("1") for um in u.minimal_sets())
-
-
 def product(g: Groupoid, u: Hyperspace, v: Hyperspace) -> Hyperspace:
     """U o V = {A : {x : x^-1 A in V} in U}, U.bits gathered through V's transform."""
     _require_carrier(g, u)
@@ -117,13 +111,13 @@ def product_via_base(g: Groupoid, u: Hyperspace, v: Hyperspace,
     instances whose selector count exceeds `budget`.
     """
     _require_carrier(g, u, v)
-    count = selector_count(u, v)
+    vmins = v.minimal_sets()
+    count = sum(len(vmins) ** bin(um).count("1") for um in u.minimal_sets())
     if count > budget:
         raise BudgetExceeded(
             f"product_via_base would enumerate {count} selector families "
             f"(budget {budget})")
     img = _image_table(g)
-    vmins = v.minimal_sets()
     base = []
     for um in u.minimal_sets():
         xs = [i for i in range(g.n) if (um >> i) & 1]

@@ -1,34 +1,37 @@
 """Semigroup-theoretic analysis of G(X) and its sub-semigroups.
 
-Everything here works on an explicit SemigroupView: an element list plus
-its composition table, held as one 2-D numpy integer array. Cancelability,
-zeros, ideals and the like are decided by brute force on that array; the
-classical characterizations then become checkable statements in the test
-suite instead of implementation shortcuts. The shift-invariant core (the
-right zeros of G(X)) is not searched for here: it is the `shiftinv` class
-census of `classify.enumerate_class`.
+Everything here works on an explicit SemigroupView: the elements' 64-bit
+membership words and their composition table, one 2-D numpy integer array.
+Cancelability, zeros, ideals and the like are decided by brute force on
+that array; the classical characterizations then become checkable
+statements in the test suite instead of implementation shortcuts. The
+shift-invariant core (the right zeros of G(X)) is the `shiftinv` class
+census of `classify.class_words`.
 
-Views need carriers up to 6 points, so that a family's membership vector
-fits one 64-bit word, and at most MAX_VIEW_ELEMENTS elements. One builder
-fills every table a column at a time: for a right factor V,
-(U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform, gathered
-over the words of all elements U at once.
+Views take a uint64 word array (a class census) or Hyperspaces, need
+carriers up to 6 points, so that a membership vector fits one 64-bit word,
+and hold at most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace
+is built. One builder fills every table a column at a time: for a right
+factor V, (U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform,
+gathered over the words of all elements U at once.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .classify import maximal_linked_families
+from .classify import class_words
 from .errors import BudgetExceeded, GspaceError, InputError
 from .groupoids import MAX_ENUM_CARRIER, MAX_VIEW_ELEMENTS, Groupoid
-from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, enumerate_all,
-                          generate, largest, principal, smallest)
-from .products import _image_table, product, product_transform
+from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _hyperspace_mask,
+                          _point_words, enumerate_all, generate, largest,
+                          principal, smallest)
+from .products import _image_table, _preimage_table, product
 
 SECTION_BUDGET = 10 ** 7
 CENTER_SAMPLES = 200    # random non-principal probes in center_of_gx
@@ -39,13 +42,16 @@ CENTER_SEED = 7
 class SemigroupView:
     """A finite magma extracted from G(X): elements and their composition table.
 
-    `table` is a read-only 2-D int32 array whose entries index the element
-    list, -1 marking a product that escaped; a table given as nested
-    sequences is converted once on construction. Quotient views carry
-    labels instead of hyperspace elements. Views compare by identity.
+    `words` holds the elements' membership words as a read-only uint64
+    array in element order; `elements`, the same elements as Hyperspaces,
+    is built from it on first use. `table` is a read-only 2-D int32 array
+    whose entries index the elements, -1 marking a product that escaped; a
+    table given as nested sequences is converted once on construction.
+    Quotient views carry labels instead, and `words` None. Views compare by
+    identity.
     """
     groupoid: Groupoid
-    elements: tuple[Hyperspace, ...] | None
+    words: np.ndarray | None
     labels: tuple[str, ...] | None
     table: np.ndarray
     closed: bool
@@ -56,6 +62,12 @@ class SemigroupView:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
+    @functools.cached_property
+    def elements(self) -> tuple[Hyperspace, ...] | None:
+        n = self.groupoid.n
+        return None if self.words is None else tuple(
+            Hyperspace._raw(n, b) for b in self.words.tolist())
+
     @property
     def size(self) -> int:
         return len(self.table)
@@ -64,37 +76,44 @@ class SemigroupView:
         """Element i's label: the stored one, else the element's repr."""
         return self.labels[i] if self.labels is not None else repr(self.elements[i])
 
-    def is_associative(self) -> bool:
-        """Exact m^3 check, one row gather per element: (ij)k = i(jk)."""
-        if not self.closed:
-            raise InputError("associativity needs a closed view")
+    @functools.cached_property
+    def _associative(self) -> bool:
         t = self.table
         return all(np.array_equal(t[t[i]], t[i][t]) for i in range(self.size))
 
+    def is_associative(self) -> bool:
+        """Exact m^3 check, one row gather per element: (ij)k = i(jk);
+        the verdict is kept on the (immutable) view."""
+        if not self.closed:
+            raise InputError("associativity needs a closed view")
+        return self._associative
+
     def index_of(self, h: Hyperspace) -> int:
-        if self.elements is None:
+        """Position of h among the elements, found by comparing words."""
+        if self.words is None:
             raise InputError("quotient views have no hyperspace elements")
-        try:
-            return self.elements.index(h)
-        except ValueError:
-            raise InputError(f"{h!r} is not an element of this view") from None
+        hit = np.flatnonzero(self.words == h.bits) if h.n == self.groupoid.n else []
+        if not len(hit):
+            raise InputError(f"{h!r} is not an element of this view")
+        return int(hit[0])
 
 
-def _compose(g: Groupoid, elements, rights) -> np.ndarray:
-    """table[i, j] = index in `elements` of elements[i] o rights[j], or -1.
+def _compose(g: Groupoid, words: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """table[i, j] = index in `words` of the product words[i] o rights[j], or -1.
 
-    Column j gathers the bits of every element's membership word through
-    the transform of rights[j]; the resulting words are looked up by
-    binary search in the sorted element words.
+    Column j gathers every element word's bits through the right
+    translation of rights[j] (product_transform: x is in t[A] iff bit
+    pre[x][A] of rights[j] is set), and looks the words up by binary search.
     """
-    words = np.array([h.bits for h in elements], dtype="<u8")
+    right_rows = _bit_rows(rights)
+    transforms = sum(right_rows[:, pre].astype(np.intp) << x
+                     for x, pre in enumerate(_preimage_table(g)))
     rows = _bit_rows(words)
     order = np.argsort(words, kind="stable")
     ranked = words[order]
     gather = np.zeros(64, dtype=np.intp)   # bit 0 (the empty set) is never set
-    table = np.empty((len(elements), len(rights)), dtype=np.int32)
-    for j, v in enumerate(rights):
-        t = product_transform(g, v)
+    table = np.empty((len(words), len(rights)), dtype=np.int32)
+    for j, t in enumerate(transforms):
         gather[:len(t)] = t
         col = _gather_words(rows, gather)
         pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
@@ -113,26 +132,35 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
 
 
 def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
-    """Composition table over the given hyperspaces; flags the first escape."""
+    """Composition table over the given elements, a uint64 word array or
+    Hyperspaces, in their order; flags the first escape. The input checks
+    all run before any Hyperspace is built."""
     if g.n > MAX_ENUM_CARRIER:
         raise InputError(f"views need carrier <= {MAX_ENUM_CARRIER}")
-    elements = tuple(elements)
+    raw = isinstance(elements, np.ndarray)
+    if raw and (elements.dtype != np.uint64 or elements.ndim != 1):
+        raise InputError("element words must be a 1-D uint64 array")
+    elements = elements if raw else tuple(elements)
     if len(elements) > MAX_VIEW_ELEMENTS:
         raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, "
                          f"got {len(elements)}")
-    if len(set(elements)) != len(elements):
-        raise InputError("view elements must be distinct")
-    for h in elements:
-        if h.n != g.n:
-            raise InputError("carrier mismatch in view elements")
-    if not elements:
+    if not raw and any(h.n != g.n for h in elements):
+        raise InputError("carrier mismatch in view elements")
+    words = np.array(elements if raw else [h.bits for h in elements], dtype=np.uint64)
+    if not len(words):
         raise InputError("view needs at least one element")
-    table = _compose(g, elements, elements)
+    if len(np.unique(words)) != len(words):
+        raise InputError("view elements must be distinct")
+    if not _hyperspace_mask(g.n, words).all():
+        raise InputError(f"element words must be hyperspaces on {g.n} points")
+    words.setflags(write=False)
+    table = _compose(g, words, words)
     escape = _first_escape(table)
     if escape is not None:
         i, j = escape
-        escape = (i, j, product(g, elements[i], elements[j]))
-    return SemigroupView(groupoid=g, elements=elements, labels=None,
+        u, v = (Hyperspace._raw(g.n, int(words[x])) for x in escape)
+        escape = (i, j, product(g, u, v))
+    return SemigroupView(groupoid=g, words=words, labels=None,
                          table=table, closed=escape is None, escape=escape)
 
 
@@ -205,45 +233,19 @@ def center_of_gx(g: Groupoid) -> list[Hyperspace]:
 
 # -- ideals ----------------------------------------------------------------------
 
-def _principal_two_sided_ideal(t, x: int) -> frozenset[int]:
-    """Closure of {x} under multiplication by the view on either side."""
-    seen = np.zeros(len(t), dtype=bool)
-    seen[x] = True
-    frontier = np.array([x])
-    while frontier.size:
-        hit = np.zeros(len(t), dtype=bool)
-        hit[t[frontier]] = True
-        hit[t[:, frontier]] = True
-        frontier = np.flatnonzero(hit & ~seen)
-        seen |= hit
-    return frozenset(np.flatnonzero(seen).tolist())
-
-
 def minimal_ideal(view: SemigroupView) -> tuple[int, ...]:
     """The kernel: smallest two-sided ideal of an associative closed view.
 
-    Computed by descending through principal two-sided ideals until none of
-    the members generates a strictly smaller one; a minimal principal
-    two-sided ideal is the intersection of them all (tested directly on
-    small views).
+    In a finite semigroup the kernel is the union of the minimal left
+    ideals (held equal to a descent through principal two-sided ideals in
+    the tests).
     """
     if not view.closed:
         raise InputError("minimal_ideal needs a closed view")
     if not view.is_associative():
         raise InputError(
             "minimal_ideal needs an associative view; use the one-sided reports")
-    t = view.table
-    current = _principal_two_sided_ideal(t, 0)
-    changed = True
-    while changed:
-        changed = False
-        for y in current:
-            cand = _principal_two_sided_ideal(t, y)
-            if len(cand) < len(current):
-                current = cand
-                changed = True
-                break
-    return tuple(sorted(current))
+    return tuple(sorted({i for ideal in minimal_left_ideals(view) for i in ideal}))
 
 
 def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
@@ -307,18 +309,17 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
         i, j, p = view.escape
         raise InputError(f"element set not closed under the product: "
                          f"{view.label(i)} o {view.label(j)} = {p!r}")
-    elems = view.elements
-    points = [principal(g.n, h) for h in range(g.n)]
-    shift = _compose(g, elems, points)  # shift[i, h] = index of elems[i] o <h>
+    points = np.array(_point_words(g.n), dtype=np.uint64)   # principal ultrafilters
+    shift = _compose(g, view.words, points)  # shift[i, h] = index of element i o <h>
     escape = _first_escape(shift)
     if escape is not None:
         i, h = escape
-        p = product(g, elems[i], points[h])
+        p = product(g, view.elements[i], principal(g.n, h))
         raise InputError(f"element set not closed under right shifts: "
                          f"{view.label(i)} o point -> {p!r}")
-    orbit_of = np.full(len(elems), -1)
+    orbit_of = np.full(view.size, -1)
     orbs = []
-    for i in range(len(elems)):
+    for i in range(view.size):
         if orbit_of[i] < 0:
             members = np.union1d(shift[i], i)
             orbit_of[members] = len(orbs)
@@ -337,7 +338,7 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
             "the left factor)")
     quotient = SemigroupView(
         groupoid=g,
-        elements=None,
+        words=None,
         labels=tuple(f"orbit({view.label(r)})" for r in representatives),
         table=qtab,
         closed=True)
@@ -467,31 +468,31 @@ def are_isomorphic(v1: SemigroupView, v2: SemigroupView) -> tuple[int, ...] | No
     image = [-1] * m
     used = [False] * m
 
-    def extend(pos: int) -> bool:
-        if pos == m:
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            image[i] = j
-            used[j] = True
-            ok = True
-            for k in order[:pos + 1]:
-                a, b = image[t1[i, k]], image[t1[k, i]]
-                if (a >= 0 and t2[image[i], image[k]] != a) or \
-                   (b >= 0 and t2[image[k], image[i]] != b):
-                    ok = False
-                    break
-            if ok and extend(pos + 1):
-                return True
-            used[j] = False
-            image[i] = -1
-        return False
+    def fits(pos: int, i: int, j: int) -> bool:
+        image[i] = j
+        for k in order[:pos + 1]:
+            a, b = image[t1[i, k]], image[t1[k, i]]
+            if (a >= 0 and t2[j, image[k]] != a) or (b >= 0 and t2[image[k], j] != b):
+                return False
+        return True
 
-    if extend(0):
-        return tuple(image)
-    return None
+    # depth-first without recursion: stack[pos] iterates the candidates of
+    # order[pos], resuming where it stopped when the search backs up to it
+    stack = [iter(candidates[order[0]])] if m else []
+    while stack:
+        pos, i = len(stack) - 1, order[len(stack) - 1]
+        if image[i] >= 0:               # backed up: release the image tried last
+            used[image[i]] = False
+        j = next((j for j in stack[pos] if not used[j] and fits(pos, i, j)), -1)
+        image[i] = j
+        if j < 0:
+            stack.pop()
+        elif pos + 1 == m:
+            return tuple(image)
+        else:
+            used[j] = True
+            stack.append(iter(candidates[order[pos + 1]]))
+    return () if m == 0 else None
 
 
 # -- right cancelability certificates -----------------------------------------------
@@ -567,4 +568,4 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
 
 def lambda_view(g: Groupoid) -> SemigroupView:
     """The maximal-linked families of the carrier as a closed view."""
-    return subsemigroup_view(g, maximal_linked_families(g.n))
+    return subsemigroup_view(g, class_words(g, "maxlinked", 2))

@@ -93,20 +93,12 @@ def check_z2_structure() -> CheckResult:
     mn, mx = view.index_of(smallest(2)), view.index_of(largest(2))
     e = view.index_of(principal(2, 0))
     search = find_sections(g, elems)
-    details = []
-    ok = True
-    if set(spec.right_zeros) != {mn, mx}:
-        ok = False
-    details.append(f"right zeros: {[view.label(i) for i in spec.right_zeros]}")
-    if spec.identity != e:
-        ok = False
-    details.append(f"unit: {None if spec.identity is None else view.label(spec.identity)}")
-    if len(search.sections) != 1:
-        ok = False
-    else:
-        sec = set(search.sections[0])
-        if sec != {mn, e, mx}:
-            ok = False
+    one = len(search.sections) == 1
+    ok = (set(spec.right_zeros) == {mn, mx} and spec.identity == e
+          and one and set(search.sections[0]) == {mn, e, mx})
+    details = [f"right zeros: {[view.label(i) for i in spec.right_zeros]}",
+               f"unit: {None if spec.identity is None else view.label(spec.identity)}"]
+    if one:
         details.append("unique transversal semigroup {min, e, max}")
     return CheckResult(
         name="g-z2-structure", passed=ok,
@@ -288,12 +280,12 @@ def check_lambda_z6_left_ideals() -> CheckResult:
     ideals = minimal_left_ideals(view)
     ults = {view.index_of(principal(6, x)) for x in range(6)}
     disjoint = all(not (set(i) & ults) for i in ideals)
-    ok = view.closed and len(view.elements) == 2646 and disjoint and ideals
+    ok = view.closed and view.size == 2646 and disjoint and ideals
     return CheckResult(
         name="lambda-z6-left-ideals",
         passed=bool(ok),
         expected={"closed": True, "size": 2646, "disjoint_from_ultrafilters": True},
-        computed={"closed": view.closed, "size": len(view.elements),
+        computed={"closed": view.closed, "size": view.size,
                   "minimal_left_ideals": len(ideals),
                   "disjoint_from_ultrafilters": disjoint},
         details=[f"{len(ideals)} minimal left ideals, sizes "

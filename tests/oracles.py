@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 # -- monotone-function counting -------------------------------------------------
 
@@ -162,6 +164,36 @@ def naive_is_associative(table) -> bool:
     rng = range(len(table))
     return all(table[table[i][j]][k] == table[i][table[j][k]]
                for i in rng for j in rng for k in rng)
+
+
+def principal_two_sided_ideal(t, x: int) -> frozenset[int]:
+    """Closure of {x} under multiplication by the table on either side."""
+    seen = np.zeros(len(t), dtype=bool)
+    seen[x] = True
+    frontier = np.array([x])
+    while frontier.size:
+        hit = np.zeros(len(t), dtype=bool)
+        hit[t[frontier]] = True
+        hit[t[:, frontier]] = True
+        frontier = np.flatnonzero(hit & ~seen)
+        seen |= hit
+    return frozenset(np.flatnonzero(seen).tolist())
+
+
+def descent_minimal_ideal(t) -> tuple[int, ...]:
+    """Kernel of an associative table by descent through principal two-sided
+    ideals, until none of the members generates a strictly smaller one."""
+    current = principal_two_sided_ideal(t, 0)
+    changed = True
+    while changed:
+        changed = False
+        for y in current:
+            cand = principal_two_sided_ideal(t, y)
+            if len(cand) < len(current):
+                current = cand
+                changed = True
+                break
+    return tuple(sorted(current))
 
 
 def naive_shift_invariant(table, fam) -> bool:

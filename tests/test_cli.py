@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
-from gspace.cli import cli
+from gspace import Hyperspace
+from gspace.cli import cli, main
 
 Z2_JSON = json.dumps({
     "name": "Z2-from-file",
@@ -66,6 +68,21 @@ def test_parallel_flag_rejected():
 def test_count_only_full_census_n6():
     res = run_cli("--groupoid", "cyclic:6", "enumerate", "--class", "all", "--count-only")
     assert res.output.strip() == "7828352"
+
+
+def test_no_hyperspace_built_before_the_view_cap(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a Hyperspace object was built")
+    monkeypatch.setattr(Hyperspace, "_raw", classmethod(refuse))
+    monkeypatch.setattr(Hyperspace, "__init__", refuse)
+    for argv in (["--groupoid", "cyclic:6", "analyze"],
+                 ["--groupoid", "cyclic:6", "table", "--within", "centered"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "views hold at most 10000 elements" in capsys.readouterr().err
+    main(["--groupoid", "cyclic:6", "enumerate", "--class", "linked:2", "--count-only"])
+    assert capsys.readouterr().out.strip() == "1422563"
 
 
 def test_classify_command():

@@ -7,18 +7,19 @@ import pytest
 
 import oracles
 
-from gspace import (BudgetExceeded, InputError, build_builtin, census_count,
-                    center, center_of_gx, enumerate_all, enumerate_class,
+from gspace import (BudgetExceeded, InputError, build_builtin, center,
+                    center_of_gx, enumerate_all, enumerate_class,
                     find_sections, generate, is_shift_invariant, lambda_view,
                     largest, maximal_linked_families, minimal_ideal,
                     minimal_left_ideals, minimal_right_ideals, orbits,
                     principal, product, right_cancelable_certificate,
                     smallest, special_elements, subset_mask,
                     subsemigroup_view, are_isomorphic)
+from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
+from gspace.hyperspaces import upset_words
 from gspace.products import _image_table
-from gspace.structure import (SemigroupView, _compose,
-                              _principal_two_sided_ideal)
+from gspace.structure import SemigroupView, _compose
 
 
 def masks(n, *sets):
@@ -48,6 +49,8 @@ def _section_view(search, sec):
 
 def check_associativity(view):
     assert view.is_associative() == oracles.naive_is_associative(view.table.tolist())
+    if view.is_associative():
+        assert minimal_ideal(view) == oracles.descent_minimal_ideal(view.table)
 
 
 # -- views -------------------------------------------------------------------------
@@ -59,16 +62,21 @@ def test_full_g3_view_closed(g3_view):
 
 def test_full_view_helper(z2, g2_view):
     # the CLI's `--within all` view: the class census equals the sorted census
-    view = subsemigroup_view(z2, enumerate_class(z2, "all"))
+    view = subsemigroup_view(z2, class_words(z2, "all"))
     assert view.elements == g2_view.elements
     assert np.array_equal(view.table, g2_view.table)
+    assert not view.words.flags.writeable
 
 
 def test_view_element_cap(z6):
-    assert census_count(5) <= MAX_VIEW_ELEMENTS < census_count(6)
+    assert len(upset_words(5)) <= MAX_VIEW_ELEMENTS < len(upset_words(6))
     elems = itertools.islice(enumerate_all(6), MAX_VIEW_ELEMENTS + 1)
     with pytest.raises(InputError, match="at most"):
         subsemigroup_view(z6, elems)
+    for words in (upset_words(6)[:MAX_VIEW_ELEMENTS + 1], upset_words(6)):
+        with pytest.raises(InputError, match=f"at most {MAX_VIEW_ELEMENTS} elements, "
+                                             f"got {len(words)}"):
+            subsemigroup_view(z6, words)
 
 
 def test_lambda_z3_view(z3):
@@ -97,6 +105,30 @@ def test_escaping_view_reports_witness(z3):
 def test_view_rejects_duplicates(z3):
     with pytest.raises(InputError):
         subsemigroup_view(z3, [principal(3, 0), principal(3, 0)])
+    words = class_words(z3, "all")
+    cases = [("distinct", words[[0, 5, 0]]),
+             ("hyperspaces on 3", np.array([words[0], 0b10000010], dtype=np.uint64)),
+             ("hyperspaces on 3", np.array([principal(2, 0).bits], dtype=np.uint64)),
+             ("hyperspaces on 3", np.array([principal(4, 0).bits], dtype=np.uint64)),
+             ("1-D uint64", words.astype(np.int64)),
+             ("at least one", words[:0])]
+    for message, bad in cases:
+        with pytest.raises(InputError, match=message):
+            subsemigroup_view(z3, bad)
+
+
+def test_index_of_follows_caller_order(z3, g3_all):
+    view = subsemigroup_view(z3, g3_all[::-1])
+    assert [view.index_of(h) for h in g3_all] == list(range(17, -1, -1))
+    assert view.index_of(g3_all[0]) == view.words.tolist().index(g3_all[0].bits)
+    small = subsemigroup_view(z3, [principal(3, 0)])
+    with pytest.raises(InputError, match="not an element"):
+        small.index_of(principal(3, 1))
+    with pytest.raises(InputError, match="not an element"):
+        small.index_of(principal(2, 0))
+    quotient = orbits(z3, g3_all).quotient
+    with pytest.raises(InputError, match="quotient"):
+        quotient.index_of(principal(3, 0))
 
 
 BUILDER_CASES = [("cyclic", 1), ("cyclic", 2), ("cyclic", 3), ("left-zero", 2),
@@ -137,7 +169,8 @@ def test_escape_witness_is_row_major_first(z6):
 def test_orbit_shift_table_matches_product(z3, z5, g3_all):
     for g, elems in ((z3, g3_all), (z5, maximal_linked_families(5))):
         points = [principal(g.n, h) for h in range(g.n)]
-        shift = _compose(g, elems, points)
+        words = [np.array([h.bits for h in hs], dtype=np.uint64) for hs in (elems, points)]
+        shift = _compose(g, *words)
         dec = orbits(g, elems)
         lookup = reference_index(g, elems)
         for i, u in enumerate(elems):
@@ -296,7 +329,7 @@ def test_minimal_ideal_equals_intersection_formula(z3, g3_view):
         kern = set(minimal_ideal(view))
         inter = None
         for x in range(view.size):
-            ideal = _principal_two_sided_ideal(view.table, x)
+            ideal = oracles.principal_two_sided_ideal(view.table, x)
             inter = ideal if inter is None else (inter & ideal)
         assert kern == inter
 
@@ -467,7 +500,7 @@ def test_t_z2_not_isomorphic_to_left_zero_semigroup(z2, g2_all):
     search = find_sections(z2, g2_all)
     sview = _section_view(search, search.sections[0])
     lz = SemigroupView(
-        groupoid=z2, elements=None, labels=("x", "y", "z"),
+        groupoid=z2, words=None, labels=("x", "y", "z"),
         table=((0, 0, 0), (1, 1, 1), (2, 2, 2)), closed=True)
     assert are_isomorphic(sview, lz) is None
 
@@ -480,6 +513,14 @@ def test_isomorphism_respects_table():
     assert perm == (1, 0)
     v3 = SemigroupView(g, None, ("0", "1"), ((0, 0), (0, 0)), True)
     assert are_isomorphic(v1, v3) is None
+
+
+def test_isomorphism_search_depth_does_not_grow_with_size(z2):
+    # a left-zero band (ij = i) above the default recursion limit of 1000
+    m = 1100
+    table = np.repeat(np.arange(m)[:, None], m, axis=1)
+    band = SemigroupView(z2, None, tuple(map(str, range(m))), table, True)
+    assert are_isomorphic(band, band) == tuple(range(m))
 
 
 # -- right cancelability ------------------------------------------------------------------------------
