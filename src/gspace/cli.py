@@ -307,7 +307,8 @@ def sections_cmd(ctx, within):
     g = _groupoid(ctx)
     search = find_sections(g, class_words(g, *parse_class_token(within)),
                            budget=ctx.obj["budget"])
-    labels = [_show(g, f) for f in search.decomposition.view.elements]
+    elems = search.decomposition.view.elements
+    labels = {i: _show(g, elems[i]) for sec in search.sections for i in sec}
     payload = {
         "within": within,
         "orbit_count": len(search.decomposition.orbits),

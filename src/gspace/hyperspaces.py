@@ -242,21 +242,28 @@ def _hyperspace_mask(n: int, words: np.ndarray) -> np.ndarray:
 
 # -- exhaustive enumeration ----------------------------------------------------
 
+_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)   # up-sets on m = 0..6 points
+
+
 def _upsets(m: int) -> np.ndarray:
     """Every up-set of subsets of m points, ascending, as uint64 words.
 
     Half-cube decomposition: an up-set on m + 1 points is a pair f0 <= f1 of
     up-sets on m points (f0 on the masks without point m, f1 on those with
     it), with word f1 << 2^m | f0. Looping f1 in ascending order and keeping
-    the f0 inside it builds the up-sets of every size in ascending order.
-    The first and last words are the empty family and the family holding
-    the empty set.
+    the f0 inside it builds the up-sets of every size in ascending order,
+    written into one array of the known size (a Dedekind number). The first
+    and last words are the empty family and the family holding the empty set.
     """
     words = np.array([0, 1], dtype=np.uint64)
     for i in range(m):
         half = np.uint64(1 << i)
-        words = np.concatenate(
-            [(f1 << half) | words[(words & ~f1) == 0] for f1 in words])
+        out, pos = np.empty(_DEDEKIND[i + 1], dtype=np.uint64), 0
+        for f1 in words:
+            inside = words[(words & ~f1) == 0]
+            np.bitwise_or(f1 << half, inside, out=out[pos:pos + len(inside)])
+            pos += len(inside)
+        words = out
     return words
 
 

@@ -205,3 +205,38 @@ def naive_shift_invariant(table, fam) -> bool:
             if img not in fam or pre not in fam:
                 return False
     return True
+
+
+# -- composition tables ------------------------------------------------------------
+
+def gather_table(g, words, rights) -> np.ndarray:
+    """table[i, j] = index in `words` of words[i] o rights[j], or -1.
+
+    Every column is gathered on its own: bit A of U o V is bit t[A] of U,
+    where x is in t[A] iff {y : x * y in A} is in V. The words are looked up
+    by binary search. This is the full-gather reference for the table
+    builder's compressed path.
+    """
+    n, nsub = g.n, 1 << g.n
+    pre = [[sum(1 << y for y in range(n) if (a >> g.table[x][y]) & 1)
+            for a in range(nsub)] for x in range(n)]
+
+    def bit_rows(ws):
+        return np.unpackbits(np.asarray(ws, dtype="<u8").view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+
+    right_rows = bit_rows(rights)
+    transforms = sum(right_rows[:, p].astype(np.intp) << x for x, p in enumerate(pre))
+    words = np.asarray(words, dtype=np.uint64)
+    rows = bit_rows(words)
+    order = np.argsort(words, kind="stable")
+    ranked = words[order]
+    gather = np.zeros(64, dtype=np.intp)
+    table = np.empty((len(words), len(rights)), dtype=np.int32)
+    for j, t in enumerate(transforms):
+        gather[:nsub] = t
+        col = np.packbits(rows.take(gather, axis=1), axis=1,
+                          bitorder="little").view("<u8")[:, 0]
+        pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
+        table[:, j] = np.where(ranked[pos] == col, order[pos], -1)
+    return table

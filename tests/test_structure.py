@@ -17,7 +17,7 @@ from gspace import (BudgetExceeded, InputError, build_builtin, center,
                     subsemigroup_view, are_isomorphic)
 from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
-from gspace.hyperspaces import upset_words
+from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table
 from gspace.structure import SemigroupView, _compose
 
@@ -178,6 +178,44 @@ def test_orbit_shift_table_matches_product(z3, z5, g3_all):
                 k = lookup(u, ph)
                 assert shift[i, h] == k >= 0
                 assert dec.orbit_of[k] == dec.orbit_of[i]
+
+
+TABLE_CASES = [("lambda", "cyclic", 6), ("lambda", "symmetric-3", 6), ("lambda", "cyclic", 5),
+               ("G", "cyclic", 4), ("G", "klein-4", 4), ("G", "left-zero", 4),
+               ("G", "right-zero", 4), ("lambda200", "cyclic", 6),
+               ("principal0", "cyclic", 3), ("G", "magma3", 3)]
+
+
+@pytest.mark.parametrize("kind,name,n", TABLE_CASES)
+def test_compressed_table_matches_gather(kind, name, n, magma3):
+    g = magma3 if name == "magma3" else build_builtin(name, n)
+    words = {"G": lambda: upset_words(n),
+             "lambda": lambda: class_words(g, "maxlinked", 2),
+             "lambda200": lambda: class_words(g, "maxlinked", 2)[:200],
+             "principal0": lambda: np.array([principal(n, 0).bits], dtype=np.uint64)}[kind]()
+    view = subsemigroup_view(g, words)
+    assert np.array_equal(view.table, oracles.gather_table(g, words, words))
+    assert view.table.flags.c_contiguous
+    if kind == "lambda200":
+        assert view.escape[:2] == (1, 2)
+    if kind == "principal0":     # product-closed, not closed under shifts
+        assert view.closed
+        with pytest.raises(InputError, match="right shifts"):
+            orbits(g, words)
+
+
+def test_compressed_table_skips_derived_gathers(z6, magma3, monkeypatch):
+    words = class_words(z6, "maxlinked", 2)
+    bound = len(orbits(z6, words).orbits) + z6.n
+    assert bound == 453
+    calls = []
+    monkeypatch.setattr("gspace.structure._gather_words",
+                        lambda *a: calls.append(1) or _gather_words(*a))
+    subsemigroup_view(z6, words)
+    assert 0 < len(calls) <= bound
+    calls.clear()
+    view = subsemigroup_view(magma3, upset_words(3))   # not associative
+    assert len(calls) == view.size == 18
 
 
 def test_view_carrier_cap():
