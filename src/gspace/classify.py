@@ -10,7 +10,8 @@ definition in the tests).
 
 The predicates above take one family. Class censuses instead filter the
 whole census at once, as bit operations on its array of 64-bit membership
-words (`upset_words`); the tests hold each filter equal to its predicate.
+words (`upset_words`), maximality too; the tests hold each filter equal to
+its predicate.
 The maximal linked families are the self-transversal ones, F = F^T, and are
 read off the up-sets on one point fewer by half-cube self-duality (see
 `_maxlinked_words`); the shift-invariant ones are the right zeros of G(X),
@@ -272,27 +273,24 @@ def _shift_invariant_mask(g: Groupoid, words: np.ndarray) -> np.ndarray:
 def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     """The membership words of a distinguished class, ascending, as uint64.
 
-    Filters and ultrafilters are produced directly (the filter generated by
-    a set A is the intersection of the principal ultrafilters of its points);
-    maximal 2-linked by half-cube self-duality above; everything else by
-    masking the census words with the bit filters above, then, for maximal
-    k-linked with k >= 3, by the scalar maximality check on the k-linked
-    survivors.
+    Filters and ultrafilters are produced directly (up(A), the filter
+    generated by a set A, is the intersection of the principal ultrafilters
+    of its points); maximal 2-linked by half-cube self-duality above;
+    everything else by masking the census words with the bit filters above.
+    Maximal k-linked with k >= 3 then keeps the k-linked survivors F for
+    which F | up(A) is not k-linked for any A outside F.
     """
     n = g.n
     if n > MAX_ENUM_CARRIER:
         raise InputError(f"class enumeration needs carrier <= {MAX_ENUM_CARRIER}")
     if token in ("linked", "maxlinked") and (k is None or k < 2):
         raise InputError(f"{token}:k needs k >= 2")
+    points = _point_words(n)    # up({x}), the principal ultrafilter of x
+    ups = [_intersect(points[i] for i in mask_elements(a)) for a in range(1, 1 << n)]
     if token in ("filters", "ultrafilters"):
-        points = _point_words(n)
-        seeds = range(1, 1 << n) if token == "filters" else [1 << x for x in range(n)]
-        return np.sort(np.array([_intersect(points[i] for i in mask_elements(a))
-                                 for a in seeds], dtype=np.uint64))
+        return np.sort(np.array(ups if token == "filters" else points, dtype=np.uint64))
     if token == "maxlinked" and k == 2:
         return _maxlinked_words(n)
-    if token == "maxlinked" and n > 5:
-        raise InputError("maximal-k-linked censuses with k >= 3 need carrier <= 5")
     words = upset_words(n)
     if token == "centered":
         words = words[_centered_mask(n, words)]
@@ -303,8 +301,9 @@ def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     elif token != "all":
         raise InputError(f"unknown class token {token!r}")
     if token == "maxlinked":
-        words = words[[is_maximal_k_linked(Hyperspace._raw(n, b), k)
-                       for b in words.tolist()]]
+        for up in ups:      # A in F iff up(A) <= F; else F | up(A) must fail
+            grown = words | np.uint64(up)
+            words = words[(grown == words) | ~_linked_mask(n, k, grown)]
     return words
 
 

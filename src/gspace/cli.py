@@ -78,8 +78,6 @@ def _emit(ctx, report: dict, text_lines) -> None:
     fmt = ctx.obj["format"]
     if fmt == "json":
         click.echo(json.dumps(report, indent=2, sort_keys=True, default=str))
-    elif fmt in ("csv", "dot"):
-        raise InputError(f"--format {fmt} is only supported by `table`")
     else:
         for line in text_lines:
             click.echo(line)
@@ -96,6 +94,8 @@ def _emit(ctx, report: dict, text_lines) -> None:
 @click.pass_context
 def cli(ctx, gspec, fmt, budget):
     """Inclusion-hyperspace semigroups over finite groupoids."""
+    if fmt in ("csv", "dot") and ctx.invoked_subcommand != "table":
+        raise InputError(f"--format {fmt} is only supported by `table`")
     ctx.obj = {
         "gspec": gspec,
         "format": fmt,

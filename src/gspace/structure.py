@@ -14,8 +14,9 @@ and hold at most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace
 is built. One builder fills every table a column at a time: for a right
 factor V, (U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform,
 gathered over the words of all elements U at once. Over an associative
-carrier only one column per right orbit {V o <h>} is gathered (λ(Z6): 453
-of 2,646 columns, 0.2-0.35 s; all of G(Z5): 1,523 of 7,579, 2.4-2.7 s).
+carrier it gathers the point shifts U o <h> first, keeps them on the view
+for `orbits`, and gathers only one column per right orbit {V o <h>}
+(λ(Z6): 453 of 2,646 columns, 0.2-0.35 s; all of G(Z5): 1,523 of 7,579).
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class SemigroupView:
     is built from it on first use. `table` is a read-only 2-D int32 array
     whose entries index the elements, -1 marking a product that escaped; a
     table given as nested sequences is converted once on construction.
-    Quotient views carry labels instead, and `words` None. Views compare by
-    identity.
+    `shift`, the read-only point-shift table of the same build (shift[i, h]
+    indexes element i o <h>, or is -1), is None over a non-associative
+    carrier. Quotient views carry labels, and `words` and `shift` None.
+    Views compare by identity.
     """
     groupoid: Groupoid
     words: np.ndarray | None
@@ -58,11 +61,14 @@ class SemigroupView:
     table: np.ndarray
     closed: bool
     escape: Optional[tuple[int, int, Hyperspace]] = None
+    shift: np.ndarray | None = None
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.int32)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+        if self.shift is not None:
+            self.shift.setflags(write=False)
 
     @functools.cached_property
     def elements(self) -> tuple[Hyperspace, ...] | None:
@@ -100,20 +106,21 @@ class SemigroupView:
         return int(hit[0])
 
 
-def _compose(g: Groupoid, words: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """table[i, j] = index in `words` of the product words[i] o rights[j], or -1.
+def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The composition table over `words` and, over an associative carrier,
+    the point-shift table; table[i, j] is the index in `words` of
+    words[i] o words[j], shift[i, h] that of words[i] o <h>, -1 if absent.
 
     A gathered column j sends every element word's bits through the right
-    translation of rights[j] (product_transform: x is in t[A] iff bit
-    pre[x][A] of rights[j] is set), and looks the words up by binary search.
+    translation of words[j] (product_transform: x is in t[A] iff bit
+    pre[x][A] of words[j] is set), and looks the words up by binary search.
 
-    A square table over an associative carrier is orbit-compressed: G(X) is
-    then a semigroup, so words[i] o (V o <h>) = (words[i] o V) o <h>, and
-    the column of V o <h> is the column of V sent through the point-shift
-    table shift[i, h] (the index of words[i] o <h>). Walking the columns in
-    order, one not yet filled is gathered; if none of its products escaped,
-    every unfilled V o <h> is derived from it (V o <h> o <h'> = V o <h * h'>,
-    so one step reaches every shift of V).
+    Over an associative carrier G(X) is a semigroup, so
+    words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of V o <h>
+    is the column of V sent through the shift table, gathered first.
+    Walking the columns in order, one not yet filled is gathered; if none of
+    its products escaped, every unfilled V o <h> is derived from it
+    (V o <h> o <h'> = V o <h * h'>, so one step reaches every shift of V).
     """
     rows = _bit_rows(words)
     order = np.argsort(words, kind="stable").astype(np.int32)
@@ -130,17 +137,17 @@ def _compose(g: Groupoid, words: np.ndarray, rights: np.ndarray) -> np.ndarray:
         pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
         return np.where(ranked[pos] == col, order[pos], -1)
 
-    table = np.empty((len(words), len(rights)), dtype=np.int32)
-    if square := g.associative and np.array_equal(words, rights):
-        shift = np.column_stack([column(t) for t in transforms(_point_words(g.n))])
-    filled = bytearray(len(rights))
-    derived, nd = np.empty((len(rights), 3), dtype=np.int32), 0    # (parent, kid, h) rows
-    for j, t in enumerate(transforms(rights)):
+    table = np.empty((len(words), len(words)), dtype=np.int32)
+    shift = (np.column_stack([column(t) for t in transforms(_point_words(g.n))])
+             if g.associative else None)
+    filled = bytearray(len(words))
+    derived, nd = np.empty((len(words), 3), dtype=np.int32), 0    # (parent, kid, h) rows
+    for j, t in enumerate(transforms(words)):
         if filled[j]:
             continue
         table[:, j] = col = column(t)
         filled[j] = 1
-        if square and col.min() >= 0:
+        if shift is not None and col.min() >= 0:
             for h, k in enumerate(shift[j].tolist()):
                 if k >= 0 and not filled[k]:        # words[k] is words[j] o <h>
                     filled[k] = 1
@@ -149,7 +156,7 @@ def _compose(g: Groupoid, words: np.ndarray, rights: np.ndarray) -> np.ndarray:
     parents, kids, hs = derived[:nd].T
     for r in range(0, len(words) if nd else 0, 16):     # a few rows at a time
         table[r:r + 16, kids] = shift.ravel()[table[r:r + 16, parents] * g.n + hs]
-    return table
+    return table, shift
 
 
 def _first_escape(table: np.ndarray) -> tuple[int, int] | None:
@@ -185,14 +192,14 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     if not _hyperspace_mask(g.n, words).all():
         raise InputError(f"element words must be hyperspaces on {g.n} points")
     words.setflags(write=False)
-    table = _compose(g, words, words)
+    table, shift = _compose(g, words)
     escape = _first_escape(table)
     if escape is not None:
         i, j = escape
         u, v = (Hyperspace._raw(g.n, int(words[x])) for x in escape)
         escape = (i, j, product(g, u, v))
-    return SemigroupView(groupoid=g, words=words, labels=None,
-                         table=table, closed=escape is None, escape=escape)
+    return SemigroupView(groupoid=g, words=words, labels=None, table=table,
+                         closed=escape is None, escape=escape, shift=shift)
 
 
 # -- special elements --------------------------------------------------------
@@ -331,7 +338,8 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
     Requires a group carrier, a product-closed element set that is closed
     under right shifts by points, and verifies quotient well-definedness
     (representatives shifted on the left land in the expected orbit) instead
-    of assuming it.
+    of assuming it. Over a group, row i of the view's shift table is the
+    whole orbit of element i, so its minimum is the orbit's representative.
     """
     if not g.is_group():
         raise InputError("orbit decomposition needs a group carrier")
@@ -340,27 +348,17 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
         i, j, p = view.escape
         raise InputError(f"element set not closed under the product: "
                          f"{view.label(i)} o {view.label(j)} = {p!r}")
-    points = np.array(_point_words(g.n), dtype=np.uint64)   # principal ultrafilters
-    shift = _compose(g, view.words, points)  # shift[i, h] = index of element i o <h>
-    escape = _first_escape(shift)
+    escape = _first_escape(view.shift)
     if escape is not None:
         i, h = escape
         p = product(g, view.elements[i], principal(g.n, h))
         raise InputError(f"element set not closed under right shifts: "
                          f"{view.label(i)} o point -> {p!r}")
-    orbit_of = np.full(view.size, -1)
-    orbs = []
-    for i in range(view.size):
-        if orbit_of[i] < 0:
-            members = np.union1d(shift[i], i)
-            orbit_of[members] = len(orbs)
-            orbs.append(tuple(members.tolist()))
-    representatives = tuple(o[0] for o in orbs)
-    reps = np.array(representatives)
+    reps, orbit_of = np.unique(view.shift.min(axis=1), return_inverse=True)
     t = view.table
     qtab = orbit_of[t[np.ix_(reps, reps)]]
     # well-definedness: shifting the left factor must not move the product's orbit
-    shifted = orbit_of[t[shift[reps][:, :, None], reps[None, None, :]]]
+    shifted = orbit_of[t[view.shift[reps][:, :, None], reps[None, None, :]]]
     if not (shifted == qtab[:, None, :]).all():
         raise InputError(
             "quotient multiplication ill-defined: the orbit "
@@ -370,14 +368,14 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
     quotient = SemigroupView(
         groupoid=g,
         words=None,
-        labels=tuple(f"orbit({view.label(r)})" for r in representatives),
+        labels=tuple(f"orbit({Hyperspace._raw(g.n, b)!r})" for b in view.words[reps].tolist()),
         table=qtab,
         closed=True)
     return OrbitDecomposition(
         view=view,
-        orbits=tuple(orbs),
+        orbits=tuple(tuple(sorted(set(row))) for row in view.shift[reps].tolist()),
         orbit_of=tuple(orbit_of.tolist()),
-        representatives=representatives,
+        representatives=tuple(reps.tolist()),
         quotient=quotient)
 
 
@@ -548,6 +546,8 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
     if f.n != g.n:
         raise InputError("carrier mismatch")
     if within is not None:
+        if within.words is None:
+            raise InputError("the scope `within` needs a view of hyperspaces, not a quotient")
         pool = list(within.elements)
         scope = f"subsemigroup({len(pool)})"
     elif g.n <= 4:

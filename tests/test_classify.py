@@ -1,14 +1,17 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gspace import (InputError, build_builtin, classify, enumerate_all,
+from gspace import (Hyperspace, InputError, build_builtin, classify, enumerate_all,
                     enumerate_class, generate, is_centered, is_k_linked,
                     is_maximal_k_linked, is_self_transversal,
                     is_shift_invariant, is_ultrafilter, largest,
                     maximal_linked_families, principal, product, smallest,
                     subset_mask)
-from gspace.classify import parse_class_token
+from gspace.classify import class_words, parse_class_token
 from gspace.hyperspaces import upset_words
 
 
@@ -228,12 +231,21 @@ def test_enumerate_class_deterministic_python_ints(z4):
     assert all(type(f.bits) is int for f in enumerate_all(4))
 
 
-def test_enumerate_class_limits(z6):
-    with pytest.raises(InputError):
-        enumerate_class(z6, "maxlinked", 3)
+def test_enumerate_class_limits():
     g7 = build_builtin("cyclic", 7)
     with pytest.raises(InputError):
         enumerate_class(g7, "all")
+
+
+def test_maximal_3_linked_census_n6(z6):
+    words = class_words(z6, "maxlinked", 3)
+    assert len(words) == 352
+    assert all(is_maximal_k_linked(Hyperspace._raw(6, b), 3) for b in words.tolist())
+    linked = class_words(z6, "linked", 3)
+    assert np.isin(words, linked).all()
+    rejected = np.setdiff1d(linked, words).tolist()
+    for b in random.Random(3).sample(rejected, 300):
+        assert not is_maximal_k_linked(Hyperspace._raw(6, b), 3)
 
 
 def test_parse_class_token():

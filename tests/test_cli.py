@@ -54,11 +54,11 @@ def test_json_format_payload():
 
 
 def test_json_payload_deterministic():
-    args = ("--groupoid", "cyclic:3", "--format", "json", "enumerate",
-            "--class", "linked:2")
-    a = json.loads(run_cli(*args).output)["payload"]
-    b = json.loads(run_cli(*args).output)["payload"]
-    assert a == b
+    for verb in (("enumerate", "--class", "linked:2"), ("orbits",), ("sections",)):
+        args = ("--groupoid", "cyclic:3", "--format", "json", *verb)
+        a, b = (json.dumps(json.loads(run_cli(*args).output)["payload"], sort_keys=True)
+                for _ in range(2))
+        assert a == b, verb
 
 
 def test_parallel_flag_rejected():
@@ -83,6 +83,20 @@ def test_no_hyperspace_built_before_the_view_cap(monkeypatch, capsys):
         assert "views hold at most 10000 elements" in capsys.readouterr().err
     main(["--groupoid", "cyclic:6", "enumerate", "--class", "linked:2", "--count-only"])
     assert capsys.readouterr().out.strip() == "1422563"
+    main(["--groupoid", "cyclic:6", "enumerate", "--class", "maxlinked:3", "--count-only"])
+    assert capsys.readouterr().out.strip() == "352"
+
+
+def test_table_only_format_rejected_before_any_work(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("work started before the format check")
+    monkeypatch.setattr("gspace.cli.class_words", refuse)
+    monkeypatch.setattr("gspace.cli._load_groupoid", refuse)
+    for fmt in ("csv", "dot"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--groupoid", "cyclic:5", "--format", fmt, "sections"])
+        assert exc.value.code == 2
+        assert f"--format {fmt} is only supported by `table`" in capsys.readouterr().err
 
 
 def test_classify_command():

@@ -19,7 +19,7 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table
-from gspace.structure import SemigroupView, _compose
+from gspace.structure import SemigroupView
 
 
 def masks(n, *sets):
@@ -169,15 +169,21 @@ def test_escape_witness_is_row_major_first(z6):
 def test_orbit_shift_table_matches_product(z3, z5, g3_all):
     for g, elems in ((z3, g3_all), (z5, maximal_linked_families(5))):
         points = [principal(g.n, h) for h in range(g.n)]
-        words = [np.array([h.bits for h in hs], dtype=np.uint64) for hs in (elems, points)]
-        shift = _compose(g, *words)
-        dec = orbits(g, elems)
+        words = np.array([h.bits for h in elems], dtype=np.uint64)
+        dec = orbits(g, words)
+        assert "elements" not in dec.view.__dict__     # labels built from the representatives
+        shift = dec.view.shift
+        assert not shift.flags.writeable and dec.quotient.shift is None
+        assert np.array_equal(shift, oracles.gather_table(g, words, [p.bits for p in points]))
         lookup = reference_index(g, elems)
         for i, u in enumerate(elems):
             for h, ph in enumerate(points):
                 k = lookup(u, ph)
                 assert shift[i, h] == k >= 0
                 assert dec.orbit_of[k] == dec.orbit_of[i]
+        assert [set(shift[o[0]].tolist()) for o in dec.orbits] == [set(o) for o in dec.orbits]
+        assert list(dec.representatives) == sorted(o[0] for o in dec.orbits)
+        assert dec.quotient.labels == tuple(f"orbit({elems[r]!r})" for r in dec.representatives)
 
 
 TABLE_CASES = [("lambda", "cyclic", 6), ("lambda", "symmetric-3", 6), ("lambda", "cyclic", 5),
@@ -213,9 +219,14 @@ def test_compressed_table_skips_derived_gathers(z6, magma3, monkeypatch):
                         lambda *a: calls.append(1) or _gather_words(*a))
     subsemigroup_view(z6, words)
     assert 0 < len(calls) <= bound
+    view_calls = len(calls)
+    calls.clear()
+    orbits(z6, words)               # reads the view's own shift table
+    assert len(calls) == view_calls
     calls.clear()
     view = subsemigroup_view(magma3, upset_words(3))   # not associative
     assert len(calls) == view.size == 18
+    assert view.shift is None
 
 
 def test_view_carrier_cap():
@@ -615,6 +626,12 @@ def test_certificate_scope_on_large_carrier(z5):
     cert = right_cancelable_certificate(z5, principal(5, 0))
     assert cert.right_cancelable is None
     assert cert.scope.startswith("skipped")
+
+
+def test_certificate_scope_needs_hyperspaces(z3, g3_all):
+    quotient = orbits(z3, g3_all).quotient
+    with pytest.raises(InputError, match="view of hyperspaces"):
+        right_cancelable_certificate(z3, principal(3, 0), within=quotient)
 
 
 def test_certificate_family_translates_disjoint(z3):
