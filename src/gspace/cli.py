@@ -94,8 +94,6 @@ def _emit(ctx, report: dict, text_lines) -> None:
 @click.pass_context
 def cli(ctx, gspec, fmt, budget):
     """Inclusion-hyperspace semigroups over finite groupoids."""
-    if fmt in ("csv", "dot") and ctx.invoked_subcommand != "table":
-        raise InputError(f"--format {fmt} is only supported by `table`")
     ctx.obj = {
         "gspec": gspec,
         "format": fmt,
@@ -106,7 +104,16 @@ def cli(ctx, gspec, fmt, budget):
     }
 
 
+def _check_format(ctx) -> None:
+    """Refuse csv and dot outside `table`, first thing in a verb's body
+    (after its own --help, before any work)."""
+    fmt = ctx.obj["format"]
+    if fmt in ("csv", "dot") and ctx.info_name != "table":
+        raise InputError(f"--format {fmt} is only supported by `table`")
+
+
 def _groupoid(ctx) -> Groupoid:
+    _check_format(ctx)
     g = _load_groupoid(ctx.obj["gspec"])
     ctx.obj["groupoid_loaded"] = g
     return g
@@ -327,6 +334,7 @@ def sections_cmd(ctx, within):
 @click.pass_context
 def verify_cmd(ctx):
     """Replay the published small-group computations; nonzero exit on mismatch."""
+    _check_format(ctx)
     results = verify_mod.run_all()
     payload = {
         "checks": [

@@ -9,10 +9,12 @@ identity: equality, hashing, and all report ordering compare it directly.
 The bit at position 0 (the empty set) is permanently zero, and the bit at
 position 2^n - 1 (the full carrier) is permanently one.
 
-Single hyperspaces hold their vector as a Python int (up to n = 16). The
-census of all hyperspaces on n <= 6 points is one ascending numpy uint64
-array of these vectors (`upset_words`), built by the half-cube
-decomposition; `enumerate_all` wraps its entries as Python ints.
+Single hyperspaces hold their vector as a Python int (up to n = 16), built
+and checked by word shifts, not by walking the 2^n subsets: shifting the
+members without point i by 2^i adds i to each. The census of all
+hyperspaces on n <= 6 points is one ascending numpy uint64 array of these
+vectors (`upset_words`), built by the half-cube decomposition;
+`enumerate_all` wraps its entries as Python ints.
 """
 
 from __future__ import annotations
@@ -71,12 +73,13 @@ class Hyperspace:
             raise InputError("the full carrier must be a member (family non-empty)")
         if bits >> (1 << n):
             raise InputError("membership vector has bits beyond 2^n positions")
-        for a in range(1, full):
-            if (bits >> a) & 1:
-                for i in range(n):
-                    if not (a >> i) & 1 and not (bits >> (a | (1 << i))) & 1:
-                        raise InputError(
-                            f"family not upward closed: {a:b} in, {a | (1 << i):b} out")
+        gaps = 0    # bit A: A is a member and, for some i, A + {i} is not
+        for i, c in enumerate(_point_words(n)):
+            gaps |= bits & ~c & ~(bits >> (1 << i))
+        if gaps:
+            a = (gaps & -gaps).bit_length() - 1
+            b = next(a | 1 << i for i in range(n) if not (bits >> (a | 1 << i)) & 1)
+            raise InputError(f"family not upward closed: {a:b} in, {b:b} out")
         self.n = n
         self.bits = bits
         self._mins = None
@@ -164,37 +167,34 @@ class Hyperspace:
 # -- constructors -------------------------------------------------------------
 
 def generate(n: int, base) -> Hyperspace:
-    """Upward closure of a base: A is a member iff some base set is a subset of A."""
+    """Upward closure of a base: A is a member iff some base set is a subset of A.
+
+    For each point i in turn, the members without i shifted by 2^i (adding i)
+    join the family. A family closed under adding points 0..i-1 stays closed
+    under them after the pass for i, so one pass per point suffices.
+    """
     _check_carrier(n)
     base = list(base)
     if not base:
         raise InputError("base must contain at least one set")
-    nsub = 1 << n
-    seed = 0
+    bits = 0
     for b in base:
         if b == 0:
             raise InputError("base sets must be non-empty")
-        if not 0 < b < nsub:
+        if not 0 < b < 1 << n:
             raise InputError(f"base mask {b} out of range")
-        seed |= 1 << b
-    bits = 0
-    for a in range(1, nsub):
-        if (seed >> a) & 1:
-            bits |= 1 << a
-            continue
-        for i in range(n):
-            if (a >> i) & 1 and (bits >> (a ^ (1 << i))) & 1:
-                bits |= 1 << a
-                break
+        bits |= 1 << b
+    for i, c in enumerate(_point_words(n)):
+        bits |= (bits & ~c) << (1 << i)
     return Hyperspace._raw(n, bits)
 
 
 def principal(n: int, x: int) -> Hyperspace:
-    """The principal ultrafilter of a point: all sets containing x."""
+    """The principal ultrafilter of a point: all sets containing x (its point word)."""
     _check_carrier(n)
     if not 0 <= x < n:
         raise InputError(f"element index {x} out of range [0, {n})")
-    return generate(n, [1 << x])
+    return Hyperspace._raw(n, _point_words(n)[x])
 
 
 def smallest(n: int) -> Hyperspace:

@@ -19,36 +19,28 @@ from .hyperspaces import Hyperspace, generate
 VIA_BASE_BUDGET = 10 ** 6
 
 
+def _subset_map(n: int, sing: list[int]) -> tuple[int, ...]:
+    """row[A] = OR of sing[y] over y in A, by the lowest-bit recurrence
+    row[A] = row[A - low] | sing[low]."""
+    row = [0] * (1 << n)
+    for a in range(1, 1 << n):
+        low = a & -a
+        row[a] = row[a ^ low] | sing[low.bit_length() - 1]
+    return tuple(row)
+
+
 @functools.lru_cache(maxsize=32)
 def _preimage_table(g: Groupoid) -> tuple[tuple[int, ...], ...]:
     """pre[x][A] = mask of {y : x * y in A}."""
-    n, nsub = g.n, 1 << g.n
-    out = []
-    for x in range(n):
-        sing = [0] * n
-        for y in range(n):
-            sing[g.table[x][y]] |= 1 << y
-        row = [0] * nsub
-        for a in range(1, nsub):
-            low = a & -a
-            row[a] = row[a ^ low] | sing[low.bit_length() - 1]
-        out.append(tuple(row))
-    return tuple(out)
+    n = g.n     # the singleton {z} maps to {y : x * y = z}
+    return tuple(_subset_map(n, [sum(1 << y for y in range(n) if row[y] == z)
+                                 for z in range(n)]) for row in g.table)
 
 
 @functools.lru_cache(maxsize=32)
 def _image_table(g: Groupoid) -> tuple[tuple[int, ...], ...]:
     """img[x][A] = mask of x * A = {x * y : y in A}."""
-    n, nsub = g.n, 1 << g.n
-    out = []
-    for x in range(n):
-        sing = [1 << g.table[x][y] for y in range(n)]
-        row = [0] * nsub
-        for a in range(1, nsub):
-            low = a & -a
-            row[a] = row[a ^ low] | sing[low.bit_length() - 1]
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(_subset_map(g.n, [1 << z for z in row]) for row in g.table)
 
 
 def preimage_shift(g: Groupoid, x: int, mask: int) -> int:

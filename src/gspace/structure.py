@@ -32,8 +32,8 @@ from .classify import class_words
 from .errors import BudgetExceeded, GspaceError, InputError
 from .groupoids import MAX_ENUM_CARRIER, MAX_VIEW_ELEMENTS, Groupoid
 from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _hyperspace_mask,
-                          _point_words, enumerate_all, generate, largest,
-                          principal, smallest)
+                          _point_words, generate, largest, principal, smallest,
+                          upset_words)
 from .products import _image_table, _preimage_table, product
 
 SECTION_BUDGET = 10 ** 7
@@ -82,7 +82,8 @@ class SemigroupView:
 
     def label(self, i: int) -> str:
         """Element i's label: the stored one, else the element's repr."""
-        return self.labels[i] if self.labels is not None else repr(self.elements[i])
+        return self.labels[i] if self.labels is not None else repr(
+            Hyperspace._raw(self.groupoid.n, int(self.words[i])))
 
     @functools.cached_property
     def _associative(self) -> bool:
@@ -106,14 +107,23 @@ class SemigroupView:
         return int(hit[0])
 
 
+def _transforms(g: Groupoid, rights) -> np.ndarray:
+    """Row j, column A: product_transform(g, rights[j])[A] for the 64 masks
+    A (0 past 2^n), as uint8: subset masks of n <= 6 points fit a byte."""
+    pre = np.zeros((g.n, 64), dtype=np.intp)
+    pre[:, :1 << g.n] = _preimage_table(g)
+    right_rows = _bit_rows(rights)
+    return sum(right_rows[:, p] << x for x, p in enumerate(pre))
+
+
 def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The composition table over `words` and, over an associative carrier,
     the point-shift table; table[i, j] is the index in `words` of
     words[i] o words[j], shift[i, h] that of words[i] o <h>, -1 if absent.
 
     A gathered column j sends every element word's bits through the right
-    translation of words[j] (product_transform: x is in t[A] iff bit
-    pre[x][A] of words[j] is set), and looks the words up by binary search.
+    translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
+    of words[j] is set), and looks the words up by binary search.
 
     Over an associative carrier G(X) is a semigroup, so
     words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of V o <h>
@@ -125,24 +135,18 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     rows = _bit_rows(words)
     order = np.argsort(words, kind="stable").astype(np.int32)
     ranked = words[order]
-    gather = np.zeros(64, dtype=np.intp)   # bit 0 (the empty set) is never set
-
-    def transforms(rights):     # subset masks of n <= 6 points fit uint8
-        right_rows = _bit_rows(rights)
-        return sum(right_rows[:, pre] << x for x, pre in enumerate(_preimage_table(g)))
 
     def column(t):
-        gather[:len(t)] = t
-        col = _gather_words(rows, gather)
+        col = _gather_words(rows, t)
         pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
         return np.where(ranked[pos] == col, order[pos], -1)
 
     table = np.empty((len(words), len(words)), dtype=np.int32)
-    shift = (np.column_stack([column(t) for t in transforms(_point_words(g.n))])
+    shift = (np.column_stack([column(t) for t in _transforms(g, _point_words(g.n))])
              if g.associative else None)
     filled = bytearray(len(words))
     derived, nd = np.empty((len(words), 3), dtype=np.int32), 0    # (parent, kid, h) rows
-    for j, t in enumerate(transforms(words)):
+    for j, t in enumerate(_transforms(g, words)):
         if filled[j]:
             continue
         table[:, j] = col = column(t)
@@ -539,33 +543,28 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
     """Brute-force right cancelability plus the two classical conditions.
 
     (a) injectivity of Y -> Y o F over all of G(X) (carrier <= 4) or over a
-    supplied sub-semigroup; (b) pairwise distinctness of the point shifts
-    x o F; (c) existence of sets S_x in F n F^T with pairwise disjoint
-    translates x * S_x, found by exhaustive backtracking.
+    supplied sub-semigroup, as one gathered column of distinct words Y o F;
+    (b) pairwise distinctness of the point shifts x o F; (c) existence of
+    sets S_x in F n F^T with pairwise disjoint translates x * S_x, found by
+    exhaustive backtracking.
     """
     if f.n != g.n:
         raise InputError("carrier mismatch")
     if within is not None:
-        if within.words is None:
-            raise InputError("the scope `within` needs a view of hyperspaces, not a quotient")
-        pool = list(within.elements)
+        if within.words is None or within.groupoid.n != g.n:
+            raise InputError("the scope `within` needs a view of hyperspaces on the same carrier")
+        pool = within.words
         scope = f"subsemigroup({len(pool)})"
     elif g.n <= 4:
-        pool = list(enumerate_all(g.n))
+        pool = upset_words(g.n)
         scope = "G(X)"
     else:
         pool = None
         scope = "skipped (carrier > 4 and no sub-semigroup supplied)"
     cancelable = None
     if pool is not None:
-        seen = {}
-        cancelable = True
-        for y in pool:
-            p = product(g, y, f).bits
-            if p in seen:
-                cancelable = False
-                break
-            seen[p] = y
+        col = _gather_words(_bit_rows(pool), _transforms(g, [f.bits])[0])
+        cancelable = len(np.unique(col)) == len(col)
     shifts = [product(g, principal(g.n, x), f).bits for x in range(g.n)]
     translates_distinct = len(set(shifts)) == g.n
     img = _image_table(g)

@@ -99,6 +99,16 @@ def test_table_only_format_rejected_before_any_work(monkeypatch, capsys):
         assert f"--format {fmt} is only supported by `table`" in capsys.readouterr().err
 
 
+def test_verb_help_prints_under_every_format(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("help started work")
+    monkeypatch.setattr("gspace.cli._load_groupoid", refuse)
+    for verb in ("enumerate", "verify-paper"):
+        for fmt in ("csv", "dot", "json"):
+            main(["--format", fmt, verb, "--help"])     # exit 2 raises SystemExit
+            assert capsys.readouterr().out.startswith("Usage: ")
+
+
 def test_classify_command():
     res = run_cli("--groupoid", "cyclic:3", "--format", "json", "classify",
                   "<[0,1],[0,2],[1,2]>")

@@ -81,6 +81,53 @@ def test_validating_constructor_monotone():
         Hyperspace(3, (1 << 7) | (1 << 1))
 
 
+def test_validating_constructor_accepts_exactly_the_monotone_words():
+    # every 2^(2^n)-bit word: accepted iff the naive filter keeps it; a
+    # rejected non-monotone word names the first violation of an ascending
+    # scan (lowest member a, then lowest point i with a + {i} missing)
+    for n in (1, 2, 3):
+        nsub, full = 1 << n, (1 << n) - 1
+        accepted = []
+        for v in range(1 << nsub):
+            try:
+                accepted.append(Hyperspace(n, v).bits)
+            except InputError as exc:
+                if v & 1 or not (v >> full) & 1:
+                    continue
+                gaps = [(a, a | 1 << i) for a in range(1, nsub) if (v >> a) & 1
+                        for i in range(n) if not (v >> (a | 1 << i)) & 1]
+                a, b = gaps[0]
+                assert str(exc) == f"family not upward closed: {a:b} in, {b:b} out"
+        assert accepted == oracles.naive_hyperspace_vectors(n)
+
+
+def test_generate_matches_set_model_seeded():
+    rnd = random.Random(11)
+    for n in range(1, 6):
+        for _ in range(60):
+            base = [rnd.randrange(1, 1 << n) for _ in range(rnd.randint(1, 4))]
+            sets = [[i for i in range(n) if (b >> i) & 1] for b in base]
+            assert oracles.family_of(generate(n, base)) == oracles.up_close(n, sets)
+
+
+def test_generate_matches_definition_large_carriers():
+    # A is a member iff some base set is a subset of A, tested per mask
+    rnd = random.Random(12)
+    for n in (8, 10, 12):
+        for _ in range(4):
+            base = [rnd.randrange(1, 1 << n) for _ in range(rnd.randint(1, 5))]
+            bits = sum(1 << a for a in range(1, 1 << n)
+                       if any(b & a == b for b in base))
+            assert generate(n, base).bits == bits
+
+
+def test_principal_is_the_point_word():
+    for n in range(1, 11):
+        for x in range(n):
+            assert principal(n, x).bits == sum(
+                1 << a for a in range(1 << n) if (a >> x) & 1)
+
+
 # -- lattice and transversality ------------------------------------------------------
 
 def test_meet_join_z2_examples():

@@ -9,6 +9,7 @@ from gspace import (BudgetExceeded, InputError, build_builtin, enumerate_all,
                     generate, induced_map, largest, left_shift,
                     preimage_shift, principal, product, product_via_base,
                     smallest, subset_mask)
+from gspace.products import _image_table, _preimage_table
 
 
 def masks(n, *sets):
@@ -29,6 +30,19 @@ def test_preimage_shift(z3):
     assert preimage_shift(lz, 0, 0b10) == 0            # row constant 0, misses {1}
     with pytest.raises(InputError):
         preimage_shift(z3, 5, 1)
+
+
+def test_subset_maps_match_definition(magma3):
+    # pre[x][A] = {y : x * y in A} and img[x][A] = {x * y : y in A}, per mask
+    carriers = [build_builtin(name, n) for name in ("cyclic", "left-zero", "right-zero")
+                for n in range(1, 6)] + [build_builtin("klein-4", 4), magma3]
+    for g in carriers:
+        pre, img = _preimage_table(g), _image_table(g)
+        for x, row in enumerate(g.table):
+            for a in range(1 << g.n):
+                ys = [y for y in range(g.n) if (a >> y) & 1]
+                assert pre[x][a] == sum(1 << y for y in range(g.n) if (a >> row[y]) & 1)
+                assert img[x][a] == sum(1 << z for z in {row[y] for y in ys})
 
 
 def test_left_shift(z2, z3):

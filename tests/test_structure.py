@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 
-from gspace import (BudgetExceeded, InputError, build_builtin, center,
-                    center_of_gx, enumerate_all, enumerate_class,
+from gspace import (BudgetExceeded, Hyperspace, InputError, build_builtin,
+                    center, center_of_gx, enumerate_all, enumerate_class,
                     find_sections, generate, is_shift_invariant, lambda_view,
                     largest, maximal_linked_families, minimal_ideal,
                     minimal_left_ideals, minimal_right_ideals, orbits,
@@ -632,6 +632,40 @@ def test_certificate_scope_needs_hyperspaces(z3, g3_all):
     quotient = orbits(z3, g3_all).quotient
     with pytest.raises(InputError, match="view of hyperspaces"):
         right_cancelable_certificate(z3, principal(3, 0), within=quotient)
+
+
+def _injective_by_product(g, pool, f):
+    return len({product(g, y, f) for y in pool}) == len(pool)
+
+
+def test_certificate_column_matches_products(z2, z3, z4):
+    # the gathered column against product(y, f) for every y in the pool
+    for g in (z2, z3, z4, build_builtin("right-zero", 3)):
+        pool = list(enumerate_all(g.n))
+        for f in pool:
+            cert = right_cancelable_certificate(g, f)
+            assert cert.right_cancelable == _injective_by_product(g, pool, f)
+
+
+def test_certificate_column_within_lambda_z5(z5):
+    lam5 = lambda_view(z5)
+    pool = [Hyperspace._raw(5, b) for b in lam5.words.tolist()]
+    rnd = random.Random(5)
+    verdicts = set()
+    for f in rnd.sample(pool, 12) + [smallest(5), largest(5), principal(5, 2)]:
+        cert = right_cancelable_certificate(z5, f, within=lam5)
+        assert cert.right_cancelable == _injective_by_product(z5, pool, f)
+        verdicts.add(cert.right_cancelable)
+    assert verdicts == {True, False}
+    assert "elements" not in lam5.__dict__
+    with pytest.raises(InputError, match="same carrier"):
+        right_cancelable_certificate(build_builtin("cyclic", 4), principal(4, 0), within=lam5)
+
+
+def test_label_builds_one_hyperspace(z3):
+    view = lambda_view(z3)
+    assert view.label(0) == repr(Hyperspace._raw(3, int(view.words[0])))
+    assert "elements" not in view.__dict__
 
 
 def test_certificate_family_translates_disjoint(z3):
