@@ -1,11 +1,15 @@
 """Membership predicates for the distinguished families and class censuses.
 
-k-linked: every at most k members share a point (checked on minimal sets).
-centered: all members share a point. filter: closed under intersection,
-which on a finite carrier means a single minimal set; ultrafilters are the
-principal hyperspaces. Maximality is decided by single-set extensions: the
-classes here are closed under unions of chains, so a family is maximal iff
-no one additional set keeps the property (asserted against the brute-force
+k-linked: every at most k members share a point; centered: all members
+share a point, which is n-linked on n points (if no point is shared, the
+n members missing one point each meet in nothing). Both are read off the
+distinct intersections of minimal sets: I_0 = {X} and I_(j+1) adds a & m
+for a in I_j and m minimal, so F is k-linked iff the empty set is not in
+I_k. filter: closed under intersection, which on a finite carrier means a
+single minimal set; ultrafilters are the principal hyperspaces.
+Maximality is decided by single-set extensions: the classes here are
+closed under unions of chains, so a family is maximal iff no one
+additional set keeps the property (asserted against the brute-force
 definition in the tests).
 
 The predicates above take one family. Class censuses instead filter the
@@ -22,7 +26,6 @@ uint64 array, which views take directly; `enumerate_class` and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,7 @@ import numpy as np
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
 from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _point_words,
-                          _upsets, mask_elements, upset_words)
+                          _upsets, generate, mask_elements, upset_words)
 from .products import _image_table, _preimage_table
 
 CLASS_TOKENS = ("all", "filters", "ultrafilters", "linked", "centered",
@@ -44,13 +47,31 @@ def _intersect(masks) -> int:
     return acc
 
 
-def is_k_linked(f: Hyperspace, k: int) -> bool:
-    """Every subfamily of at most k members has a common point."""
-    if k < 1:
+def _intersections(f: Hyperspace, depth: int) -> list[set[int]]:
+    """Levels 0..depth of the chain of distinct intersections of minimal sets.
+
+    Level j holds those first reached by j minimal sets (level 0 is {X}), so
+    levels 0..j make up I_j, at most 2^n masks. The levels stop early once
+    one adds nothing (by level n), or with {0}: a member a of I_j misses
+    some minimal set iff X - a is a member.
+    """
+    if depth < 1:
         raise InputError("k must be at least 1")
-    mins = f.minimal_sets()
-    t = min(k, len(mins))
-    return all(_intersect(c) != 0 for c in itertools.combinations(mins, t))
+    full, bits, mins = (1 << f.n) - 1, f.bits, f.minimal_sets()
+    levels, seen = [{full}], {full}
+    while len(levels) <= depth and levels[-1] and 0 not in levels[-1]:
+        if any((bits >> (full ^ a)) & 1 for a in levels[-1]):
+            levels.append({0})
+        else:
+            levels.append({a & m for a in levels[-1] for m in mins} - seen)
+            seen |= levels[-1]
+    return levels
+
+
+def is_k_linked(f: Hyperspace, k: int) -> bool:
+    """Every subfamily of at most k members has a common point: the empty
+    set is not in I_k, the intersections of at most k minimal sets."""
+    return 0 not in _intersections(f, k)[-1]
 
 
 def is_centered(f: Hyperspace) -> bool:
@@ -73,22 +94,15 @@ def is_self_transversal(f: Hyperspace) -> bool:
 def is_maximal_k_linked(f: Hyperspace, k: int) -> bool:
     """k-linked with no single-set extension staying k-linked.
 
-    Adding A keeps the family k-linked iff A meets every intersection of
-    at most k-1 minimal sets; subfamilies avoiding A were k-linked already.
+    Adding A keeps the family k-linked iff A meets every member of I_(k-1),
+    the intersections of at most k-1 minimal sets; subfamilies avoiding A
+    were k-linked already. A misses a member of I_(k-1) iff its complement
+    contains one, and the complements of the A outside F are the members
+    of F^T: F is maximal iff F^T lies in the up-set generated by I_(k-1).
     """
-    if not is_k_linked(f, k):
-        return False
-    mins = f.minimal_sets()
-    t = min(k - 1, len(mins))
-    inters = [_intersect(c) & ((1 << f.n) - 1)
-              for c in itertools.combinations(mins, t)]
-    bits = f.bits
-    for a in range(1, 1 << f.n):
-        if (bits >> a) & 1:
-            continue
-        if all(i & a for i in inters):
-            return False
-    return True
+    levels = _intersections(f, k)
+    return 0 not in levels[-1] and not (
+        f.transversal().bits & ~generate(f.n, set().union(*levels[:k])).bits)
 
 
 def is_shift_invariant(g: Groupoid, f: Hyperspace) -> bool:
@@ -120,18 +134,17 @@ class ClassFlags:
 
 def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
     n = f.n
-    linked_up_to = 1
-    for k in range(2, n + 1):
-        if not is_k_linked(f, k):
-            break
-        linked_up_to = k
+    levels = _intersections(f, n)
+    linked_up_to = len(levels) - 2 if 0 in levels[-1] else n
+    t = f.transversal().bits    # maximal k-linked: F^T inside the up-set of I_(k-1)
     return ClassFlags(
         linked_up_to=linked_up_to,
         centered=is_centered(f),
         filter=is_filter(f),
         ultrafilter=is_ultrafilter(f),
-        maximal_k_linked={k: is_maximal_k_linked(f, k) for k in range(2, n + 1)},
-        self_transversal=is_self_transversal(f),
+        maximal_k_linked={k: k <= linked_up_to and not (
+            t & ~generate(n, set().union(*levels[:k])).bits) for k in range(2, n + 1)},
+        self_transversal=t == f.bits,
         shift_invariant=None if g is None else is_shift_invariant(g, f),
     )
 
@@ -225,15 +238,6 @@ def _partitions(n: int, t: int) -> list[list[int]]:
     return [p for p in parts if len(p) == t]
 
 
-def _centered_mask(n: int, words: np.ndarray) -> np.ndarray:
-    """F is centered iff F lies inside the principal ultrafilter of some point."""
-    everything = (1 << (1 << n)) - 1
-    keep = np.zeros(len(words), dtype=bool)
-    for p in _point_words(n):
-        keep |= (words & np.uint64(everything ^ p)) == 0
-    return keep
-
-
 def _linked_mask(n: int, k: int, words: np.ndarray) -> np.ndarray:
     """F fails to be k-linked iff, for some partition of the carrier into
     min(k, n) blocks, the complement of every block is a member.
@@ -276,9 +280,10 @@ def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     Filters and ultrafilters are produced directly (up(A), the filter
     generated by a set A, is the intersection of the principal ultrafilters
     of its points); maximal 2-linked by half-cube self-duality above;
-    everything else by masking the census words with the bit filters above.
-    Maximal k-linked with k >= 3 then keeps the k-linked survivors F for
-    which F | up(A) is not k-linked for any A outside F.
+    everything else by masking the census words with the bit filters above,
+    centered as n-linked (the single partition into points). Maximal
+    k-linked with k >= 3 then keeps the k-linked survivors F for which
+    F | up(A) is not k-linked for any A outside F.
     """
     n = g.n
     if n > MAX_ENUM_CARRIER:
@@ -292,10 +297,8 @@ def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     if token == "maxlinked" and k == 2:
         return _maxlinked_words(n)
     words = upset_words(n)
-    if token == "centered":
-        words = words[_centered_mask(n, words)]
-    elif token in ("linked", "maxlinked"):
-        words = words[_linked_mask(n, k, words)]
+    if token in ("centered", "linked", "maxlinked"):
+        words = words[_linked_mask(n, n if token == "centered" else k, words)]
     elif token == "shiftinv":
         words = words[_shift_invariant_mask(g, words)]
     elif token != "all":

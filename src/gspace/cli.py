@@ -20,7 +20,7 @@ from .classify import classify as classify_fn
 from .classify import class_words, enumerate_class, parse_class_token
 from .errors import BudgetExceeded, InputError
 from .groupoids import Groupoid, build_builtin, groupoid_properties, parse_groupoid
-from .hyperspaces import format_hyperspace, parse_hyperspace
+from .hyperspaces import Hyperspace, format_hyperspace, parse_hyperspace
 from .products import product, product_via_base
 from .structure import (SECTION_BUDGET, center, find_sections, minimal_ideal,
                         minimal_left_ideals, minimal_right_ideals, orbits,
@@ -94,14 +94,9 @@ def _emit(ctx, report: dict, text_lines) -> None:
 @click.pass_context
 def cli(ctx, gspec, fmt, budget):
     """Inclusion-hyperspace semigroups over finite groupoids."""
-    ctx.obj = {
-        "gspec": gspec,
-        "format": fmt,
-        "budget": budget,
-        "command_echo": "gspace " + " ".join(sys.argv[1:]),
-        "t0": time.perf_counter(),
-        "groupoid_loaded": None,
-    }
+    ctx.ensure_object(dict).setdefault("command_echo", "gspace")
+    ctx.obj.update(gspec=gspec, format=fmt, budget=budget,
+                   t0=time.perf_counter(), groupoid_loaded=None)
 
 
 def _check_format(ctx) -> None:
@@ -314,8 +309,9 @@ def sections_cmd(ctx, within):
     g = _groupoid(ctx)
     search = find_sections(g, class_words(g, *parse_class_token(within)),
                            budget=ctx.obj["budget"])
-    elems = search.decomposition.view.elements
-    labels = {i: _show(g, elems[i]) for sec in search.sections for i in sec}
+    words = search.decomposition.view.words
+    labels = {i: _show(g, Hyperspace._raw(g.n, int(words[i])))
+              for sec in search.sections for i in sec}
     payload = {
         "within": within,
         "orbit_count": len(search.decomposition.orbits),
@@ -381,9 +377,11 @@ def _hoist_globals(argv):
 
 
 def main(argv=None):
-    argv = _hoist_globals(sys.argv[1:] if argv is None else list(argv))
+    """Run the CLI on argv (default sys.argv[1:]), echoed in reports as given."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
+        cli.main(args=_hoist_globals(argv), standalone_mode=False,
+                 obj={"command_echo": " ".join(["gspace", *argv])})
     except SystemExit:
         raise
     except click.UsageError as exc:

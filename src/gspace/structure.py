@@ -355,7 +355,7 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
     escape = _first_escape(view.shift)
     if escape is not None:
         i, h = escape
-        p = product(g, view.elements[i], principal(g.n, h))
+        p = product(g, Hyperspace._raw(g.n, int(view.words[i])), principal(g.n, h))
         raise InputError(f"element set not closed under right shifts: "
                          f"{view.label(i)} o point -> {p!r}")
     reps, orbit_of = np.unique(view.shift.min(axis=1), return_inverse=True)

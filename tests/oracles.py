@@ -143,6 +143,15 @@ def naive_minimal_sets(fam):
                    if not any(o < s for o in fam)), key=lambda s: (len(s), s))
 
 
+def naive_k_linked(fam, k: int) -> bool:
+    """No k or fewer members have an empty intersection, over every member
+    (not only the minimal ones). Adding members only shrinks an
+    intersection, so the subfamilies of exactly min(k, |fam|) decide it."""
+    members = list(fam)
+    return all(frozenset.intersection(*c)
+               for c in itertools.combinations(members, min(k, len(members))))
+
+
 def naive_product_base(table, u_fam, v_fam) -> frozenset[frozenset[int]]:
     """Base-form product over ALL members and selector families (tiny inputs only)."""
     n = len(table)

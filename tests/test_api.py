@@ -7,7 +7,7 @@ from gspace import Groupoid, Hyperspace
 DELETED = {
     "gspace": ("full_view", "shift_invariant_core", "lattice_combine", "meet",
                "join", "transversal", "minimal_sets", "support", "census_count"),
-    "gspace.classify": ("census_count",),
+    "gspace.classify": ("census_count", "_centered_mask"),
     "gspace.hyperspaces": ("lattice_combine", "meet", "join", "transversal",
                            "minimal_sets", "support"),
     "gspace.structure": ("full_view", "section_view", "shift_invariant_core",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -126,6 +127,52 @@ def test_one_step_maximality_equals_bruteforce():
                     f.bits != g.bits and f.bits & g.bits == f.bits
                     for g in klinked)
                 assert is_maximal_k_linked(f, k) == brute
+
+
+def test_linkedness_matches_set_model():
+    # every family on n <= 4 points and k = 1..n+1, against subfamilies of all
+    # members; maximality by brute force over the census
+    for n in (1, 2, 3, 4):
+        census = list(enumerate_all(n))
+        fams = [oracles.family_of(f) for f in census]
+        linked = {k: [oracles.naive_k_linked(fam, k) for fam in fams]
+                  for k in range(1, n + 2)}
+        for i, f in enumerate(census):
+            flags = classify(f)
+            assert flags.linked_up_to == max(k for k in range(1, n + 1) if linked[k][i])
+            assert flags.centered == oracles.naive_k_linked(fams[i], len(fams[i]))
+            assert list(flags.maximal_k_linked) == list(range(2, n + 1))
+            for k in range(1, n + 2):
+                assert is_k_linked(f, k) == linked[k][i], (f, k)
+                maximal = linked[k][i] and not any(
+                    linked[k][j] and fams[i] < fams[j] for j in range(len(census)))
+                assert is_maximal_k_linked(f, k) == maximal, (f, k)
+                if k in flags.maximal_k_linked:
+                    assert flags.maximal_k_linked[k] == maximal, (f, k)
+
+
+def test_classify_wide_centered_family_n12():
+    # every set holding point 0 and at least 6 points: 462 minimal sets, so
+    # C(462, k) subfamilies of minimal sets per k
+    f = generate(12, [1 | sum(1 << i for i in c)
+                      for c in itertools.combinations(range(1, 12), 5)])
+    assert len(f.minimal_sets()) == 462
+    flags = classify(f)
+    assert flags.linked_up_to == 12 and flags.centered
+    # f lies strictly inside the principal ultrafilter of 0, so no k is maximal
+    assert f.bits & ~principal(12, 0).bits == 0 and f != principal(12, 0)
+    assert flags.maximal_k_linked == {k: False for k in range(2, 13)}
+
+
+def test_centered_census_n6_is_inside_a_point_word(z6):
+    # the definition: F lies inside the word of some point (its principal
+    # ultrafilter), with the point words built here bit by bit
+    words = upset_words(6)
+    inside = np.zeros(len(words), dtype=bool)
+    for x in range(6):
+        point = np.uint64(sum(1 << a for a in range(64) if (a >> x) & 1))
+        inside |= (words & ~point) == 0
+    assert np.array_equal(class_words(z6, "centered"), words[inside])
 
 
 # -- censuses ----------------------------------------------------------------------------

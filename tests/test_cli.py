@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from gspace import Hyperspace
+from gspace import Hyperspace, InputError, SemigroupView, build_builtin, orbits, principal
 from gspace.cli import cli, main
 
 Z2_JSON = json.dumps({
@@ -107,6 +107,28 @@ def test_verb_help_prints_under_every_format(monkeypatch, capsys):
         for fmt in ("csv", "dot", "json"):
             main(["--format", fmt, verb, "--help"])     # exit 2 raises SystemExit
             assert capsys.readouterr().out.startswith("Usage: ")
+
+
+def test_command_echoes_the_arguments_given_to_main(capsys):
+    # the echo is main's own argv, before the global flags are hoisted
+    argv = ["classify", "<[0]>", "--groupoid", "cyclic:2", "--format", "json"]
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["command"] == "gspace " + " ".join(argv)
+
+
+def test_labels_build_no_view_elements(monkeypatch, capsys):
+    def unbuilt(self):
+        raise AssertionError("view.elements was built")
+    monkeypatch.setattr(SemigroupView, "elements", property(unbuilt))
+    with pytest.raises(InputError) as exc:
+        orbits(build_builtin("cyclic", 3), [principal(3, 0)])
+    assert str(exc.value) == \
+        "element set not closed under right shifts: <{0}> o point -> <{1}>"
+    main(["--groupoid", "cyclic:5", "--format", "json", "sections", "--within", "maxlinked:2"])
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["orbit_count"], payload["sections"]) == (17, [])
+    main(["--groupoid", "cyclic:2", "--format", "json", "sections"])
+    assert json.loads(capsys.readouterr().out)["payload"]["sections"] == [["0∧1", "0", "0∨1"]]
 
 
 def test_classify_command():
