@@ -19,7 +19,8 @@ from . import verify as verify_mod
 from .classify import classify as classify_fn
 from .classify import class_words, enumerate_class, parse_class_token
 from .errors import BudgetExceeded, InputError
-from .groupoids import Groupoid, build_builtin, groupoid_properties, parse_groupoid
+from .groupoids import (MAX_VIEW_ELEMENTS, Groupoid, build_builtin, groupoid_properties,
+                        parse_groupoid)
 from .hyperspaces import Hyperspace, format_hyperspace, parse_hyperspace
 from .products import product, product_via_base
 from .structure import (SECTION_BUDGET, center, find_sections, minimal_ideal,
@@ -123,12 +124,15 @@ def _groupoid(ctx) -> Groupoid:
 def enumerate_cmd(ctx, class_spec, count_only):
     """List (or count) the members of a class of hyperspaces."""
     g = _groupoid(ctx)
-    token, k = parse_class_token(class_spec)
+    words = class_words(g, *parse_class_token(class_spec))
     if count_only:
-        count = len(class_words(g, token, k))
-        _emit(ctx, _report(ctx, {"class": class_spec, "count": count}), [str(count)])
+        _emit(ctx, _report(ctx, {"class": class_spec, "count": len(words)}),
+              [str(len(words))])
         return
-    elems = enumerate_class(g, token, k)
+    if len(words) > MAX_VIEW_ELEMENTS:
+        raise InputError(f"listing {len(words)} families exceeds the cap of "
+                         f"{MAX_VIEW_ELEMENTS}; use --count-only")
+    elems = [Hyperspace._raw(g.n, b) for b in words.tolist()]
     payload = {"class": class_spec, "count": len(elems),
                "elements": [format_hyperspace(f, g.names) for f in elems]}
     _emit(ctx, _report(ctx, payload), [f"{i}: {_show(g, f)}" for i, f in enumerate(elems)])

@@ -22,7 +22,6 @@ for `orbits`, and gathers only one column per right orbit {V o <h>}
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,13 +31,10 @@ from .classify import class_words
 from .errors import BudgetExceeded, GspaceError, InputError
 from .groupoids import MAX_ENUM_CARRIER, MAX_VIEW_ELEMENTS, Groupoid
 from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _hyperspace_mask,
-                          _point_words, generate, largest, principal, smallest,
-                          upset_words)
-from .products import _image_table, _preimage_table, product
+                          _point_words, principal, upset_words)
+from .products import _image_table, _preimage_table, left_shift, product
 
 SECTION_BUDGET = 10 ** 7
-CENTER_SAMPLES = 200    # random non-principal probes in center_of_gx
-CENTER_SEED = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,30 +243,18 @@ def center(view: SemigroupView) -> tuple[int, ...]:
 
 
 def center_of_gx(g: Groupoid) -> list[Hyperspace]:
-    """Center of the full G(X) semigroup for a quasigroup carrier.
+    """Center of the full G(X) semigroup for a quasigroup carrier, without
+    materializing G(X): the principal ultrafilters <c> of the central points
+    c of X, in point order.
 
-    Runs the extremal-element criterion instead of materializing G(X): an
-    element commuting with min and max G(X) must be principal, so only the
-    principal hyperspaces are candidates; a principal commutes with
-    everything iff its point is central in X. Random non-principal samples
-    double-check the criterion on the way.
+    Extremal-element criterion: over a quasigroup, an element commuting with
+    min G(X) and max G(X) is principal, and a principal <c> commutes with
+    everything iff c is central in X. Then <c> o F and F o <c> are both
+    {A : c^-1 A in F}, because x * c = c * x for every point x.
     """
     if not g.quasigroup:
         raise InputError("the extremal-element criterion needs a quasigroup")
-    rnd = random.Random(CENTER_SEED)
-    xcenter = set(g.center())
-    out = []
-    probes = [smallest(g.n), largest(g.n)] + [principal(g.n, x) for x in range(g.n)]
-    for _ in range(CENTER_SAMPLES):
-        base = [rnd.randrange(1, 1 << g.n) for _ in range(rnd.randint(1, 3))]
-        probes.append(generate(g.n, base))
-    for c in range(g.n):
-        p = principal(g.n, c)
-        if c not in xcenter:
-            continue
-        if all(product(g, p, q) == product(g, q, p) for q in probes):
-            out.append(p)
-    return out
+    return [principal(g.n, c) for c in g.center()]
 
 
 # -- ideals ----------------------------------------------------------------------
@@ -544,9 +528,12 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
 
     (a) injectivity of Y -> Y o F over all of G(X) (carrier <= 4) or over a
     supplied sub-semigroup, as one gathered column of distinct words Y o F;
-    (b) pairwise distinctness of the point shifts x o F; (c) existence of
-    sets S_x in F n F^T with pairwise disjoint translates x * S_x, found by
-    exhaustive backtracking.
+    (b) pairwise distinctness of the point translates <x> o F = x * F;
+    (c) sets S_x in F n F^T with pairwise disjoint translates x * S_x: the
+    first such tuple in ascending mask order, by backtracking over the
+    minimal sets of F n F^T only. F n F^T is an up-set, and shrinking an S_x
+    to a minimal set inside it keeps the translates disjoint and lowers its
+    mask, so the first tuple over all members is made of minimal sets.
     """
     if f.n != g.n:
         raise InputError("carrier mismatch")
@@ -565,11 +552,9 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
     if pool is not None:
         col = _gather_words(_bit_rows(pool), _transforms(g, [f.bits])[0])
         cancelable = len(np.unique(col)) == len(col)
-    shifts = [product(g, principal(g.n, x), f).bits for x in range(g.n)]
-    translates_distinct = len(set(shifts)) == g.n
+    translates_distinct = len({left_shift(g, x, f) for x in range(g.n)}) == g.n
     img = _image_table(g)
-    inter = f & f.transversal()
-    members = list(inter.members())
+    mins = (f & f.transversal()).minimal_sets()
     family: tuple[int, ...] | None = None
     chosen: list[int] = []
 
@@ -578,7 +563,7 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
         if x == g.n:
             family = tuple(chosen)
             return True
-        for s in members:
+        for s in mins:
             tr = img[x][s]
             if tr & used:
                 continue

@@ -147,8 +147,8 @@ def check_z3_chain_table() -> CheckResult:
     labels = [-3, -2, -1, 0, 1, 2, 3]
 
     def table_of(chain):
-        pos = {h.bits: labels[i] for i, h in enumerate(chain)}
-        return [[pos.get(product(g, u, v).bits, None) for v in chain] for u in chain]
+        return [[labels[k] if k >= 0 else None for k in row]
+                for row in subsemigroup_view(g, chain).table.tolist()]
 
     corrected = table_of(_z3_chain(corrected=True))
     matches = sum(corrected[i][j] == Z3_CHAIN_TABLE[i][j]

@@ -152,6 +152,30 @@ def naive_k_linked(fam, k: int) -> bool:
                for c in itertools.combinations(members, min(k, len(members))))
 
 
+def first_disjoint_translates(table, fam) -> tuple[int, ...] | None:
+    """The first tuple (S_0, .., S_{n-1}) of members of F n F^T, in ascending
+    mask order, whose translates x * S_x are pairwise disjoint; None if none.
+
+    Depth-first over all members, not only the minimal ones, each translate
+    computed from the table as a set of points.
+    """
+    n = len(table)
+    members = sorted(sum(1 << i for i in s) for s in fam & naive_transversal(n, fam))
+
+    def search(x, used, chosen):
+        if x == n:
+            return tuple(chosen)
+        for s in members:
+            tr = frozenset(table[x][y] for y in range(n) if (s >> y) & 1)
+            if not tr & used:
+                hit = search(x + 1, used | tr, chosen + [s])
+                if hit is not None:
+                    return hit
+        return None
+
+    return search(0, frozenset(), [])
+
+
 def naive_product_base(table, u_fam, v_fam) -> frozenset[frozenset[int]]:
     """Base-form product over ALL members and selector families (tiny inputs only)."""
     n = len(table)

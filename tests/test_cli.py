@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gspace
 from gspace import Hyperspace, InputError, SemigroupView, build_builtin, orbits, principal
 from gspace.cli import cli, main
 
@@ -20,9 +23,12 @@ def run_cli(*args, **kwargs):
     return runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
 
 
-def run_proc(*args):
-    return subprocess.run([sys.executable, "-m", "gspace", *args],
-                          capture_output=True, text=True)
+def run_proc(*args, flags=()):
+    # the child imports the same gspace as the tests, installed or not
+    path = [str(Path(gspace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run([sys.executable, *flags, "-m", "gspace", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
 def test_enumerate_count_only():
@@ -81,6 +87,11 @@ def test_no_hyperspace_built_before_the_view_cap(monkeypatch, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "views hold at most 10000 elements" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--groupoid", "cyclic:6", "enumerate"])
+    assert exc.value.code == 2
+    assert ("listing 7828352 families exceeds the cap of 10000; use --count-only"
+            in capsys.readouterr().err)
     main(["--groupoid", "cyclic:6", "enumerate", "--class", "linked:2", "--count-only"])
     assert capsys.readouterr().out.strip() == "1422563"
     main(["--groupoid", "cyclic:6", "enumerate", "--class", "maxlinked:3", "--count-only"])
@@ -324,8 +335,7 @@ def test_orbits_json_quotient_entries_are_orbit_indices():
 def test_sections_payload_unchanged_under_optimize():
     args = ("--groupoid", "cyclic:3", "--format", "json", "sections")
     plain = run_proc(*args)
-    optimized = subprocess.run([sys.executable, "-O", "-m", "gspace", *args],
-                               capture_output=True, text=True)
+    optimized = run_proc(*args, flags=("-O",))
     assert plain.returncode == optimized.returncode == 0
     payload = json.loads(optimized.stdout)["payload"]
     assert payload == json.loads(plain.stdout)["payload"]

@@ -414,10 +414,22 @@ def test_center_g2(z2, g2_view):
         sorted(principal(2, x) for x in range(2))
 
 
-def test_center_of_gx_matches_bruteforce(z2, z3, g2_view, g3_view):
-    for g, view in ((z2, g2_view), (z3, g3_view)):
+def test_center_of_gx_matches_bruteforce(z2, z3, z4, magma3, g2_view, g3_view):
+    klein = build_builtin("klein-4", 4)
+    for g, view in ((z2, g2_view), (z3, g3_view),
+                    (z4, subsemigroup_view(z4, upset_words(4))),
+                    (klein, subsemigroup_view(klein, upset_words(4))),
+                    (magma3, subsemigroup_view(magma3, upset_words(3)))):
         brute = sorted(view.elements[i] for i in center(view))
-        assert sorted(center_of_gx(g)) == brute
+        assert sorted(center_of_gx(g)) == brute, g.name
+
+
+def test_center_of_gx_n16_without_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reference product was called")
+    monkeypatch.setattr("gspace.structure.product", refuse)
+    g = build_builtin("cyclic", 16)
+    assert center_of_gx(g) == [principal(16, x) for x in range(16)]
 
 
 def test_center_of_gx_symmetric_group(s3):
@@ -666,6 +678,50 @@ def test_label_builds_one_hyperspace(z3):
     view = lambda_view(z3)
     assert view.label(0) == repr(Hyperspace._raw(3, int(view.words[0])))
     assert "elements" not in view.__dict__
+
+
+@pytest.mark.parametrize("name,n", [("cyclic", 1), ("cyclic", 2), ("cyclic", 3),
+                                    ("cyclic", 4), ("klein-4", 4), ("magma3", 3),
+                                    ("left-zero", 2), ("left-zero", 3), ("left-zero", 4)])
+def test_certificate_conditions_match_oracles(name, n, magma3):
+    # the translates against product(<x>, F), the disjoint family against
+    # the first witness over all members of F n F^T
+    g = magma3 if name == "magma3" else build_builtin(name, n)
+    points = [principal(n, x) for x in range(n)]
+    for f in enumerate_all(n):
+        cert = right_cancelable_certificate(g, f)
+        assert cert.translates_distinct == (len({product(g, p, f) for p in points}) == n)
+        assert cert.disjoint_family == oracles.first_disjoint_translates(
+            g.table, oracles.family_of(f)), (g.name, f)
+
+
+def test_certificate_n16_without_products(monkeypatch):
+    # over Z16, x * F = F + x, so the translates are distinct iff no
+    # nontrivial rotation fixes the minimal sets of F
+    def refuse(*args):
+        raise AssertionError("the reference product was called")
+    monkeypatch.setattr("gspace.structure.product", refuse)
+    g = build_builtin("cyclic", 16)
+    rnd = random.Random(16)
+    fams = [generate(16, [rnd.randrange(1, 1 << 16) for _ in range(rnd.randint(1, 4))])
+            for _ in range(20)]
+    rotation_invariant = generate(16, [(3 << x | 3 >> (16 - x)) & 0xFFFF for x in range(16)])
+    for f in fams + [principal(16, 3), rotation_invariant]:
+        cert = right_cancelable_certificate(g, f)
+        assert cert.scope.startswith("skipped") and cert.right_cancelable is None
+        mins = {frozenset(y for y in range(16) if m >> y & 1) for m in f.minimal_sets()}
+        fixed = [x for x in range(1, 16)
+                 if {frozenset((y + x) % 16 for y in s) for s in mins} == mins]
+        assert cert.translates_distinct == (not fixed)
+        inter = f & f.transversal()
+        if cert.disjoint_family is not None:
+            used = 0
+            for x, s in enumerate(cert.disjoint_family):
+                tr = _image_table(g)[x][s]
+                assert s in inter and not tr & used
+                used |= tr
+    assert right_cancelable_certificate(g, principal(16, 3)).disjoint_family == (8,) * 16
+    assert not right_cancelable_certificate(g, rotation_invariant).translates_distinct
 
 
 def test_certificate_family_translates_disjoint(z3):
