@@ -32,8 +32,9 @@ import numpy as np
 
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
-from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _point_words,
-                          _upsets, generate, mask_elements, upset_words)
+from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _membership,
+                          _point_words, _upsets, generate, mask_elements,
+                          upset_words)
 from .products import _image_table, _preimage_table
 
 CLASS_TOKENS = ("all", "filters", "ultrafilters", "linked", "centered",
@@ -110,12 +111,10 @@ def is_shift_invariant(g: Groupoid, f: Hyperspace) -> bool:
     if f.n != g.n:
         raise InputError(f"carrier mismatch: groupoid has {g.n}, hyperspace {f.n}")
     img, pre = _image_table(g), _preimage_table(g)
-    bits = f.bits
+    member = _membership(f.n, f.bits)      # member[A] == "1" iff A is a member
     for m in f.minimal_sets():
         for x in range(g.n):
-            if not (bits >> img[x][m]) & 1:
-                return False
-            if not (bits >> pre[x][m]) & 1:
+            if member[img[x][m]] == "0" or member[pre[x][m]] == "0":
                 return False
     return True
 
@@ -245,10 +244,24 @@ def _linked_mask(n: int, k: int, words: np.ndarray) -> np.ndarray:
     Members A_1..A_j (j <= k) with no common point have complements covering
     the carrier; refine that cover into min(k, n) disjoint blocks, each inside
     some complement, and upward closure puts every block's complement in F.
+    A k-linked family is 2-linked, so where the min(k, n)-block partitions
+    outnumber the 2-block ones (k = 3 at n = 5; k = 3, 4 at n = 6), the
+    2-block ones mask first and the others test the survivors only.
     """
+    parts, pairs = _partitions(n, min(k, n)), _partitions(n, 2)
+    if len(parts) <= len(pairs):
+        return _partition_mask(n, parts, words)
+    keep = _partition_mask(n, pairs, words)
+    keep[keep] = _partition_mask(n, parts, words[keep])
+    return keep
+
+
+def _partition_mask(n: int, parts: list[list[int]], words: np.ndarray) -> np.ndarray:
+    """Keep the words that, for every partition in `parts`, miss the
+    complement of some block."""
     full = (1 << n) - 1
     keep = np.ones(len(words), dtype=bool)
-    for blocks in _partitions(n, min(k, n)):
+    for blocks in parts:
         m = np.uint64(sum(1 << (full ^ b) for b in blocks))
         keep &= (words & m) != m
     return keep
@@ -304,9 +317,10 @@ def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     elif token != "all":
         raise InputError(f"unknown class token {token!r}")
     if token == "maxlinked":
+        parts = _partitions(n, min(k, n))
         for up in ups:      # A in F iff up(A) <= F; else F | up(A) must fail
-            grown = words | np.uint64(up)
-            words = words[(grown == words) | ~_linked_mask(n, k, grown)]
+            grown = words | np.uint64(up)   # few words: one pass, no prefilter
+            words = words[(grown == words) | ~_partition_mask(n, parts, grown)]
     return words
 
 

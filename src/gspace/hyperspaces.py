@@ -54,6 +54,13 @@ def _point_words(n: int) -> tuple[int, ...]:
                  * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n))
 
 
+def _membership(n: int, bits: int) -> str:
+    """The membership vector as a string of 2^n "0"/"1" characters, indexed by
+    mask: character A is "1" iff bit A is set. These are the binary digits
+    reversed, padded to 2^n by a sentinel bit at 2^n that the slice drops."""
+    return bin(bits | 1 << (1 << n))[:2:-1]
+
+
 def _check_carrier(n: int) -> None:
     if not 1 <= n <= MAX_CARRIER:
         raise InputError(f"carrier size must be in [1, {MAX_CARRIER}], got {n}")
@@ -140,11 +147,9 @@ class Hyperspace:
 
     def transversal(self) -> "Hyperspace":
         """Sets meeting every member: E in F^T iff the complement of E is not in F."""
-        nsub = 1 << self.n
-        comp = ~self.bits & ((1 << nsub) - 1)
+        comp = ~self.bits & ((1 << (1 << self.n)) - 1)
         # bit A of the result is bit (full - A) of comp, i.e. the reversed string
-        rev = format(comp, f"0{nsub}b")[::-1]
-        return Hyperspace._raw(self.n, int(rev, 2))
+        return Hyperspace._raw(self.n, int(_membership(self.n, comp), 2))
 
     # -- value semantics ------------------------------------------------------
 

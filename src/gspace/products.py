@@ -2,8 +2,15 @@
 
 For a groupoid (X, *) the product of hyperspaces U and V contains A exactly
 when {x : x^-1 A in V} belongs to U, where x^-1 A = {y : x * y in A}. The
-equivalent base form (upward closure of all unions of x * V_x over x in a
-member of U) is implemented separately and kept exponential on purpose: it
+mask map t_V[A] = {x : x^-1 A in V}, the right translation by V, is built
+from n whole-vector gathers: V's membership string gathered through the
+preimage row of each point x is the column "x in t_V[A]" for every A at
+once, and the n columns are packed as bit x of 16-bit lanes of one int
+(n <= 16) and read back as the 2^n masks. U o V is then U's membership
+string gathered through t_V. All of it stays on strings and Python ints.
+
+The equivalent base form (upward closure of all unions of x * V_x over x in
+a member of U) is implemented separately and kept exponential on purpose: it
 is the independent oracle the fast form is checked against.
 """
 
@@ -11,10 +18,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
+from operator import itemgetter
 
 from .errors import BudgetExceeded, InputError
 from .groupoids import Groupoid, is_homomorphism
-from .hyperspaces import Hyperspace, generate
+from .hyperspaces import Hyperspace, _membership, generate
 
 VIA_BASE_BUDGET = 10 ** 6
 
@@ -68,30 +77,35 @@ def left_shift(g: Groupoid, a: int, f: Hyperspace) -> Hyperspace:
 
 
 def product(g: Groupoid, u: Hyperspace, v: Hyperspace) -> Hyperspace:
-    """U o V = {A : {x : x^-1 A in V} in U}, U.bits gathered through V's transform."""
+    """U o V = {A : {x : x^-1 A in V} in U}, U's membership gathered through V's transform."""
     _require_carrier(g, u)
     t = product_transform(g, v)
-    member = format(u.bits, f"0{len(t)}b")[::-1]     # member[A] == "1" iff A in U
-    return Hyperspace._raw(g.n, int("".join([member[s] for s in reversed(t)]), 2))
+    gathered = "".join(itemgetter(*t)(_membership(g.n, u.bits)))  # [A]: t[A] in U
+    return Hyperspace._raw(g.n, int(gathered[::-1], 2))
 
 
-def product_transform(g: Groupoid, v: Hyperspace) -> list[int]:
+def product_transform(g: Groupoid, v: Hyperspace) -> tuple[int, ...]:
     """t[A] = mask {x : x^-1 A in V}, so that (U o V).bits gathers U.bits at t.
+
+    Column x, the characters "bit pre[x][A] of V" for every A, is one C-level
+    gather of V's membership string through pre[x]. Encoded as UTF-16-LE,
+    character A of the column is the 16-bit lane A of a little-endian int,
+    "0" or "1" in its low bit; the columns are masked to that bit, shifted to
+    bit x and OR-ed, and the lanes are unpacked as explicit little-endian
+    uint16 (n <= 16 points fit a lane on every host byte order).
 
     The right translation by V is the same subset-gather for every U; the
     composition-table builder gathers whole columns through it.
     """
     _require_carrier(g, v)
-    pre = _preimage_table(g)
-    n, vb = g.n, v.bits
-    out = [0] * (1 << n)
-    for a in range(1, 1 << n):
-        s = 0
-        for x in range(n):
-            if (vb >> pre[x][a]) & 1:
-                s |= 1 << x
-        out[a] = s
-    return out
+    nsub = 1 << g.n
+    member = _membership(g.n, v.bits)
+    low = int.from_bytes(b"\x01\x00" * nsub, "little")     # bit 0 of every lane
+    lanes = 0
+    for x, row in enumerate(_preimage_table(g)):
+        col = "".join(itemgetter(*row)(member))
+        lanes |= (int.from_bytes(col.encode("utf-16-le"), "little") & low) << x
+    return struct.unpack(f"<{nsub}H", lanes.to_bytes(2 * nsub, "little"))
 
 
 def product_via_base(g: Groupoid, u: Hyperspace, v: Hyperspace,

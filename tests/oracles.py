@@ -192,6 +192,23 @@ def naive_product_base(table, u_fam, v_fam) -> frozenset[frozenset[int]]:
     return up_close(n, base)
 
 
+def naive_product_transform(g, v) -> list[int]:
+    """t[A] = mask {x : x^-1 A in V}, one shift of V's whole word per point
+    and mask (the package's preimage rows, the loop kept scalar)."""
+    from gspace.products import _preimage_table
+
+    pre = _preimage_table(g)
+    n, vb = g.n, v.bits
+    out = [0] * (1 << n)
+    for a in range(1, 1 << n):
+        s = 0
+        for x in range(n):
+            if (vb >> pre[x][a]) & 1:
+                s |= 1 << x
+        out[a] = s
+    return out
+
+
 def naive_is_associative(table) -> bool:
     """(ij)k == i(jk) for every triple of a composition table (nested lists)."""
     rng = range(len(table))

@@ -59,10 +59,22 @@ def test_shift_invariance_of_extremes(z3):
 
 
 def test_shift_invariance_matches_set_model(z3, magma3, g3_all):
-    for g in (z3, magma3):
+    for g in (z3, build_builtin("left-zero", 3), magma3):
         for f in g3_all:
             assert is_shift_invariant(g, f) == \
                 oracles.naive_shift_invariant(g.table, oracles.family_of(f))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_shift_invariance_matches_set_model_seeded(n):
+    rnd = random.Random(f"shiftinv-{n}")
+    for g in (build_builtin("cyclic", n), build_builtin("left-zero", n)):
+        fams = [generate(n, [rnd.randrange(1, 1 << n) for _ in range(rnd.randint(1, 3))])
+                for _ in range(60)]
+        fams += enumerate_class(g, "shiftinv")      # the invariant side too
+        for f in fams:
+            assert is_shift_invariant(g, f) == \
+                oracles.naive_shift_invariant(g.table, oracles.family_of(f)), (g.name, f)
 
 
 def test_triple_linked_witness_flags(z5):
@@ -282,6 +294,12 @@ def test_enumerate_class_limits():
     g7 = build_builtin("cyclic", 7)
     with pytest.raises(InputError):
         enumerate_class(g7, "all")
+
+
+def test_linked_prefilter_counts_n6(z6):
+    # k-linked for k = 3, 4 tests only the 1,422,563 2-linked words of the census
+    assert len(class_words(z6, "linked", 3)) == 59296
+    assert len(class_words(z6, "linked", 4)) == 43483
 
 
 def test_maximal_3_linked_census_n6(z6):

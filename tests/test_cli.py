@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import gspace
-from gspace import Hyperspace, InputError, SemigroupView, build_builtin, orbits, principal
+import oracles
+from gspace import (Hyperspace, InputError, SemigroupView, build_builtin,
+                    format_hyperspace, generate, orbits, principal)
 from gspace.cli import cli, main
 
 Z2_JSON = json.dumps({
@@ -157,6 +160,18 @@ def test_product_command_with_oracle():
     report = json.loads(res.output)
     assert report["payload"]["result"] == "<[0]>"
     assert report["verdicts"]["oracle_agrees"] is True
+
+
+def test_product_command_at_n12():
+    g = build_builtin("cyclic", 12)
+    rnd = random.Random("cli-product-n12")
+    u, v = (generate(12, [rnd.randrange(1, 1 << 12) for _ in range(3)]) for _ in range(2))
+    t = oracles.naive_product_transform(g, v)
+    want = Hyperspace(12, sum(1 << a for a in range(1 << 12) if (u.bits >> t[a]) & 1))
+    res = run_cli("--groupoid", "cyclic:12", "--format", "json", "product",
+                  format_hyperspace(u, g.names), format_hyperspace(v, g.names))
+    assert res.exit_code == 0
+    assert json.loads(res.output)["payload"]["result"] == format_hyperspace(want, g.names)
 
 
 def test_literal_roundtrip_through_cli():

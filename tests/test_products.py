@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gspace import (BudgetExceeded, InputError, build_builtin, enumerate_all,
-                    generate, induced_map, largest, left_shift,
+from gspace import (BudgetExceeded, Groupoid, InputError, build_builtin,
+                    enumerate_all, generate, induced_map, largest, left_shift,
                     preimage_shift, principal, product, product_via_base,
                     smallest, subset_mask)
-from gspace.products import _image_table, _preimage_table
+from gspace.products import _image_table, _preimage_table, product_transform
 
 
 def masks(n, *sets):
@@ -63,6 +63,64 @@ def test_left_shift_consistency_exhaustive(z3, g3_all):
 def test_left_shift_consistency_random(a, f):
     z5 = build_builtin("cyclic", 5)
     assert product(z5, principal(5, a), f) == left_shift(z5, a, f)
+
+
+# -- the right-translation transform --------------------------------------------------
+
+def seeded_magma(n, seed):
+    """A random operation table on n points that is not associative."""
+    rnd = random.Random(f"magma-{n}-{seed}")
+    while True:
+        table = [[rnd.randrange(n) for _ in range(n)] for _ in range(n)]
+        g = Groupoid([str(i) for i in range(n)], table, f"magma:{n}")
+        if not g.associative:
+            return g
+
+
+def seeded_families(n, count, seed):
+    rnd = random.Random(f"families-{n}-{seed}")
+    return [generate(n, [rnd.randrange(1, 1 << n) for _ in range(rnd.randint(1, 4))])
+            for _ in range(count)]
+
+
+def test_transform_matches_oracle_exhaustive_small(magma3):
+    # every V of G(n), n <= 3, over every builtin of that size: at n = 1 and
+    # n = 2 the per-point gathers have only 2 and 4 entries
+    carriers = [build_builtin(name, n) for name in ("cyclic", "left-zero", "right-zero")
+                for n in (1, 2, 3)] + [magma3]
+    for g in carriers:
+        for v in enumerate_all(g.n):
+            assert list(product_transform(g, v)) == oracles.naive_product_transform(g, v)
+
+
+@pytest.mark.parametrize("n, count", [(7, 24), (10, 8), (12, 3)])
+def test_transform_matches_oracle_seeded(n, count):
+    carriers = [build_builtin(name, n) for name in ("cyclic", "left-zero", "right-zero")]
+    for g in carriers + [seeded_magma(n, 1)]:
+        for v in seeded_families(n, count, g.name):
+            assert list(product_transform(g, v)) == oracles.naive_product_transform(g, v)
+
+
+def test_transform_matches_oracle_at_the_carrier_cap():
+    # all 16 lanes in use; the scalar oracle takes about 2 s for this one V
+    g = build_builtin("cyclic", 16)
+    v = generate(16, [0b1011_0000_0000_0001, 0b0000_0110_1100_0000, 0b0100_0000_0011_1010])
+    assert list(product_transform(g, v)) == oracles.naive_product_transform(g, v)
+
+
+def test_product_matches_via_base_seeded_n7_n8():
+    checked = 0
+    for n in (7, 8):
+        g = build_builtin("cyclic", n)
+        fams = seeded_families(n, 40, "via-base")
+        for u, v in zip(fams[::2], fams[1::2]):
+            try:
+                want = product_via_base(g, u, v, budget=20_000)
+            except BudgetExceeded:
+                continue
+            assert product(g, u, v) == want
+            checked += 1
+    assert checked >= 20
 
 
 # -- the product and its oracle ------------------------------------------------------
