@@ -30,7 +30,7 @@ class Groupoid:
     """Immutable finite groupoid: element labels plus an n x n index table."""
 
     __slots__ = ("name", "names", "table", "n", "associative", "commutative",
-                 "identity", "quasigroup")
+                 "identity", "quasigroup", "_hash")
 
     def __init__(self, names, table, name=""):
         names = tuple(str(x) for x in names)
@@ -50,6 +50,7 @@ class Groupoid:
         self.names = names
         self.table = tab
         self.n = n
+        self._hash = hash((names, tab))     # cache lookups key on the groupoid
         self.associative = all(
             tab[tab[i][j]][k] == tab[i][tab[j][k]]
             for i in range(n) for j in range(n) for k in range(n))
@@ -81,7 +82,10 @@ class Groupoid:
                 and self.names == other.names and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.names, self.table))
+        return self._hash
+
+    def __reduce__(self):   # rebuilt on unpickling: str hashes differ between processes
+        return Groupoid, (self.names, self.table, self.name)
 
     def __repr__(self):
         return f"Groupoid({self.name!r}, n={self.n})"

@@ -28,13 +28,13 @@ from .hyperspaces import Hyperspace, _membership, generate
 VIA_BASE_BUDGET = 10 ** 6
 
 
-def _subset_map(n: int, sing: list[int]) -> tuple[int, ...]:
-    """row[A] = OR of sing[y] over y in A, by the lowest-bit recurrence
-    row[A] = row[A - low] | sing[low]."""
-    row = [0] * (1 << n)
-    for a in range(1, 1 << n):
-        low = a & -a
-        row[a] = row[a ^ low] | sing[low.bit_length() - 1]
+def _subset_map(sing: list[int]) -> tuple[int, ...]:
+    """row[A] = OR of sing[y] over the points y in A, by doubling: once the
+    row covers the masks below 2^y, the masks A + {y} follow in order as
+    row[A] | sing[y]."""
+    row = [0]
+    for s in sing:
+        row += [r | s for r in row]
     return tuple(row)
 
 
@@ -42,14 +42,14 @@ def _subset_map(n: int, sing: list[int]) -> tuple[int, ...]:
 def _preimage_table(g: Groupoid) -> tuple[tuple[int, ...], ...]:
     """pre[x][A] = mask of {y : x * y in A}."""
     n = g.n     # the singleton {z} maps to {y : x * y = z}
-    return tuple(_subset_map(n, [sum(1 << y for y in range(n) if row[y] == z)
-                                 for z in range(n)]) for row in g.table)
+    return tuple(_subset_map([sum(1 << y for y in range(n) if row[y] == z)
+                              for z in range(n)]) for row in g.table)
 
 
 @functools.lru_cache(maxsize=32)
 def _image_table(g: Groupoid) -> tuple[tuple[int, ...], ...]:
     """img[x][A] = mask of x * A = {x * y : y in A}."""
-    return tuple(_subset_map(g.n, [1 << z for z in row]) for row in g.table)
+    return tuple(_subset_map([1 << z for z in row]) for row in g.table)
 
 
 def preimage_shift(g: Groupoid, x: int, mask: int) -> int:

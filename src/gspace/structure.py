@@ -2,11 +2,14 @@
 
 Everything here works on an explicit SemigroupView: the elements' 64-bit
 membership words and their composition table, one 2-D numpy integer array.
-Cancelability, zeros, ideals and the like are decided by brute force on
-that array; the classical characterizations then become checkable
-statements in the test suite instead of implementation shortcuts. The
-shift-invariant core (the right zeros of G(X)) is the `shiftinv` class
-census of `classify.class_words`.
+Cancelability, zeros, the center and the minimal one-sided ideals are
+decided on that array, not by the classical characterizations, which stay
+checkable statements in the test suite. Each answer is a cheap necessary
+filter (one sum per row and per column, a block of columns) followed by an
+exact check of the survivors only, so that no analysis builds a sorted copy
+or a comparison matrix of the whole table. The shift-invariant core (the
+right zeros of G(X)) is the `shiftinv` class census of
+`classify.class_words`.
 
 Views take a uint64 word array (a class census) or Hyperspaces, need
 carriers up to 6 points, so that a membership vector fits one 64-bit word,
@@ -35,6 +38,7 @@ from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _hyperspace_mask
 from .products import _image_table, _preimage_table, left_shift, product
 
 SECTION_BUDGET = 10 ** 7
+_LINES = 64         # table rows or columns read per block by the analyses
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,31 +219,74 @@ class SpecialElements:
     right_cancelable: tuple[int, ...]
 
 
+def _lines_passing(t: np.ndarray, cand: np.ndarray, axis: int, test) -> np.ndarray:
+    """The candidates c whose row (axis 1) or column (axis 0) of t passes
+    `test(c, lines)` in every cell; the lines are taken _LINES at a time, so
+    no copy grows with the number of candidates."""
+    keep = [cand[:0]]
+    for k in range(0, len(cand), _LINES):
+        c = cand[k:k + _LINES]
+        keep.append(c[test(c, t[c] if axis == 1 else t[:, c]).all(axis=axis)])
+    return np.concatenate(keep)
+
+
 def special_elements(view: SemigroupView) -> SpecialElements:
+    """Idempotents (the diagonal), one-sided zeros, zeros, the identity and
+    the one-sided cancelable elements of a closed view.
+
+    Each answer is a cheap necessary filter followed by an exact check of
+    the survivors only. One int64 sum per row and per column filters: a
+    row i of left zero i sums to m*i, a column j of right zero j to m*j,
+    and a permutation of range(m), the row of a left cancelable element or
+    the column of a right cancelable one, to m(m-1)/2. The survivors'
+    lines are then compared in full (zeros) or sorted (cancelable). The
+    identity's row and column are both the identity permutation, so its
+    candidates are the elements that are cancelable on both sides.
+    """
     if not view.closed:
         raise InputError("special_elements needs a closed view")
     t = view.table
-    ar = np.arange(view.size)
-    by_col = t == ar             # t[i, j] == j
-    by_row = t == ar[:, None]    # t[i, j] == i
-    lz, rz = by_row.all(axis=1), by_col.all(axis=0)
-    units = _indices(by_col.all(axis=1) & by_row.all(axis=0))
+    m = view.size
+    ar = np.arange(m)
+    row_sums, col_sums = t.sum(axis=1, dtype=np.int64), t.sum(axis=0, dtype=np.int64)
+    perm = m * (m - 1) // 2
+    lz = _lines_passing(t, np.flatnonzero(row_sums == m * ar), 1,
+                        lambda c, rows: rows == c[:, None])
+    rz = _lines_passing(t, np.flatnonzero(col_sums == m * ar), 0,
+                        lambda c, cols: cols == c)
+    lc = _lines_passing(t, np.flatnonzero(row_sums == perm), 1,
+                        lambda c, rows: np.sort(rows, axis=1) == ar)
+    rc = _lines_passing(t, np.flatnonzero(col_sums == perm), 0,
+                        lambda c, cols: np.sort(cols, axis=0) == ar[:, None])
+    units = _lines_passing(t, np.intersect1d(lc, rc), 1, lambda c, rows: rows == ar)
+    units = _lines_passing(t, units, 0, lambda c, cols: cols == ar[:, None])
     return SpecialElements(
         idempotents=_indices(t[ar, ar] == ar),
-        left_zeros=_indices(lz),
-        right_zeros=_indices(rz),
-        zeros=_indices(lz & rz),
-        identity=units[0] if units else None,
-        left_cancelable=_indices((np.sort(t, axis=1) == ar).all(axis=1)),
-        right_cancelable=_indices((np.sort(t, axis=0) == ar[:, None]).all(axis=0)))
+        left_zeros=tuple(lz.tolist()),
+        right_zeros=tuple(rz.tolist()),
+        zeros=tuple(np.intersect1d(lz, rz).tolist()),
+        identity=int(units[0]) if len(units) else None,
+        left_cancelable=tuple(lc.tolist()),
+        right_cancelable=tuple(rc.tolist()))
 
 
 def center(view: SemigroupView) -> tuple[int, ...]:
-    """Elements commuting with every element of the view."""
+    """Elements commuting with every element of the view.
+
+    The candidates shrink over blocks of _LINES columns: element i stays
+    while t[i, j] == t[j, i] for every j of the blocks seen so far. The
+    first block reads _LINES rows and columns of the table, the later ones
+    only the survivors' cells, and after the last block every survivor has
+    been checked against every column.
+    """
     if not view.closed:
         raise InputError("center needs a closed view")
     t = view.table
-    return _indices((t == t.T).all(axis=1))
+    alive = np.arange(view.size)
+    for lo in range(0, view.size, _LINES):
+        hi = lo + _LINES
+        alive = alive[(t[alive, lo:hi] == t[lo:hi, alive].T).all(axis=1)]
+    return tuple(alive.tolist())
 
 
 def center_of_gx(g: Groupoid) -> list[Hyperspace]:
@@ -277,16 +324,30 @@ def minimal_ideal(view: SemigroupView) -> tuple[int, ...]:
 def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
     """Inclusion-minimal sets among {x} u {t[x, s] : s}, over all rows x.
 
-    Distinct sets are visited by size; one still alive is minimal, and it
-    removes every set containing it.
+    The sets are the rows of an m x m membership matrix, set from the flat
+    indices x*m + t[x, s] over blocks of _LINES table rows in memory order:
+    when t is the transpose of a C-ordered table (the left ideals), a block
+    of its columns is a block of rows in memory. No m x m index array is
+    built. The packed rows are deduplicated as single byte strings; distinct
+    sets are then visited by size, one still alive is minimal, and it
+    removes every set containing it. The visiting order of sets of one size
+    does not change which are minimal.
     """
     m = len(t)
     ar = np.arange(m)
-    member = np.zeros((m, m), dtype=bool)
-    member[ar, ar] = True
-    member[ar[:, None], t] = True
-    ideals = np.unique(np.packbits(member, axis=1), axis=0)
-    sizes = np.unpackbits(ideals, axis=1).sum(axis=1)
+    member = np.eye(m, dtype=bool)
+    flat = member.reshape(-1)
+    by_rows = t.flags.c_contiguous or not t.T.flags.c_contiguous
+    src = np.ascontiguousarray(t) if by_rows else t.T
+    for lo in range(0, m, _LINES):
+        block = src[lo:lo + _LINES]     # t[x, s] for x in the block, or for s in it
+        base = ar[lo:lo + len(block), None] if by_rows else ar
+        flat[(base * m + block).ravel()] = True
+    packed = np.packbits(member, axis=1)
+    width = packed.shape[1]
+    ideals = np.unique(packed.view(np.dtype((np.void, width))).ravel())
+    ideals = ideals.view(np.uint8).reshape(-1, width)
+    sizes = np.bitwise_count(ideals).sum(axis=1)
     alive = np.ones(len(ideals), dtype=bool)
     out = []
     for r in np.argsort(sizes, kind="stable"):
@@ -382,7 +443,9 @@ def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> Sectio
     Such a system is exactly the image of a homomorphic section of the
     quotient map. Backtracking over orbits (smallest first) with forced
     propagation: once two representatives are chosen, their product pins the
-    representative of its own orbit. Node count is capped by `budget`.
+    representative of its own orbit. The backtracking keeps its own stack of
+    frames, so its depth is not bounded by the interpreter's recursion limit.
+    Node count is capped by `budget`.
     """
     dec = orbits(g, elements)
     t = dec.view.table
@@ -399,43 +462,55 @@ def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> Sectio
         stack = list(new_elems)
         while stack:
             x = stack.pop()
-            for y in list(chosen.values()):
-                for p in (int(t[x, y]), int(t[y, x])):
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceeded(
-                            f"section search exceeded {budget} nodes")
-                    o = orbit_of[p]
-                    cur = chosen.get(o)
-                    if cur is None:
-                        chosen[o] = p
-                        trail.append(o)
-                        stack.append(p)
-                    elif cur != p:
-                        return trail, False
+            ys = list(chosen.values())
+            # x*y, then y*x, for each y chosen before x's products are read
+            for p in np.column_stack((t[x, ys], t[ys, x])).ravel().tolist():
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"section search exceeded {budget} nodes")
+                o = orbit_of[p]
+                cur = chosen.get(o)
+                if cur is None:
+                    chosen[o] = p
+                    trail.append(o)
+                    stack.append(p)
+                elif cur != p:
+                    return trail, False
         return trail, True
 
-    def walk(pos: int) -> None:
-        nonlocal nodes
+    # depth-first without recursion: a frame [pos, orbit, candidates, trail]
+    # tries the orbit's candidates in turn; `trail` lists the orbits pinned
+    # by the candidate tried last, released when the search backs up to it
+    frames: list[list] = []
+
+    def enter(pos: int) -> None:
         while pos < len(order) and order[pos] in chosen:
             pos += 1
         if pos == len(order):
             sections.append(tuple(sorted(chosen.values())))
-            return
-        oi = order[pos]
-        for cand in dec.orbits[oi]:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"section search exceeded {budget} nodes")
-            chosen[oi] = cand
-            trail, ok = propagate([cand])
-            if ok:
-                walk(pos + 1)
+        else:
+            frames.append([pos, order[pos], iter(dec.orbits[order[pos]]), None])
+
+    enter(0)
+    while frames:
+        frame = frames[-1]
+        pos, oi, cands, trail = frame
+        if trail is not None:
             for o in trail:
                 del chosen[o]
             del chosen[oi]
-
-    walk(0)
+            frame[3] = None
+        cand = next(cands, None)
+        if cand is None:
+            frames.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"section search exceeded {budget} nodes")
+        chosen[oi] = cand
+        frame[3], ok = propagate([cand])
+        if ok:
+            enter(pos + 1)
     for sec in sections:
         idx = np.array(sec)
         if sorted(orbit_of[x] for x in sec) != list(range(len(dec.orbits))):

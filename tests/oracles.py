@@ -216,6 +216,53 @@ def naive_is_associative(table) -> bool:
                for i in rng for j in rng for k in rng)
 
 
+def naive_special_elements(table) -> dict:
+    """The fields of `structure.SpecialElements` for a closed table, each by
+    its definition over Python sets: i is a left zero iff its row is {i}, a
+    right zero iff its column is {i}, left (right) cancelable iff its row
+    (column) has m distinct entries, the identity iff its row and its column
+    are both 0, 1, .., m - 1. The table is read one line at a time."""
+    t = np.asarray(table)
+    m = len(t)
+    rng = range(m)
+    ident = list(rng)
+
+    def facts(line):    # i -> (line i is {i}, has m distinct entries, is 0..m-1)
+        out = []
+        for i in rng:
+            entries = line(i)
+            out.append((set(entries) == {i}, len(set(entries)) == m, entries == ident))
+        return out
+
+    rows, cols = facts(lambda i: t[i].tolist()), facts(lambda j: t[:, j].tolist())
+    left = [i for i in rng if rows[i][0]]
+    right = [j for j in rng if cols[j][0]]
+    units = [e for e in rng if rows[e][2] and cols[e][2]]
+    return {
+        "idempotents": tuple(i for i in rng if int(t[i, i]) == i),
+        "left_zeros": tuple(left),
+        "right_zeros": tuple(right),
+        "zeros": tuple(sorted(set(left) & set(right))),
+        "identity": units[0] if units else None,
+        "left_cancelable": tuple(i for i in rng if rows[i][1]),
+        "right_cancelable": tuple(j for j in rng if cols[j][1]),
+    }
+
+
+def naive_center(table) -> tuple[int, ...]:
+    """Elements whose row equals their column: i * j == j * i for every j."""
+    t = np.asarray(table)
+    return tuple(i for i in range(len(t)) if t[i].tolist() == t[:, i].tolist())
+
+
+def naive_minimal_row_ideals(table) -> list[tuple[int, ...]]:
+    """The sets {x} u row x as frozensets, kept when no other of them is a
+    proper subset; sorted tuples, in ascending order."""
+    t = np.asarray(table)
+    sets = {frozenset([x, *t[x].tolist()]) for x in range(len(t))}
+    return sorted(tuple(sorted(s)) for s in sets if not any(o < s for o in sets))
+
+
 def principal_two_sided_ideal(t, x: int) -> frozenset[int]:
     """Closure of {x} under multiplication by the table on either side."""
     seen = np.zeros(len(t), dtype=bool)

@@ -26,12 +26,13 @@ def run_cli(*args, **kwargs):
     return runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
 
 
-def run_proc(*args, flags=()):
+def run_proc(*args, flags=(), env=()):
     # the child imports the same gspace as the tests, installed or not
     path = [str(Path(gspace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run([sys.executable, *flags, "-m", "gspace", *args],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+                          env={**os.environ, **dict(env),
+                               "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
 def test_enumerate_count_only():
@@ -68,6 +69,20 @@ def test_json_payload_deterministic():
         a, b = (json.dumps(json.loads(run_cli(*args).output)["payload"], sort_keys=True)
                 for _ in range(2))
         assert a == b, verb
+
+
+def test_payload_identical_across_hash_seeds():
+    # fresh interpreters with different string-hash seeds, so that no payload
+    # may depend on the iteration order of a set or dict of strings
+    for args in (("--groupoid", "cyclic:4", "--format", "json", "analyze"),
+                 ("--groupoid", "cyclic:5", "--format", "json", "analyze",
+                  "--within", "maxlinked:2")):
+        payloads = []
+        for seed in ("1", "2"):
+            res = run_proc(*args, env={"PYTHONHASHSEED": seed})
+            assert res.returncode == 0, res.stderr
+            payloads.append(json.dumps(json.loads(res.stdout)["payload"]).encode())
+        assert payloads[0] == payloads[1], args
 
 
 def test_parallel_flag_rejected():

@@ -45,6 +45,19 @@ def test_subset_maps_match_definition(magma3):
                 assert img[x][a] == sum(1 << z for z in {row[y] for y in ys})
 
 
+def test_subset_maps_match_definition_up_to_ten_points():
+    # the doubling build against the set definitions, point by point
+    for g in (build_builtin(name, n) for name in ("cyclic", "left-zero")
+              for n in range(1, 11)):
+        pre, img = _preimage_table(g), _image_table(g)
+        for x, row in enumerate(g.table):
+            assert len(pre[x]) == len(img[x]) == 1 << g.n
+            for a in range(1 << g.n):
+                ys = {y for y in range(g.n) if (a >> y) & 1}
+                assert pre[x][a] == sum(1 << y for y in range(g.n) if row[y] in ys)
+                assert img[x][a] == sum(1 << z for z in {row[y] for y in ys})
+
+
 def test_left_shift(z2, z3):
     assert left_shift(z2, 1, largest(2)) == largest(2)
     assert left_shift(z2, 1, smallest(2)) == smallest(2)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table
-from gspace.structure import SemigroupView
+from gspace.structure import SemigroupView, _minimal_row_ideals
 
 
 def masks(n, *sets):
@@ -442,6 +443,163 @@ def test_center_of_gx_needs_quasigroup():
         center_of_gx(build_builtin("left-zero", 2))
 
 
+# -- table-level analysis against the set-based oracles ------------------------------------
+
+def check_table_analysis(view):
+    t = view.table
+    assert vars(special_elements(view)) == oracles.naive_special_elements(t)
+    assert center(view) == oracles.naive_center(t)
+    assert minimal_left_ideals(view) == oracles.naive_minimal_row_ideals(t.T)
+    assert minimal_right_ideals(view) == oracles.naive_minimal_row_ideals(t)
+
+
+def table_view(g, table):
+    return SemigroupView(groupoid=g, words=None, labels=None,
+                         table=np.asarray(table), closed=True)
+
+
+def test_table_analysis_matches_oracles_on_small_views(magma3):
+    # every closed class view of at most 200 elements on the carriers the
+    # tests use, plus orbit quotients and section views
+    carriers = [build_builtin("cyclic", n) for n in range(1, 7)] + [
+        build_builtin("klein-4", 4), build_builtin("symmetric-3", 6),
+        build_builtin("left-zero", 3), build_builtin("right-zero", 3), magma3]
+    views = []
+    for g in carriers:
+        tokens = [("maxlinked", 2), ("filters", None), ("ultrafilters", None)]
+        if g.n <= 5:
+            tokens.append(("shiftinv", None))
+        if g.n <= 4:
+            tokens += [("all", None), ("linked", 2), ("centered", None)]
+        for token, k in tokens:
+            words = class_words(g, token, k)
+            if 0 < len(words) <= 200:
+                views.append(subsemigroup_view(g, words))
+    z2, z3, z5 = (build_builtin("cyclic", n) for n in (2, 3, 5))
+    views += [orbits(z2, upset_words(2)).quotient, orbits(z3, upset_words(3)).quotient,
+              orbits(z5, class_words(z5, "maxlinked", 2)).quotient]
+    search = find_sections(z3, upset_words(3))
+    views += [_section_view(search, sec) for sec in search.sections]
+    views = [v for v in views if v.closed]
+    assert len(views) > 50 and {v.size for v in views} >= {1, 2, 166}
+    for view in views:
+        check_table_analysis(view)
+
+
+def test_table_analysis_matches_oracles_lambda_z6(z6):
+    check_table_analysis(lambda_view(z6))
+
+
+def test_table_analysis_tiny_tables(z2):
+    for m in (1, 2):
+        for cells in itertools.product(range(m), repeat=m * m):
+            check_table_analysis(table_view(z2, np.reshape(cells, (m, m))))
+
+
+def moved_unit(rnd, line, m):
+    """The line with one unit moved between two entries: its sum stays, but
+    a constant line is no longer constant and a permutation of range(m) no
+    longer a permutation. None when no pair of entries tried can move."""
+    line = list(line)
+    pairs = [(p, q) for p, q in (rnd.sample(range(m), 2) for _ in range(4 * m))
+             if line[p] + 1 < m and line[q] > 0 and line[q] != line[p] + 1]
+    if not pairs:
+        return None
+    p, q = rnd.choice(pairs)
+    line[p] += 1
+    line[q] -= 1
+    return line
+
+
+PLANTS = ("left zero", "right zero", "zero", "identity", "left identity", "right identity",
+          "permutation row", "permutation column", "near-permutation row",
+          "near-permutation column", "near-left-zero row", "near-right-zero column",
+          "central", "near-central")
+
+
+def planted_table(rnd, m):
+    """A random table on range(m) with planted lines, in a random order; a
+    later planting overwrites an earlier one where they cross, so only the
+    oracles say what the table has."""
+    t = np.array([[rnd.randrange(m) for _ in range(m)] for _ in range(m)])
+    for kind in rnd.sample(PLANTS, rnd.randint(1, len(PLANTS))):
+        for i in rnd.sample(range(m), 1 if kind == "identity" else rnd.randint(1, m // 3)):
+            perm = rnd.sample(range(m), m)
+            if kind in ("left identity", "right identity"):
+                # row (column) i is 0..m-1, column (row) i a permutation fixing i
+                perm[perm.index(i)], perm[i] = perm[i], i
+                if kind == "left identity":
+                    t[:, i], t[i] = perm, np.arange(m)
+                else:
+                    t[i], t[:, i] = perm, np.arange(m)
+                continue
+            if kind in ("central", "near-central"):     # column i is row i
+                t[:, i] = t[i]
+                if kind == "near-central":              # but for one cell
+                    j = rnd.choice([j for j in range(m) if j != i])
+                    t[j, i] = (t[i, j] + 1) % m
+                continue
+            if kind.startswith("near-"):
+                line = moved_unit(rnd, perm if "permutation" in kind else [i] * m, m)
+            else:
+                line = (list(range(m)) if kind == "identity" else perm
+                        if "permutation" in kind else [i] * m)
+            if line is None:
+                continue
+            if kind in ("left zero", "zero", "identity") or kind.endswith("row"):
+                t[i] = line
+            if kind in ("right zero", "zero", "identity") or kind.endswith("column"):
+                t[:, i] = line
+    return t
+
+
+def test_table_analysis_matches_oracles_on_planted_tables(z2):
+    rnd = random.Random(13)
+    found = dict.fromkeys(("left_zeros", "right_zeros", "zeros", "left_cancelable",
+                           "right_cancelable"), 0)
+    found.update(identity=0, fake_rows=0, fake_cols=0, fake_left_zeros=0,
+                 fake_right_zeros=0)
+    for k in range(120):
+        m = rnd.randint(3, 40) if k % 4 else rnd.randint(65, 160)  # past one block
+        t = planted_table(rnd, m)
+        check_table_analysis(table_view(z2, t))
+        spec = special_elements(table_view(z2, t))
+        for key in ("left_zeros", "right_zeros", "zeros", "left_cancelable",
+                    "right_cancelable"):
+            found[key] += bool(getattr(spec, key))
+        found["identity"] += spec.identity is not None
+        # lines the sum filter passes and the exact check must reject
+        for lines, perm, zero in ((t, "fake_rows", "fake_left_zeros"),
+                                  (t.T, "fake_cols", "fake_right_zeros")):
+            for i, line in enumerate(lines.tolist()):
+                if sum(line) == m * (m - 1) // 2 and len(set(line)) < m:
+                    found[perm] += 1
+                if sum(line) == m * i and set(line) != {i}:
+                    found[zero] += 1
+    assert min(found.values()) >= 5, found
+
+
+def test_table_analysis_on_bands_and_groups(z2):
+    # more candidates than one block of lines: every element is a left zero,
+    # a right zero, or cancelable and central
+    ar = np.arange(150)
+    for t in (np.repeat(ar[:, None], 150, axis=1), np.repeat(ar[None, :], 150, axis=0),
+              (ar[:, None] + ar) % 150, (ar[:, None] * 7 + ar * 11) % 150):
+        check_table_analysis(table_view(z2, t))
+
+
+def test_minimal_row_ideals_read_any_layout(z2):
+    rnd = random.Random(7)
+    for _ in range(20):
+        m = rnd.randint(1, 30)
+        t = planted_table(rnd, m) if m >= 3 else np.zeros((m, m), dtype=np.int32)
+        strided = np.zeros((2 * m, 2 * m), dtype=np.int32)[::2, ::2]
+        strided[...] = t
+        want = oracles.naive_minimal_row_ideals(t)
+        for layout in (np.ascontiguousarray(t), np.asfortranarray(t), strided):
+            assert _minimal_row_ideals(layout) == want
+
+
 # -- orbits and quotients --------------------------------------------------------------------
 
 def test_orbits_g3(z3, g3_all):
@@ -549,6 +707,24 @@ def test_isomorphic_to_itself(g3_view):
     perm = are_isomorphic(g3_view, g3_view)
     assert perm is not None
     assert sorted(perm) == list(range(18))
+
+
+def test_section_search_depth_does_not_grow_with_orbits(z6):
+    # the lambda(Z6) search descends through dozens of orbits before it backs
+    # up; with its own stack of frames it runs under a recursion limit a few
+    # frames above the caller's depth
+    words = class_words(z6, "maxlinked", 2)
+    free = find_sections(z6, words)     # also imports and compiles every path
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        low = find_sections(z6, words)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (low.sections, low.nodes) == (free.sections, free.nodes) == ((), 131789)
 
 
 def test_sections_isomorphic_to_quotient(z2, g2_all):
