@@ -50,7 +50,7 @@ class Groupoid:
         self.names = names
         self.table = tab
         self.n = n
-        self._hash = hash((names, tab))     # cache lookups key on the groupoid
+        self._hash = hash(tab)      # cache key; int tuples hash alike in every process
         self.associative = all(
             tab[tab[i][j]][k] == tab[i][tab[j][k]]
             for i in range(n) for j in range(n) for k in range(n))
@@ -83,9 +83,6 @@ class Groupoid:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):   # rebuilt on unpickling: str hashes differ between processes
-        return Groupoid, (self.names, self.table, self.name)
 
     def __repr__(self):
         return f"Groupoid({self.name!r}, n={self.n})"

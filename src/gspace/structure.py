@@ -347,7 +347,7 @@ def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
     width = packed.shape[1]
     ideals = np.unique(packed.view(np.dtype((np.void, width))).ravel())
     ideals = ideals.view(np.uint8).reshape(-1, width)
-    sizes = np.bitwise_count(ideals).sum(axis=1)
+    sizes = np.unpackbits(ideals, axis=1).sum(axis=1)
     alive = np.ones(len(ideals), dtype=bool)
     out = []
     for r in np.argsort(sizes, kind="stable"):
