@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
-from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _membership,
+from .hyperspaces import (Hyperspace, _gather_words, _membership,
                           _point_words, _upsets, generate, mask_elements,
                           upset_words)
 from .products import _image_table, _preimage_table
@@ -167,7 +167,7 @@ def _maxlinked_words(n: int) -> np.ndarray:
     w = _upsets(n - 1)
     flip = np.zeros(64, dtype=np.intp)      # bit E of w^T is bit (Y - E) of ~w
     flip[:half] = (half - 1) ^ np.arange(half)
-    wt = ~_gather_words(_bit_rows(w), flip) & np.uint64((1 << half) - 1)
+    wt = ~_gather_words(w, flip[None])[0] & np.uint64((1 << half) - 1)
     keep = (wt & ~w) == 0
     return (w[keep] << np.uint64(half)) | wt[keep]
 

@@ -225,10 +225,35 @@ def _bit_rows(words) -> np.ndarray:
                          bitorder="little")
 
 
-def _gather_words(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Words whose bit A is column index[A] of the bit rows (64 indices)."""
-    return np.packbits(rows.take(index, axis=1), axis=1,
-                       bitorder="little").view("<u8")[:, 0]
+def _gather_words(words, index) -> np.ndarray:
+    """Bit gathers of every word, one per row of `index`, a (B, 64) array of
+    bit positions: out[b, i] has bit A set iff words[i] has bit index[b, A].
+
+    Per gather, source bit p sets the output bits mask[p] (the A with
+    index[b, A] = p), and byte s of a word is looked up whole in a 256-entry
+    table: lut[s][v] is the OR of mask[8s + k] over the set bits k of v,
+    built by doubling v. A gathered word is the OR of 8 table reads, one per
+    byte; the tables of one gather take 16 KB. The result is the transpose
+    of an (N, B) array, whose rows are read from the tables B words at a
+    time; callers bound B.
+    """
+    index = np.asarray(index)
+    b = len(index)
+    mask = np.zeros((64, b), dtype=np.uint64)
+    np.bitwise_or.at(mask, (index, np.arange(b)[:, None]),
+                     np.uint64(1) << np.arange(64, dtype=np.uint64))
+    mask = mask.reshape(8, 8, b)                    # [byte s, bit k, gather]
+    lut = np.zeros((8, 256, b), dtype=np.uint64)    # [byte s, byte value, gather]
+    for k in range(8):
+        np.bitwise_or(lut[:, :1 << k], mask[:, k, None], out=lut[:, 1 << k:2 << k])
+    lut = lut.reshape(2048, b)
+    flat = np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8).T \
+        + np.arange(0, 2048, 256)[:, None]          # row 256s + byte s, per byte
+    out = lut.take(flat[0], axis=0)
+    part = np.empty_like(out)
+    for s in range(1, 8):
+        out |= lut.take(flat[s], axis=0, out=part)
+    return out.T
 
 
 def _hyperspace_mask(n: int, words: np.ndarray) -> np.ndarray:

@@ -14,12 +14,14 @@ right zeros of G(X)) is the `shiftinv` class census of
 Views take a uint64 word array (a class census) or Hyperspaces, need
 carriers up to 6 points, so that a membership vector fits one 64-bit word,
 and hold at most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace
-is built. One builder fills every table a column at a time: for a right
-factor V, (U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform,
-gathered over the words of all elements U at once. Over an associative
-carrier it gathers the point shifts U o <h> first, keeps them on the view
-for `orbits`, and gathers only one column per right orbit {V o <h>}
-(λ(Z6): 453 of 2,646 columns, 0.2-0.35 s; all of G(Z5): 1,523 of 7,579).
+is built. One builder fills every table by columns: for a right factor V,
+(U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform, gathered
+over the words of all elements U at once by byte-table lookups, a batch of
+columns at a time. Over an associative carrier it gathers the point shifts
+U o <h> first, keeps them on the view for `orbits`, gathers only one column
+per right orbit {V o <h>} and derives the others through the shift table
+(λ(Z6): 453 of 2,646 columns, about 0.12-0.16 s; all of G(Z5): 1,523 of
+7,579, about 1.1-1.3 s).
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .products import _image_table, _preimage_table, left_shift, product
 
 SECTION_BUDGET = 10 ** 7
 _LINES = 64         # table rows or columns read per block by the analyses
+_BATCH = 32         # table columns gathered, or derived, per batch
+_TILE = 128         # side of the square tiles of the in-place transpose
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,44 +127,76 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
 
     A gathered column j sends every element word's bits through the right
     translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
-    of words[j] is set), and looks the words up by binary search.
+    of words[j] is set), and looks the words up by binary search. Columns
+    are gathered _BATCH at a time (`_gather_words`) and built as the rows of
+    one m x m buffer, which is transposed in place at the end.
 
     Over an associative carrier G(X) is a semigroup, so
     words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of V o <h>
-    is the column of V sent through the shift table, gathered first.
-    Walking the columns in order, one not yet filled is gathered; if none of
-    its products escaped, every unfilled V o <h> is derived from it
-    (V o <h> o <h'> = V o <h * h'>, so one step reaches every shift of V).
+    is the column of V sent through the shift table, gathered first. The
+    plan walks the columns in order: one not yet planned is gathered, and
+    every unplanned V o <h> is derived from it (V o <h> o <h'> =
+    V o <h * h'>, so one step reaches every shift of V). A gathered column
+    with an escaped product cannot be sent through the shift table, so the
+    columns planned from it are gathered too. Over other carriers every
+    column is gathered.
     """
-    rows = _bit_rows(words)
+    m = len(words)
     order = np.argsort(words, kind="stable").astype(np.int32)
     ranked = words[order]
+    buf = np.empty((m, m), dtype=np.int32)      # row j: column j of the table
 
-    def column(t):
-        col = _gather_words(rows, t)
-        pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
+    def columns(rights) -> np.ndarray:
+        col = _gather_words(words, _transforms(g, rights))
+        pos = np.minimum(np.searchsorted(ranked, col), m - 1)
         return np.where(ranked[pos] == col, order[pos], -1)
 
-    table = np.empty((len(words), len(words)), dtype=np.int32)
-    shift = (np.column_stack([column(t) for t in _transforms(g, _point_words(g.n))])
+    def gather(js) -> list[int]:
+        """Fill the buffer rows js; return those with an escaped product."""
+        escaped = []
+        for lo in range(0, len(js), _BATCH):
+            cols = js[lo:lo + _BATCH]
+            buf[cols] = col = columns(words[cols])
+            escaped += cols[col.min(axis=1) < 0].tolist()
+        return escaped
+
+    shift = (np.ascontiguousarray(columns(_point_words(g.n)).T)
              if g.associative else None)
-    filled = bytearray(len(words))
-    derived, nd = np.empty((len(words), 3), dtype=np.int32), 0    # (parent, kid, h) rows
-    for j, t in enumerate(_transforms(g, words)):
-        if filled[j]:
+    planned = bytearray(m)
+    reps, kids = [], []                         # kids: (kid, parent, h)
+    shifts = shift.tolist() if shift is not None else [()] * m
+    for j, row in enumerate(shifts):
+        if planned[j]:
             continue
-        table[:, j] = col = column(t)
-        filled[j] = 1
-        if shift is not None and col.min() >= 0:
-            for h, k in enumerate(shift[j].tolist()):
-                if k >= 0 and not filled[k]:        # words[k] is words[j] o <h>
-                    filled[k] = 1
-                    derived[nd] = j, k, h
-                    nd += 1
-    parents, kids, hs = derived[:nd].T
-    for r in range(0, len(words) if nd else 0, 16):     # a few rows at a time
-        table[r:r + 16, kids] = shift.ravel()[table[r:r + 16, parents] * g.n + hs]
-    return table, shift
+        planned[j] = 1
+        reps.append(j)
+        for h, k in enumerate(row):
+            if k >= 0 and not planned[k]:       # words[k] is words[j] o <h>
+                planned[k] = 1
+                kids.append((k, j, h))
+    escaped = gather(np.array(reps))
+    kid, parent, hs = np.array(kids, dtype=np.intp).reshape(-1, 3).T
+    lost = np.isin(parent, escaped)
+    gather(kid[lost])
+    kid, parent, hs = kid[~lost], parent[~lost], hs[~lost]
+    for lo in range(0, len(kid), _BATCH):      # kids exist only with a shift table
+        buf[kid[lo:lo + _BATCH]] = shift.ravel().take(
+            buf[parent[lo:lo + _BATCH]] * g.n + hs[lo:lo + _BATCH, None])
+    _transpose_in_place(buf)
+    return buf, shift
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Transpose a square array tile by tile, without a second copy of it."""
+    m = len(a)
+    for lo in range(0, m, _TILE):
+        hi = lo + _TILE
+        a[lo:hi, lo:hi] = a[lo:hi, lo:hi].T.copy()
+        for lo2 in range(hi, m, _TILE):
+            hi2 = lo2 + _TILE
+            upper = a[lo:hi, lo2:hi2].copy()
+            a[lo:hi, lo2:hi2] = a[lo2:hi2, lo:hi].T
+            a[lo2:hi2, lo:hi] = upper.T
 
 
 def _first_escape(table: np.ndarray) -> tuple[int, int] | None:
@@ -328,10 +364,11 @@ def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
     indices x*m + t[x, s] over blocks of _LINES table rows in memory order:
     when t is the transpose of a C-ordered table (the left ideals), a block
     of its columns is a block of rows in memory. No m x m index array is
-    built. The packed rows are deduplicated as single byte strings; distinct
-    sets are then visited by size, one still alive is minimal, and it
-    removes every set containing it. The visiting order of sets of one size
-    does not change which are minimal.
+    built. The packed rows are deduplicated as single byte strings. Sets of
+    one size cannot contain each other, so the distinct sets are visited one
+    size class at a time: a set is minimal iff it contains none of the
+    minimal sets of smaller sizes, checked _LINES sets against _LINES sets
+    at a time.
     """
     m = len(t)
     ar = np.arange(m)
@@ -348,13 +385,19 @@ def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
     ideals = np.unique(packed.view(np.dtype((np.void, width))).ravel())
     ideals = ideals.view(np.uint8).reshape(-1, width)
     sizes = np.unpackbits(ideals, axis=1).sum(axis=1)
-    alive = np.ones(len(ideals), dtype=bool)
-    out = []
-    for r in np.argsort(sizes, kind="stable"):
-        if alive[r]:
-            out.append(_indices(np.unpackbits(ideals[r], count=m)))
-            alive &= (ideals[r] & ~ideals).any(axis=1)
-    return sorted(out)
+    by_size = np.argsort(sizes, kind="stable")
+    minimal = ideals[:0]
+    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        sets = ideals[group]
+        alive = np.ones(len(sets), dtype=bool)
+        for lo in range(0, len(sets), _LINES):
+            block = sets[lo:lo + _LINES]
+            for mlo in range(0, len(minimal), _LINES):
+                # a set is not contained in a block set iff it has a bit outside it
+                outside = (minimal[mlo:mlo + _LINES, None] & ~block).any(axis=2)
+                alive[lo:lo + _LINES] &= outside.all(axis=0)
+        minimal = np.concatenate([minimal, sets[alive]])
+    return sorted(_indices(np.unpackbits(r, count=m)) for r in minimal)
 
 
 def minimal_left_ideals(view: SemigroupView) -> list[tuple[int, ...]]:
@@ -625,7 +668,7 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
         scope = "skipped (carrier > 4 and no sub-semigroup supplied)"
     cancelable = None
     if pool is not None:
-        col = _gather_words(_bit_rows(pool), _transforms(g, [f.bits])[0])
+        col = _gather_words(pool, _transforms(g, [f.bits]))[0]
         cancelable = len(np.unique(col)) == len(col)
     translates_distinct = len({left_shift(g, x, f) for x in range(g.n)}) == g.n
     img = _image_table(g)

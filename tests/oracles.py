@@ -306,6 +306,19 @@ def naive_shift_invariant(table, fam) -> bool:
 
 # -- composition tables ------------------------------------------------------------
 
+def bit_gather_words(words, index) -> np.ndarray:
+    """out[b, i]: the word whose bit A is bit index[b, A] of words[i].
+
+    Each gather unpacks the words into a bit matrix, takes its columns
+    index[b] and packs them back, one column at a time.
+    """
+    rows = np.unpackbits(np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    return np.array([np.packbits(rows.take(ix, axis=1), axis=1,
+                                 bitorder="little").view("<u8")[:, 0] for ix in index],
+                    dtype=np.uint64).reshape(len(index), len(rows))
+
+
 def gather_table(g, words, rights) -> np.ndarray:
     """table[i, j] = index in `words` of words[i] o rights[j], or -1.
 
@@ -317,23 +330,17 @@ def gather_table(g, words, rights) -> np.ndarray:
     n, nsub = g.n, 1 << g.n
     pre = [[sum(1 << y for y in range(n) if (a >> g.table[x][y]) & 1)
             for a in range(nsub)] for x in range(n)]
-
-    def bit_rows(ws):
-        return np.unpackbits(np.asarray(ws, dtype="<u8").view(np.uint8).reshape(-1, 8),
-                             axis=1, bitorder="little")
-
-    right_rows = bit_rows(rights)
+    right_rows = np.unpackbits(np.asarray(rights, dtype="<u8").view(np.uint8).reshape(-1, 8),
+                               axis=1, bitorder="little")
     transforms = sum(right_rows[:, p].astype(np.intp) << x for x, p in enumerate(pre))
     words = np.asarray(words, dtype=np.uint64)
-    rows = bit_rows(words)
     order = np.argsort(words, kind="stable")
     ranked = words[order]
     gather = np.zeros(64, dtype=np.intp)
     table = np.empty((len(words), len(rights)), dtype=np.int32)
     for j, t in enumerate(transforms):
         gather[:nsub] = t
-        col = np.packbits(rows.take(gather, axis=1), axis=1,
-                          bitorder="little").view("<u8")[:, 0]
+        col = bit_gather_words(words, [gather])[0]
         pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
         table[:, j] = np.where(ranked[pos] == col, order[pos], -1)
     return table

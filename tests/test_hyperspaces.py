@@ -9,7 +9,7 @@ import oracles
 from gspace import (Hyperspace, InputError, enumerate_all, format_hyperspace,
                     generate, largest, mask_elements, parse_hyperspace,
                     principal, smallest, subset_mask)
-from gspace.hyperspaces import upset_words
+from gspace.hyperspaces import _gather_words, upset_words
 
 
 def masks(n, *sets):
@@ -306,6 +306,36 @@ def test_upset_words_n6_strictly_ascending():
     assert bool(np.all(words[1:] > words[:-1]))
     assert int(words[-1]) == ((1 << 64) - 1) ^ 1    # every non-empty set
 
+
+
+# -- word gathers -------------------------------------------------------------------
+
+def check_gather(words, index):
+    got = _gather_words(words, index)
+    assert got.shape == (len(index), len(words)) and got.dtype == np.uint64
+    assert np.array_equal(got, oracles.bit_gather_words(words, index))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 31, 32, 33, 65])
+def test_gather_words_matches_bit_gather_on_census(n, batch):
+    rng = np.random.default_rng(100 * n + batch)
+    check_gather(upset_words(n), rng.integers(0, 1 << n, size=(batch, 64)))
+
+
+@pytest.mark.parametrize("batch", [1, 31, 32, 33, 65])
+def test_gather_words_matches_bit_gather_on_arbitrary_words(batch):
+    rng = np.random.default_rng(batch)
+    words = np.concatenate([rng.integers(0, 1 << 64, size=200, dtype=np.uint64,
+                                         endpoint=False),
+                            np.array([0, 1, 1 << 63, (1 << 64) - 1], dtype=np.uint64)])
+    assert (words >> np.uint64(63)).any()
+    index = rng.integers(0, 64, size=(batch, 64))
+    index[0] = 63                       # one source bit for every output bit
+    index[-1, ::2] = np.arange(63, -1, -2)
+    index[-1, 1::2] = index[-1, ::2]    # each source bit twice
+    check_gather(words, index)
+    check_gather(words[:1], index)
 
 # -- literals ----------------------------------------------------------------------------
 

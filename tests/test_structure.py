@@ -20,7 +20,7 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table
-from gspace.structure import SemigroupView, _minimal_row_ideals
+from gspace.structure import _TILE, SemigroupView, _minimal_row_ideals
 
 
 def masks(n, *sets):
@@ -215,19 +215,49 @@ def test_compressed_table_skips_derived_gathers(z6, magma3, monkeypatch):
     words = class_words(z6, "maxlinked", 2)
     bound = len(orbits(z6, words).orbits) + z6.n
     assert bound == 453
-    calls = []
+    columns = []                    # gathered columns: the rows of each index
     monkeypatch.setattr("gspace.structure._gather_words",
-                        lambda *a: calls.append(1) or _gather_words(*a))
+                        lambda ws, index: columns.append(len(index)) or _gather_words(ws, index))
     subsemigroup_view(z6, words)
-    assert 0 < len(calls) <= bound
-    view_calls = len(calls)
-    calls.clear()
+    assert 0 < sum(columns) <= bound
+    view_columns = sum(columns)
+    columns.clear()
     orbits(z6, words)               # reads the view's own shift table
-    assert len(calls) == view_calls
-    calls.clear()
+    assert sum(columns) == view_columns
+    columns.clear()
     view = subsemigroup_view(magma3, upset_words(3))   # not associative
-    assert len(calls) == view.size == 18
+    assert sum(columns) == view.size == 18
     assert view.shift is None
+
+
+def test_full_g5_view_matches_gather_on_sampled_columns(z5):
+    words = upset_words(5)
+    view = subsemigroup_view(z5, words)
+    assert view.size == 7579 and view.closed and view.table.flags.c_contiguous
+    cols = np.random.default_rng(5).choice(view.size, size=64, replace=False)
+    assert np.array_equal(view.table[:, cols], oracles.gather_table(z5, words, words[cols]))
+    points = [principal(5, h).bits for h in range(5)]
+    assert np.array_equal(view.shift, oracles.gather_table(z5, words, points))
+
+
+@pytest.mark.parametrize("size", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 44])
+def test_table_across_transpose_tiles_matches_gather(z5, size):
+    words = upset_words(5)[:size]
+    view = subsemigroup_view(z5, words)
+    assert view.table.flags.c_contiguous
+    assert np.array_equal(view.table, oracles.gather_table(z5, words, words))
+
+
+def test_escaped_representative_with_complete_shifted_column(z4):
+    # words[0] o <1> = words[1]; column 0 escapes, column 1 does not, so
+    # column 1 is gathered rather than derived from column 0
+    words = np.array([generate(4, masks(4, *sets)).bits for sets in (
+        [(0, 1)], [(1, 2)], [(0, 2, 3)], [(1, 2, 3)], [(0, 1, 2, 3)])], dtype=np.uint64)
+    want = oracles.gather_table(z4, words, words)
+    assert oracles.gather_table(z4, words, [principal(4, 1).bits])[0, 0] == 1
+    assert want[:, 0].min() < 0 <= want[:, 1].min()
+    view = subsemigroup_view(z4, words)
+    assert np.array_equal(view.table, want) and view.table.flags.c_contiguous
 
 
 def test_view_carrier_cap():
@@ -598,6 +628,15 @@ def test_minimal_row_ideals_read_any_layout(z2):
         want = oracles.naive_minimal_row_ideals(t)
         for layout in (np.ascontiguousarray(t), np.asfortranarray(t), strided):
             assert _minimal_row_ideals(layout) == want
+
+
+def test_minimal_ideals_of_a_large_left_zero_band(z2):
+    # xs = x: every right ideal is a singleton, every left ideal the whole band,
+    # so no minimal set contains another of its size
+    m = 4000
+    band = table_view(z2, np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1))
+    assert minimal_right_ideals(band) == [(x,) for x in range(m)]
+    assert minimal_left_ideals(band) == [tuple(range(m))]
 
 
 # -- orbits and quotients --------------------------------------------------------------------
