@@ -233,9 +233,9 @@ def _gather_words(words, index) -> np.ndarray:
     index[b, A] = p), and byte s of a word is looked up whole in a 256-entry
     table: lut[s][v] is the OR of mask[8s + k] over the set bits k of v,
     built by doubling v. A gathered word is the OR of 8 table reads, one per
-    byte; the tables of one gather take 16 KB. The result is the transpose
-    of an (N, B) array, whose rows are read from the tables B words at a
-    time; callers bound B.
+    byte; the tables of one gather take 16 KB. Each table read fetches the
+    B gathers of one byte value at once, so the result is the transpose of
+    an (N, B) array; callers bound B.
     """
     index = np.asarray(index)
     b = len(index)
