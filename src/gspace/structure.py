@@ -16,12 +16,14 @@ carriers up to 6 points, so that a membership vector fits one 64-bit word,
 and hold at most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace
 is built. One builder fills every table by columns: for a right factor V,
 (U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform, gathered
-over the words of all elements U at once by byte-table lookups, a batch of
-columns at a time. Over an associative carrier it gathers the point shifts
-U o <h> first, keeps them on the view for `orbits`, gathers only one column
-per right orbit {V o <h>} and derives the others through the shift table
-(λ(Z6): 453 of 2,646 columns, about 0.12-0.16 s; all of G(Z5): 1,523 of
-7,579, about 1.1-1.3 s).
+over the words of all elements U by byte-table lookups, a batch of columns
+at a time. Over an associative carrier it gathers the point shifts U o <h>
+and <x> o U first, keeps the right ones on the view for `orbits`, and
+gathers only one column per right orbit {V o <h>}, at only one row per
+left orbit {<x> o U}; the other cells are derived through the shift tables
+(λ(Z6): 447 columns at 447 of 2,646 rows, 231,561 gathered words against
+1,198,638 with whole columns, about 0.08-0.10 s; all of G(Z5): 1,523
+columns at 1,523 of 7,579 rows, 2,395,319 words, about 0.7-0.8 s).
 """
 
 from __future__ import annotations
@@ -111,79 +113,150 @@ class SemigroupView:
         return int(hit[0])
 
 
-def _transforms(g: Groupoid, rights) -> np.ndarray:
-    """Row j, column A: product_transform(g, rights[j])[A] for the 64 masks
-    A (0 past 2^n), as uint8: subset masks of n <= 6 points fit a byte."""
+def _preimage_bits(g: Groupoid) -> np.ndarray:
+    """Row x, column A: pre[x][A] for the 64 masks A (0 past 2^n). Bit A of
+    <x> o F is bit pre[x][A] of F."""
     pre = np.zeros((g.n, 64), dtype=np.intp)
     pre[:, :1 << g.n] = _preimage_table(g)
+    return pre
+
+
+def _transforms(pre: np.ndarray, rights) -> np.ndarray:
+    """Row j, column A: product_transform(g, rights[j])[A] for the 64 masks
+    A (0 past 2^n), as uint8, where pre = _preimage_bits(g): subset masks of
+    n <= 6 points fit a byte."""
     right_rows = _bit_rows(rights)
     return sum(right_rows[:, p] << x for x, p in enumerate(pre))
 
 
-def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The composition table over `words` and, over an associative carrier,
-    the point-shift table; table[i, j] is the index in `words` of
-    words[i] o words[j], shift[i, h] that of words[i] o <h>, -1 if absent.
-
-    A gathered column j sends every element word's bits through the right
-    translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
-    of words[j] is set), and looks the words up by binary search. Columns
-    are gathered _BATCH at a time (`_gather_words`) and built as the rows of
-    one m x m buffer, which is transposed in place at the end.
-
-    Over an associative carrier G(X) is a semigroup, so
-    words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of V o <h>
-    is the column of V sent through the shift table, gathered first. The
-    plan walks the columns in order: one not yet planned is gathered, and
-    every unplanned V o <h> is derived from it (V o <h> o <h'> =
-    V o <h * h'>, so one step reaches every shift of V). A gathered column
-    with an escaped product cannot be sent through the shift table, so the
-    columns planned from it are gathered too. Over other carriers every
-    column is gathered.
-    """
+def _lookup(words: np.ndarray):
+    """A function sending an array of words to their indices in `words`,
+    -1 for a word not among them, found by binary search."""
     m = len(words)
     order = np.argsort(words, kind="stable").astype(np.int32)
     ranked = words[order]
-    buf = np.empty((m, m), dtype=np.int32)      # row j: column j of the table
 
-    def columns(rights) -> np.ndarray:
-        col = _gather_words(words, _transforms(g, rights))
-        pos = np.minimum(np.searchsorted(ranked, col), m - 1)
-        return np.where(ranked[pos] == col, order[pos], -1)
+    def lookup(gathered: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(ranked, gathered), m - 1)
+        return np.where(ranked[pos] == gathered, order[pos], -1)
+    return lookup
 
-    def gather(js) -> list[int]:
-        """Fill the buffer rows js; return those with an escaped product."""
-        escaped = []
-        for lo in range(0, len(js), _BATCH):
-            cols = js[lo:lo + _BATCH]
-            buf[cols] = col = columns(words[cols])
-            escaped += cols[col.min(axis=1) < 0].tolist()
-        return escaped
 
-    shift = (np.ascontiguousarray(columns(_point_words(g.n)).T)
-             if g.associative else None)
-    planned = bytearray(m)
-    reps, kids = [], []                         # kids: (kid, parent, h)
-    shifts = shift.tolist() if shift is not None else [()] * m
-    for j, row in enumerate(shifts):
+def _shift_tables(pre: np.ndarray, words: np.ndarray, lookup) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, lshift) over an associative carrier: shift[i, h] indexes
+    words[i] o <h> and lshift[i, x] indexes <x> o words[i], -1 if absent.
+
+    Both come from one gather and one lookup: the point transforms for the
+    right shifts, and the preimage rows themselves for the left ones (bit A
+    of <x> o F is bit pre[x][A] of F).
+    """
+    n = len(pre)
+    both = lookup(_gather_words(words, np.concatenate(
+        [_transforms(pre, _point_words(n)), pre])))
+    return np.ascontiguousarray(both[:n].T), np.ascontiguousarray(both[n:].T)
+
+
+def _plan(shift: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(reps, kid, parent, h) for a shift table: every index is one of the
+    representatives or a kid, element kid is element parent shifted by
+    point h, and every parent is a representative.
+
+    The plan walks the indices in order: one not yet planned is a
+    representative, and every unplanned shift of it is its kid (shifting
+    twice is shifting once, by the product of the two points, so one step
+    reaches every shift).
+    """
+    planned = bytearray(len(shift))
+    reps, kids = [], []
+    for j, row in enumerate(shift.tolist()):
         if planned[j]:
             continue
         planned[j] = 1
         reps.append(j)
         for h, k in enumerate(row):
-            if k >= 0 and not planned[k]:       # words[k] is words[j] o <h>
+            if k >= 0 and not planned[k]:       # k is j shifted by point h
                 planned[k] = 1
                 kids.append((k, j, h))
-    escaped = gather(np.array(reps))
-    kid, parent, hs = np.array(kids, dtype=np.intp).reshape(-1, 3).T
+    kid, parent, h = np.array(kids, dtype=np.intp).reshape(-1, 3).T
+    return np.array(reps, dtype=np.intp), kid, parent, h
+
+
+def _compose(g: Groupoid, words: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray | None, tuple[int, int] | None]:
+    """The composition table over `words`, the point-shift table over an
+    associative carrier (else None) and the table's row-major first -1
+    entry (or None); table[i, j] is the index in `words` of
+    words[i] o words[j], shift[i, h] that of words[i] o <h>, -1 if absent.
+
+    A gathered column j sends element words' bits through the right
+    translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
+    of words[j] is set), and looks the words up by binary search. Columns
+    are gathered _BATCH at a time (`_gather_words`) and built as the rows of
+    one m x m buffer, which is transposed in place at the end.
+
+    Over an associative carrier G(X) is a semigroup, so both sides of the
+    table follow from a few of its cells:
+    - right: words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of
+      V o <h> is the column of V sent through the shift table;
+    - left: (<x> o U) o V = <x> o (U o V), and the cell in row <x> o U is
+      the cell in row U sent through the left shift table lshift
+      (lshift[i, x] indexes <x> o words[i], or is -1).
+    `_plan` picks the representatives of each side from its shift table.
+    A representative column is gathered at the representative rows only,
+    and its other cells are derived through lshift; the other columns are
+    derived from the representative columns through shift. A derived cell
+    needs its parent cell, so a column with an escaped cell at a parent
+    row is gathered at every row, and the columns planned from a column
+    with any escaped product are gathered too. Over other carriers every
+    column is gathered at every row.
+
+    The table holds a -1 only if a gathered column or the shift table
+    does, so only then is it scanned for its first -1.
+    """
+    m, n = len(words), g.n
+    lookup = _lookup(words)
+    pre = _preimage_bits(g)
+    buf = np.empty((m, m), dtype=np.int32)      # row j: column j of the table
+    if g.associative:
+        shift, lshift = _shift_tables(pre, words, lookup)
+    else:                                       # no shifts: nothing is derived
+        shift = lshift = np.empty((m, 0), dtype=np.int32)
+    rows, lkid, lpar, xs = _plan(lshift)
+    row_words = words[rows]
+    escaped = []                                # columns with an escaped product
+
+    def gather(js) -> None:
+        """Fill the buffer rows js. The cells go in one buffer row at a
+        time: a 2-D write of a batch at scattered cells strides across all
+        of its rows for every cell (all of G(5) over right-zero:5 took about
+        5.5 s that way, 3.8 s row by row)."""
+        for lo in range(0, len(js), _BATCH):
+            cols = js[lo:lo + _BATCH]
+            t = _transforms(pre, words[cols])
+            full = []                           # a parent cell escaped
+            for k, got in enumerate(lookup(_gather_words(row_words, t))):
+                col = buf[cols[k]]
+                col[rows] = got
+                par = col[lpar]
+                if (par < 0).any():
+                    full.append(k)
+                else:
+                    col[lkid] = lshift.ravel().take(par * n + xs)
+            if full:
+                buf[cols[full]] = lookup(_gather_words(words, t[full]))
+            escaped.extend(cols[buf[cols].min(axis=1) < 0].tolist())
+
+    reps, kid, parent, hs = _plan(shift)
+    gather(reps)
     lost = np.isin(parent, escaped)
     gather(kid[lost])
     kid, parent, hs = kid[~lost], parent[~lost], hs[~lost]
-    for lo in range(0, len(kid), _BATCH):      # kids exist only with a shift table
+    for lo in range(0, len(kid), _BATCH):
         buf[kid[lo:lo + _BATCH]] = shift.ravel().take(
-            buf[parent[lo:lo + _BATCH]] * g.n + hs[lo:lo + _BATCH, None])
+            buf[parent[lo:lo + _BATCH]] * n + hs[lo:lo + _BATCH, None])
     _transpose_in_place(buf)
-    return buf, shift
+    escape = _first_escape(buf) if escaped or (shift < 0).any() else None
+    return buf, (shift if g.associative else None), escape
 
 
 def _transpose_in_place(a: np.ndarray) -> None:
@@ -232,8 +305,7 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     if not _hyperspace_mask(g.n, words).all():
         raise InputError(f"element words must be hyperspaces on {g.n} points")
     words.setflags(write=False)
-    table, shift = _compose(g, words)
-    escape = _first_escape(table)
+    table, shift, escape = _compose(g, words)
     if escape is not None:
         i, j = escape
         u, v = (Hyperspace._raw(g.n, int(words[x])) for x in escape)
@@ -668,7 +740,7 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
         scope = "skipped (carrier > 4 and no sub-semigroup supplied)"
     cancelable = None
     if pool is not None:
-        col = _gather_words(pool, _transforms(g, [f.bits]))[0]
+        col = _gather_words(pool, _transforms(_preimage_bits(g), [f.bits]))[0]
         cancelable = len(np.unique(col)) == len(col)
     translates_distinct = len({left_shift(g, x, f) for x in range(g.n)}) == g.n
     img = _image_table(g)

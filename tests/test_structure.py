@@ -19,8 +19,9 @@ from gspace import (BudgetExceeded, Hyperspace, InputError, build_builtin,
 from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
-from gspace.products import _image_table
-from gspace.structure import _TILE, SemigroupView, _minimal_row_ideals
+from gspace.products import _image_table, left_shift
+from gspace.structure import (_TILE, SemigroupView, _lookup, _minimal_row_ideals, _plan,
+                              _preimage_bits, _shift_tables)
 
 
 def masks(n, *sets):
@@ -213,20 +214,23 @@ def test_compressed_table_matches_gather(kind, name, n, magma3):
 
 def test_compressed_table_skips_derived_gathers(z6, magma3, monkeypatch):
     words = class_words(z6, "maxlinked", 2)
-    bound = len(orbits(z6, words).orbits) + z6.n
-    assert bound == 453
-    columns = []                    # gathered columns: the rows of each index
+    m, n = len(words), z6.n
+    reps = len(orbits(z6, words).orbits)
+    bound = 2 * n * m + reps ** 2     # both shift tables, then reps x reps cells
+    assert bound == 231_561
+    gathered = []                   # gathered words: gathers x words, per call
     monkeypatch.setattr("gspace.structure._gather_words",
-                        lambda ws, index: columns.append(len(index)) or _gather_words(ws, index))
+                        lambda ws, index: gathered.append(len(index) * len(ws))
+                        or _gather_words(ws, index))
     subsemigroup_view(z6, words)
-    assert 0 < sum(columns) <= bound
-    view_columns = sum(columns)
-    columns.clear()
+    assert 0 < sum(gathered) <= bound
+    view_words = sum(gathered)
+    gathered.clear()
     orbits(z6, words)               # reads the view's own shift table
-    assert sum(columns) == view_columns
-    columns.clear()
+    assert sum(gathered) == view_words
+    gathered.clear()
     view = subsemigroup_view(magma3, upset_words(3))   # not associative
-    assert sum(columns) == view.size == 18
+    assert sum(gathered) == view.size ** 2 == 18 * 18
     assert view.shift is None
 
 
@@ -258,6 +262,87 @@ def test_escaped_representative_with_complete_shifted_column(z4):
     assert want[:, 0].min() < 0 <= want[:, 1].min()
     view = subsemigroup_view(z4, words)
     assert np.array_equal(view.table, want) and view.table.flags.c_contiguous
+
+
+def shift_tables(g, words):
+    return _shift_tables(_preimage_bits(g), words, _lookup(words))
+
+
+@pytest.mark.parametrize("name,size", [("cyclic", None), ("symmetric-3", None),
+                                       ("symmetric-3", 300)])
+def test_shift_tables_match_left_shift_and_product(name, size):
+    g = build_builtin(name, 6)
+    words = class_words(g, "maxlinked", 2)[:size]
+    shift, lshift = shift_tables(g, words)
+    index = {b: k for k, b in enumerate(words.tolist())}
+    points = [principal(6, x) for x in range(6)]
+    for i in np.random.default_rng(6).choice(len(words), size=40, replace=False).tolist():
+        f = Hyperspace._raw(6, int(words[i]))
+        for x in range(6):
+            assert lshift[i, x] == index.get(left_shift(g, x, f).bits, -1)
+            assert shift[i, x] == index.get(product(g, f, points[x]).bits, -1)
+    assert np.array_equal(shift, oracles.gather_table(g, words, [p.bits for p in points]))
+    if name == "symmetric-3":       # not commutative: the two sides differ
+        assert not np.array_equal(lshift, shift)
+    if size is not None:            # a prefix, not closed under left shifts
+        assert (lshift < 0).any()
+
+
+@pytest.mark.parametrize("name", ["left-zero", "right-zero"])
+def test_band_left_shifts(name):
+    # left zero: <x> o F = <x>, so the point rows are the first row's kids;
+    # right zero: <x> o F = F, so no row is derived (TABLE_CASES holds both
+    # tables equal to the full gather)
+    g = build_builtin(name, 4)
+    words = upset_words(4)
+    _, lshift = shift_tables(g, words)
+    rows, kid, parent, _ = _plan(lshift)
+    if name == "left-zero":
+        point_rows = [int(np.flatnonzero(words == principal(4, x).bits)[0]) for x in range(4)]
+        assert (lshift == point_rows).all()
+        assert set(kid.tolist()) == set(point_rows) - {0} and (parent == 0).all()
+    else:
+        assert (lshift == np.arange(len(words))[:, None]).all()
+        assert len(kid) == 0 and len(rows) == len(words)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unclosed_lambda_s3_subsets_match_gather(s3, seed):
+    words = class_words(s3, "maxlinked", 2)
+    rng = np.random.default_rng(seed)
+    for pick in (rng.choice(len(words), size=300, replace=False),
+                 np.sort(rng.choice(len(words), size=300, replace=False)),
+                 np.arange(100 + 100 * seed)):
+        sub = words[pick]
+        view = subsemigroup_view(s3, sub)
+        want = oracles.gather_table(s3, sub, sub)
+        assert np.array_equal(view.table, want)
+        bad = np.argwhere(want < 0)
+        assert not view.closed and view.escape[:2] == tuple(bad[0].tolist())
+
+
+def test_escaped_left_representative_with_existing_kid_products(z3):
+    # words[1] = <1> o words[0], and words[0] o words[2] escapes while
+    # words[1] o words[2] = <1> o (words[0] o words[2]) = words[3] exists;
+    # that cell cannot be derived from its parent, so column 2 is gathered
+    # at every row
+    words = np.array([generate(3, masks(3, *sets)).bits for sets in (
+        [(0,), (2,)], [(0,), (1,)], [(0, 1)], [(0, 1), (1, 2)])], dtype=np.uint64)
+    _, lshift = shift_tables(z3, words)
+    rows, kid, parent, xs = _plan(lshift)
+    assert 0 in rows.tolist() and (1, 0, 1) in zip(kid.tolist(), parent.tolist(), xs.tolist())
+    want = oracles.gather_table(z3, words, words)
+    assert want[0, 2] == -1 and want[1, 2] == 3
+    view = subsemigroup_view(z3, words)
+    assert np.array_equal(view.table, want) and view.escape[:2] == (0, 0)
+
+
+def test_escape_only_in_a_derived_column(z3):
+    # column 1, <0> o <1>, is derived from the complete column 0 through the
+    # shift table, which holds the table's only -1: <1> o <1> = <2>
+    view = subsemigroup_view(z3, [principal(3, 0), principal(3, 1)])
+    assert view.table.tolist() == [[0, 1], [1, -1]]
+    assert not view.closed and view.escape == (1, 1, principal(3, 2))
 
 
 def test_view_carrier_cap():
