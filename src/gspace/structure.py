@@ -2,28 +2,22 @@
 
 Everything here works on an explicit SemigroupView: the elements' 64-bit
 membership words and their composition table, one 2-D numpy integer array.
-Cancelability, zeros, the center and the minimal one-sided ideals are
-decided on that array, not by the classical characterizations, which stay
-checkable statements in the test suite. Each answer is a cheap necessary
-filter (one sum per row and per column, a block of columns) followed by an
-exact check of the survivors only, so that no analysis builds a sorted copy
-or a comparison matrix of the whole table. The shift-invariant core (the
-right zeros of G(X)) is the `shiftinv` class census of
-`classify.class_words`.
-
 Views take a uint64 word array (a class census) or Hyperspaces, need
-carriers up to 6 points, so that a membership vector fits one 64-bit word,
-and hold at most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace
-is built. One builder fills every table by columns: for a right factor V,
-(U o V).bits[A] = U.bits[t_V[A]] with t_V from product_transform, gathered
-over the words of all elements U by byte-table lookups, a batch of columns
-at a time. Over an associative carrier it gathers the point shifts U o <h>
-and <x> o U first, keeps the right ones on the view for `orbits`, and
-gathers only one column per right orbit {V o <h>}, at only one row per
-left orbit {<x> o U}; the other cells are derived through the shift tables
-(λ(Z6): 447 columns at 447 of 2,646 rows, 231,561 gathered words against
-1,198,638 with whole columns, about 0.08-0.10 s; all of G(Z5): 1,523
-columns at 1,523 of 7,579 rows, 2,395,319 words, about 0.7-0.8 s).
+carriers up to 6 points and hold at most MAX_VIEW_ELEMENTS elements, checked
+before any Hyperspace is built. One builder, `_compose`, fills every table
+by byte-table gathers of columns; over an associative carrier it gathers one
+column per right orbit {V o <h>} at one row per left orbit {<x> o U} and
+derives the other cells through the point-shift tables (λ(Z6): 231,561
+gathered words for 7.0M cells, about 0.08-0.10 s).
+
+Cancelability, zeros, the center and the minimal one-sided ideals are
+decided on the table, not by the classical characterizations, which stay
+checkable statements in the test suite: a cheap necessary filter (one sum
+per row and per column, a block of columns), then an exact check of the
+survivors only. Sections of an orbit quotient and isomorphisms of views are
+one search, `_maps`, for table-preserving maps with forced propagation. The
+shift-invariant core (the right zeros of G(X)) is the `shiftinv` class
+census of `classify.class_words`.
 """
 
 from __future__ import annotations
@@ -55,7 +49,8 @@ class SemigroupView:
     array in element order; `elements`, the same elements as Hyperspaces,
     is built from it on first use. `table` is a read-only 2-D int32 array
     whose entries index the elements, -1 marking a product that escaped; a
-    table given as nested sequences is converted once on construction.
+    table given as nested sequences is converted once on construction. A
+    closed view's table holds no -1; labels and words have one entry each.
     `shift`, the read-only point-shift table of the same build (shift[i, h]
     indexes element i o <h>, or is -1), is None over a non-associative
     carrier. Quotient views carry labels, and `words` and `shift` None.
@@ -71,6 +66,13 @@ class SemigroupView:
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.int32)
+        m, lo = len(table) if table.ndim else 0, table.min(initial=0)
+        if table.shape != (m, m) or lo < -1 or table.max(initial=-1) >= m:
+            raise InputError(f"a table must be a 2-D square with entries in [-1, {m})")
+        if self.closed and lo < 0:
+            raise InputError("a closed view's table holds no -1")
+        if any(x is not None and len(x) != m for x in (self.labels, self.words)):
+            raise InputError(f"labels and words need one entry per element, {m}")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         if self.shift is not None:
@@ -543,6 +545,103 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
         quotient=quotient)
 
 
+# -- homomorphism search -------------------------------------------------------------
+
+def _maps(t1, t2, cls1, cls2, budget, first=False) -> tuple[list[np.ndarray], int]:
+    """The injective maps phi (arrays a -> phi(a)) from table t1 into table
+    t2 with cls2[phi(a)] == cls1[a] and phi(t1[a, b]) = t2[phi(a), phi(b)]:
+    all of them, or the first if `first`; and the number of search nodes.
+
+    Depth first over the domain, fewest candidates first (stable), each
+    element trying its unused candidates in index order. Each newly mapped
+    a, newest first, reads x*y, then y*x, for x = phi(a) and each image y,
+    oldest first; a read maps t1[a, b] (t1[b, a]) to the cell, matches its
+    image, or rejects the choice. So every pair of mapped elements is read.
+    A node is a candidate tried or a read up to and including the first
+    conflict; past `budget` nodes BudgetExceeded is raised. The map only
+    loses its newest entries, so it is a stack of arrays, and an element's
+    2k reads are checked at once by numpy. The frames are a list: the
+    depth does not grow with the domain.
+    """
+    m1, m2 = len(t1), len(t2)
+    t1, t2 = t1.ravel(), t2.ravel()
+    phi = np.full(m1, -1, dtype=np.intp)        # domain -> image, or -1
+    used = np.zeros(m2, dtype=bool)
+    # row i of keys (vals) is the i-th mapped element b (its image y) as
+    # (b, b*m1), so keys[:k] + keys[i, ::-1] are the flat cells (a, b), (b, a)
+    keys, vals = np.empty((m1, 2), dtype=np.intp), np.empty((m1, 2), dtype=np.intp)
+    slots = np.full(m1, 2 * m1), np.full(m2, 2 * m1)     # past every read position
+    counts = np.bincount(cls2, minlength=int(cls1.max(initial=-1)) + 1)
+    members = np.split(np.argsort(cls2, kind="stable"), np.cumsum(counts)[:-1])
+    order = np.argsort(counts[cls1], kind="stable").tolist()
+    maps, frames = [], []       # frame: [pos, element, candidates, next one, map size]
+    nodes = size = 0
+
+    def firsts(slot, ks, at):
+        """Which of the positions `at` holds the first of its key."""
+        np.minimum.at(slot, ks, at)
+        first, slot[ks] = slot[ks] == at, 2 * m1
+        return first
+
+    def propagate() -> bool:
+        nonlocal nodes, size
+        nodes += 1                              # the candidate
+        stack = [size - 1]
+        while stack:
+            j = stack.pop()
+            d = t1.take((keys[:size] + keys[j, ::-1]).ravel())
+            p = t2.take((vals[:size] + vals[j, ::-1]).ravel())
+            img = phi.take(d)
+            fresh = img < 0
+            new = fresh.any()
+            if new:     # the first read of an unmapped element maps it to an unused candidate
+                at = fresh.nonzero()[0]
+                at = at[firsts(slots[0], d[at], at)]
+                dn, pn = d[at], p[at]
+                phi[dn] = pn
+                bad = phi.take(d) != p
+                phi[dn] = -1
+                bad[at[used[pn] | (cls2[pn] != cls1[dn]) | ~firsts(slots[1], pn, at)]] = True
+            else:
+                bad = img != p
+            hit = int(bad.argmax())
+            nodes += hit + 1 if bad[hit] else len(p)
+            if nodes > budget:
+                raise BudgetExceeded(f"search exceeded {budget} nodes")
+            if bad[hit]:
+                return False
+            if new:
+                rows, size = slice(size, size + len(at)), size + len(at)
+                keys[rows, 0], keys[rows, 1], vals[rows, 0], vals[rows, 1] = dn, dn * m1, pn, pn * m2
+                phi[dn], used[pn] = pn, True
+                stack.extend(range(rows.start, size))
+        return True
+
+    def enter(pos: int) -> None:
+        while pos < m1 and phi[order[pos]] >= 0:
+            pos += 1
+        if pos == m1:
+            maps.append(phi.copy())
+        else:
+            cands = members[cls1[order[pos]]]
+            frames.append([pos, order[pos], cands[~used[cands]].tolist(), 0, size])
+
+    enter(0)
+    while frames and not (first and maps):
+        pos, a, cands, i, base = frame = frames[-1]
+        phi[keys[base:size, 0]], used[vals[base:size, 0]] = -1, False   # the last choice
+        size = base
+        if i == len(cands):
+            frames.pop()
+            continue
+        frame[3], x = i + 1, cands[i]
+        keys[size], vals[size] = (a, a * m1), (x, x * m2)
+        phi[a], used[x], size = x, True, size + 1
+        if propagate():
+            enter(pos + 1)
+    return maps, nodes
+
+
 # -- transversal sections -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -555,151 +654,50 @@ class SectionSearch:
 def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> SectionSearch:
     """All product-closed systems of one representative per orbit.
 
-    Such a system is exactly the image of a homomorphic section of the
-    quotient map. Backtracking over orbits (smallest first) with forced
-    propagation: once two representatives are chosen, their product pins the
-    representative of its own orbit. The backtracking keeps its own stack of
-    frames, so its depth is not bounded by the interpreter's recursion limit.
-    Node count is capped by `budget`.
+    Such a system T is the image of a homomorphic section s of the quotient
+    map (s(o) is o's member in T): `orbits` verified that x*y lies in the
+    orbit o1*o2 for x in o1 and y in o2, so T is closed iff s(o1)*s(o2) =
+    s(o1*o2). The sections are the maps `_maps` finds from the quotient's
+    table into the view's, an orbit's members its candidates: a chosen pair
+    of representatives pins the representative of its product's orbit.
     """
     dec = orbits(g, elements)
     t = dec.view.table
-    orbit_of = dec.orbit_of
-    order = sorted(range(len(dec.orbits)),
-                   key=lambda oi: (len(dec.orbits[oi]), dec.orbits[oi][0]))
-    chosen: dict[int, int] = {}
-    sections: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def propagate(new_elems: list[int]) -> tuple[list[int], bool]:
-        nonlocal nodes
-        trail: list[int] = []
-        stack = list(new_elems)
-        while stack:
-            x = stack.pop()
-            ys = list(chosen.values())
-            # x*y, then y*x, for each y chosen before x's products are read
-            for p in np.column_stack((t[x, ys], t[ys, x])).ravel().tolist():
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"section search exceeded {budget} nodes")
-                o = orbit_of[p]
-                cur = chosen.get(o)
-                if cur is None:
-                    chosen[o] = p
-                    trail.append(o)
-                    stack.append(p)
-                elif cur != p:
-                    return trail, False
-        return trail, True
-
-    # depth-first without recursion: a frame [pos, orbit, candidates, trail]
-    # tries the orbit's candidates in turn; `trail` lists the orbits pinned
-    # by the candidate tried last, released when the search backs up to it
-    frames: list[list] = []
-
-    def enter(pos: int) -> None:
-        while pos < len(order) and order[pos] in chosen:
-            pos += 1
-        if pos == len(order):
-            sections.append(tuple(sorted(chosen.values())))
-        else:
-            frames.append([pos, order[pos], iter(dec.orbits[order[pos]]), None])
-
-    enter(0)
-    while frames:
-        frame = frames[-1]
-        pos, oi, cands, trail = frame
-        if trail is not None:
-            for o in trail:
-                del chosen[o]
-            del chosen[oi]
-            frame[3] = None
-        cand = next(cands, None)
-        if cand is None:
-            frames.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"section search exceeded {budget} nodes")
-        chosen[oi] = cand
-        frame[3], ok = propagate([cand])
-        if ok:
-            enter(pos + 1)
+    maps, nodes = _maps(dec.quotient.table, t, np.arange(len(dec.orbits)),
+                        np.asarray(dec.orbit_of), budget)
+    sections = tuple(sorted(tuple(sorted(s.tolist())) for s in maps))
     for sec in sections:
-        idx = np.array(sec)
-        if sorted(orbit_of[x] for x in sec) != list(range(len(dec.orbits))):
-            raise GspaceError(f"section {sec} is not one representative per orbit")
-        if not np.isin(t[np.ix_(idx, idx)], idx).all():
+        if not np.isin(t[np.ix_(sec, sec)], sec).all():
             raise GspaceError(f"section {sec} is not closed under the product")
-    return SectionSearch(decomposition=dec, sections=tuple(sorted(sections)), nodes=nodes)
+    return SectionSearch(decomposition=dec, sections=sections, nodes=nodes)
 
 
 # -- isomorphism -----------------------------------------------------------------
 
-def _refine_colors(t) -> np.ndarray:
-    """Colour refinement from idempotency; each colour is a canonical rank.
-
-    Element i's signature is its colour plus the sorted multiset of the
-    triples (colour of j, of ij, of ji) over all j, each triple coded as
-    one integer.
-    """
-    m = len(t)
-    ar = np.arange(m)
-    colors = (t[ar, ar] == ar).astype(np.int64)
-    for _ in range(m):
-        k = int(colors.max()) + 1
-        triples = np.sort((colors * k + colors[t]) * k + colors[t.T], axis=1)
-        _, nxt = np.unique(np.column_stack([colors, triples]), axis=0,
-                           return_inverse=True)
-        nxt = nxt.ravel()
-        if np.array_equal(nxt, colors):
-            break
-        colors = nxt
-    return colors
+def _invariants(t: np.ndarray) -> np.ndarray:
+    """Per element, one int64 that isomorphisms preserve: whether it and its
+    square are idempotent, and the numbers of distinct entries in its row
+    and in its column."""
+    m, ar = len(t), np.arange(len(t))
+    sq = t[ar, ar]
+    rows, cols = (1 + (np.diff(np.sort(a, axis=1), axis=1) != 0).sum(axis=1) for a in (t, t.T))
+    return (((sq == ar) * 2 + (t[sq, sq] == sq)) * (m + 1) + rows) * (m + 1) + cols
 
 
 def are_isomorphic(v1: SemigroupView, v2: SemigroupView) -> tuple[int, ...] | None:
-    """A table-preserving bijection as a tuple (i -> image index), or None."""
+    """A table-preserving bijection as a tuple (i -> image index), or None:
+    between tables of one size, the first injective homomorphism `_maps`
+    finds, an element's candidates those with its invariants."""
     if not (v1.closed and v2.closed):
         raise InputError("isomorphism search needs closed views")
-    t1, t2 = v1.table, v2.table
-    m = len(t1)
-    if len(t2) != m:
+    if v1.size != v2.size:
         return None
-    c1, c2 = _refine_colors(t1), _refine_colors(t2)
-    if not np.array_equal(np.sort(c1), np.sort(c2)):
+    k1, k2 = _invariants(v1.table), _invariants(v2.table)
+    if not np.array_equal(np.sort(k1), np.sort(k2)):
         return None
-    candidates = [np.flatnonzero(c2 == c).tolist() for c in c1]
-    order = sorted(range(m), key=lambda i: len(candidates[i]))
-    image = [-1] * m
-    used = [False] * m
-
-    def fits(pos: int, i: int, j: int) -> bool:
-        image[i] = j
-        for k in order[:pos + 1]:
-            a, b = image[t1[i, k]], image[t1[k, i]]
-            if (a >= 0 and t2[j, image[k]] != a) or (b >= 0 and t2[image[k], j] != b):
-                return False
-        return True
-
-    # depth-first without recursion: stack[pos] iterates the candidates of
-    # order[pos], resuming where it stopped when the search backs up to it
-    stack = [iter(candidates[order[0]])] if m else []
-    while stack:
-        pos, i = len(stack) - 1, order[len(stack) - 1]
-        if image[i] >= 0:               # backed up: release the image tried last
-            used[image[i]] = False
-        j = next((j for j in stack[pos] if not used[j] and fits(pos, i, j)), -1)
-        image[i] = j
-        if j < 0:
-            stack.pop()
-        elif pos + 1 == m:
-            return tuple(image)
-        else:
-            used[j] = True
-            stack.append(iter(candidates[order[pos + 1]]))
-    return () if m == 0 else None
+    cls = np.unique(np.concatenate([k1, k2]), return_inverse=True)[1]
+    maps, _ = _maps(v1.table, v2.table, cls[:v1.size], cls[v1.size:], np.inf, first=True)
+    return tuple(maps[0].tolist()) if maps else None
 
 
 # -- right cancelability certificates -----------------------------------------------

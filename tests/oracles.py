@@ -216,6 +216,17 @@ def naive_is_associative(table) -> bool:
                for i in rng for j in rng for k in rng)
 
 
+def naive_isomorphism(t1, t2) -> tuple[int, ...] | None:
+    """The first permutation p, in lexicographic order, with
+    t2[p[i]][p[j]] == p[t1[i][j]] for every cell, or None; tables as
+    nested lists of one size."""
+    rng = range(len(t1))
+    for p in itertools.permutations(rng):
+        if all(t2[p[i]][p[j]] == p[t1[i][j]] for i in rng for j in rng):
+            return p
+    return None
+
+
 def naive_special_elements(table) -> dict:
     """The fields of `structure.SpecialElements` for a closed table, each by
     its definition over Python sets: i is a left zero iff its row is {i}, a

@@ -11,7 +11,8 @@ DELETED = {
     "gspace.hyperspaces": ("lattice_combine", "meet", "join", "transversal",
                            "minimal_sets", "support"),
     "gspace.structure": ("full_view", "section_view", "shift_invariant_core",
-                         "_principal_two_sided_ideal", "CENTER_SAMPLES", "CENTER_SEED"),
+                         "_principal_two_sided_ideal", "CENTER_SAMPLES", "CENTER_SEED",
+                         "_refine_colors"),
     "gspace.products": ("image_shift",),
     "gspace.terms": ("all_term_strings",),
     "gspace.cli": ("_view_for", "_class_elements"),

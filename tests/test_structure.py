@@ -20,8 +20,8 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table, left_shift
-from gspace.structure import (_TILE, SemigroupView, _lookup, _minimal_row_ideals, _plan,
-                              _preimage_bits, _shift_tables)
+from gspace.structure import (_TILE, SemigroupView, _invariants, _lookup, _maps,
+                              _minimal_row_ideals, _plan, _preimage_bits, _shift_tables)
 
 
 def masks(n, *sets):
@@ -117,6 +117,25 @@ def test_view_rejects_duplicates(z3):
     for message, bad in cases:
         with pytest.raises(InputError, match=message):
             subsemigroup_view(z3, bad)
+
+
+def test_hand_built_view_checks_its_table(z2):
+    words = np.array([principal(2, 0).bits, principal(2, 1).bits], dtype=np.uint64)
+    cases = [("2-D square", ((0, 1, 2),), True, None, None),
+             ("2-D square", (0, 1), True, None, None),
+             ("2-D square", (((0,),),), True, None, None),
+             ("2-D square", 0, True, None, None),
+             ("entries in", ((0, 5), (1, 0)), True, None, None),
+             ("entries in", ((0, -2), (1, 0)), False, None, None),
+             ("holds no -1", ((0, -1), (1, 0)), True, None, None),
+             ("one entry per element", ((0, 1), (1, 0)), True, ("a",), None),
+             ("one entry per element", ((0, 1), (1, 0)), True, None, words[:1])]
+    for message, table, closed, labels, w in cases:
+        with pytest.raises(InputError, match=message):
+            SemigroupView(z2, w, labels, table, closed)
+    view = SemigroupView(z2, words, ("a", "b"), ((0, -1), (1, 0)), False)
+    assert not view.closed and view.table.tolist() == [[0, -1], [1, 0]]
+    assert SemigroupView(z2, None, None, np.empty((0, 0), dtype=int), True).size == 0
 
 
 def test_index_of_follows_caller_order(z3, g3_all):
@@ -825,6 +844,26 @@ def test_sections_budget(z3, g3_all):
         find_sections(z3, g3_all, budget=3)
 
 
+# (carrier, points, class) -> (number of sections, search nodes)
+SECTION_PINS = {("cyclic", 2, "all"): (1, 21), ("cyclic", 3, "all"): (3, 408),
+                ("klein-4", 4, "all"): (0, 32796), ("cyclic", 4, "all"): (0, 5562),
+                ("cyclic", 5, "maxlinked"): (0, 291), ("cyclic", 6, "maxlinked"): (0, 131789)}
+
+
+@pytest.mark.parametrize("name, n, token", SECTION_PINS)
+def test_section_search_pins(name, n, token):
+    # a node is a candidate tried or a table read up to and including the
+    # first conflict, so exactly `nodes` of budget is enough
+    g = build_builtin(name, n)
+    words = class_words(g, token, 2 if token == "maxlinked" else None)
+    search = find_sections(g, words)
+    assert (len(search.sections), search.nodes) == SECTION_PINS[name, n, token]
+    with pytest.raises(BudgetExceeded):
+        find_sections(g, words, budget=search.nodes - 1)
+    again = find_sections(g, words, budget=search.nodes)
+    assert (again.sections, again.nodes) == (search.sections, search.nodes)
+
+
 # -- isomorphism ----------------------------------------------------------------------------------
 
 def test_isomorphic_to_itself(g3_view):
@@ -882,6 +921,98 @@ def test_isomorphism_search_depth_does_not_grow_with_size(z2):
     table = np.repeat(np.arange(m)[:, None], m, axis=1)
     band = SemigroupView(z2, None, tuple(map(str, range(m))), table, True)
     assert are_isomorphic(band, band) == tuple(range(m))
+
+
+def relabeled(t, rng):
+    """The table t with each element i renamed by a seeded permutation."""
+    perm = rng.permutation(len(t))
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return out
+
+
+def check_isomorphism(v1, v2, image):
+    image = np.asarray(image)
+    assert sorted(image.tolist()) == list(range(v1.size))
+    assert (image[v1.table] == v2.table[np.ix_(image, image)]).all()
+
+
+def test_isomorphism_matches_oracle_on_seeded_tables(z2):
+    # random tables, most of them not associative, with few distinct
+    # entries so that unrelated pairs are sometimes isomorphic, against
+    # relabelings, one-cell perturbations and each other
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for m in range(1, 7):
+        for _ in range(12):
+            t1 = rng.integers(0, rng.integers(1, m + 1), (m, m))
+            t2 = relabeled(t1, rng)
+            t3 = t2.copy()
+            t3[tuple(rng.integers(m, size=2))] = rng.integers(m)
+            t4 = rng.integers(0, rng.integers(1, m + 1), (m, m))
+            v1, *others = (table_view(z2, t) for t in (t1, t2, t3, t4))
+            for other in others:
+                image = are_isomorphic(v1, other)
+                want = oracles.naive_isomorphism(t1.tolist(), other.table.tolist())
+                assert (image is None) == (want is None), (t1.tolist(), other.table.tolist())
+                if image is not None:
+                    check_isomorphism(v1, other, image)
+                verdicts.add(image is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name, n, token, seed", [
+    ("cyclic", 3, "all", 3), ("cyclic", 4, "all", 4), ("klein-4", 4, "all", 5),
+    ("cyclic", 5, "maxlinked", 6), ("cyclic", 6, "maxlinked", 7),
+    ("symmetric-3", 6, "maxlinked", 8)])
+def test_isomorphism_finds_seeded_relabelings(name, n, token, seed):
+    g = build_builtin(name, n)
+    view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
+    other = table_view(g, relabeled(view.table, np.random.default_rng(seed)))
+    check_isomorphism(view, other, are_isomorphic(view, other))
+
+
+def test_isomorphism_rejects_one_cell_perturbations(z4):
+    view = subsemigroup_view(z4, upset_words(4))
+    rng = np.random.default_rng(4)
+    other = relabeled(view.table, rng)
+    m, searched = view.size, 0
+    for _ in range(12):
+        t = other.copy()
+        cell = tuple(rng.integers(m, size=2))
+        t[cell] = (t[cell] + rng.integers(1, m)) % m
+        # some perturbations keep every invariant, so the search must refute them
+        searched += np.array_equal(np.sort(_invariants(view.table)), np.sort(_invariants(t)))
+        assert are_isomorphic(view, table_view(z4, t)) is None
+    assert searched > 0
+
+
+def test_map_search_matches_bruteforce_with_classes():
+    # every table-preserving bijection that sends each element into its class
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        t1 = rng.integers(0, rng.integers(1, m + 1), (m, m))
+        t2 = relabeled(t1, rng)
+        c1, c2 = rng.integers(0, 2, m), rng.integers(0, 2, m)
+        want = [p for p in itertools.permutations(range(m)) if (c2[list(p)] == c1).all()
+                and (np.array(p)[t1] == t2[np.ix_(p, p)]).all()]
+        assert sorted(tuple(x.tolist()) for x in _maps(t1, t2, c1, c2, np.inf)[0]) == want
+
+
+def test_map_search_keeps_maps_injective():
+    # (0, 1, 2, 2) preserves the tables: reading 1*0 and 0*1 after 0 -> 0
+    # and 1 -> 1 meets the unmapped 2 and 3 with one cell value, 2, so one
+    # read batch must not map both of them there; no bijection preserves
+    # the tables (3 against 4 idempotents)
+    t1 = np.array([[0, 3, 2, 2], [2, 1, 2, 2], [2, 2, 2, 2], [2, 2, 2, 2]])
+    t2 = np.array([[0, 2, 2, 3], [2, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]])
+    one = np.zeros(4, dtype=np.intp)
+    assert _maps(t1, t2, one, one, np.inf)[0] == []
+
+
+def test_lambda_z6_not_isomorphic_to_lambda_s3(z6, s3):
+    assert are_isomorphic(lambda_view(z6), lambda_view(s3)) is None
 
 
 # -- right cancelability ------------------------------------------------------------------------------
