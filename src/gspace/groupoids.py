@@ -39,6 +39,10 @@ class Groupoid:
             raise InputError("groupoid needs at least one element")
         if len(set(names)) != n:
             raise InputError("element names must be distinct")
+        for x in names:
+            if x != x.strip() or not set(x).isdisjoint("[],<>"):
+                raise InputError(f"element name {x!r} cannot be read back in a literal: no "
+                                 "surrounding whitespace, '[', ']', ',', '<' or '>' allowed")
         if len(table) != n or any(len(row) != n for row in table):
             raise InputError(f"table must be {n}x{n}")
         tab = tuple(tuple(int(v) for v in row) for row in table)
@@ -155,8 +159,6 @@ def parse_groupoid(document: str) -> Groupoid:
     if len(elements) > MAX_CARRIER:
         raise InputError(f"carrier size {len(elements)} exceeds the cap {MAX_CARRIER}")
     pos = {e: i for i, e in enumerate(elements)}
-    if len(pos) != len(elements):
-        raise InputError("element names must be distinct")
     if not isinstance(rows, list) or len(rows) != len(elements):
         raise InputError("`table` must be square")
     table = []

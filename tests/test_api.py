@@ -15,7 +15,7 @@ DELETED = {
                          "_refine_colors"),
     "gspace.products": ("image_shift",),
     "gspace.terms": ("all_term_strings",),
-    "gspace.cli": ("_view_for", "_class_elements"),
+    "gspace.cli": ("_view_for", "_class_elements", "_report"),
 }
 DELETED_METHODS = ((Hyperspace, "support"), (Hyperspace, "member_count"),
                    (Groupoid, "mul"), (Groupoid, "element_index"))

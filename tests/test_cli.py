@@ -1,17 +1,21 @@
+import hashlib
 import json
 import os
 import random
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import gspace
 import oracles
 from gspace import (Hyperspace, InputError, SemigroupView, build_builtin,
-                    format_hyperspace, generate, orbits, principal)
+                    format_hyperspace, generate, lambda_view, orbits, principal)
 from gspace.cli import cli, main
 
 Z2_JSON = json.dumps({
@@ -26,13 +30,24 @@ def run_cli(*args, **kwargs):
     return runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
 
 
-def run_proc(*args, flags=(), env=()):
+def run_proc(*args, flags=(), env=(), **kwargs):
     # the child imports the same gspace as the tests, installed or not
     path = [str(Path(gspace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run([sys.executable, *flags, "-m", "gspace", *args],
                           capture_output=True, text=True,
                           env={**os.environ, **dict(env),
-                               "PYTHONPATH": os.pathsep.join(filter(None, path))})
+                               "PYTHONPATH": os.pathsep.join(filter(None, path))},
+                          **kwargs)
+
+
+def run_main(capsys, *argv):
+    """(exit code, stdout) of `main` on argv, in-process."""
+    try:
+        main(list(argv))
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
 
 
 def test_enumerate_count_only():
@@ -301,6 +316,10 @@ def test_exit_codes():
     assert run_proc("--groupoid", "cyclic:2", "--format", "csv",
                     "enumerate").returncode == 2               # csv is table-only
     assert run_proc("no-such-command").returncode == 2
+    res = run_proc("--groupoid", "cyclic:3", "--budget", "-5", "sections")
+    assert res.returncode == 2 and "Traceback" not in res.stderr   # refused before any search
+    assert run_proc("--groupoid", "cyclic:3", "--budget", "0",
+                    "sections").returncode == 3
 
 
 def test_global_flags_after_subcommand():
@@ -370,3 +389,108 @@ def test_sections_payload_unchanged_under_optimize():
     payload = json.loads(optimized.stdout)["payload"]
     assert payload == json.loads(plain.stdout)["payload"]
     assert payload["section_count"] == 3
+
+
+# sha256 of stdout, pinned from the output before tables were streamed row by row
+PINNED_OUTPUT = {
+    ("cyclic:3", "text", "table"):
+        "2f77e21e29f868aa4edb7e7aa41d002ed564c84923b7fa1d46759584d01fe472",
+    ("cyclic:3", "csv", "table"):
+        "e35311f975e75a777c970285334e79f84191ba85b4699fb9f4cbc3d244cfc459",
+    ("cyclic:3", "dot", "table"):
+        "435cff60fca7192499dfe8ceacca607f3c575f6bd66600dd54a21e8456886aa6",
+    ("cyclic:3", "text", "orbits"):
+        "6eed588eee38067993df45b43e423646a35a5ff9acdbb42411f8eee633b63cf8",
+    ("klein-4:4", "text", "table"):
+        "b0b568e95b0876d2124a64953a979e22ba6ab58f9104d3750f37cf0e8e0fafda",
+    ("klein-4:4", "csv", "table"):
+        "07f9834907fd7070dbfc935d7b3d2a3e39c795517b0e8de9f660f6be23129272",
+    ("klein-4:4", "dot", "table"):
+        "cdce300b02d24881cc7dc344003911267a43fc82fd1d9f5f19ab8bbcf1988353",
+    ("klein-4:4", "text", "orbits"):
+        "9937b040b86f7415e742e390645df428a5442cb0a955cc6af2621e708c6894f2",
+    ("symmetric-3", "text", "table", "--within", "maxlinked:3"):
+        "52a8541166fd5efc125389ad4388e4f4fc32b518c6bc8340a552af9f0d867fcf",
+    ("symmetric-3", "csv", "table", "--within", "maxlinked:3"):
+        "c37dc249e6334b5361f7fa93c4c37f978f81468dccfe86b1d076a80dd61bc07b",
+    ("symmetric-3", "dot", "table", "--within", "maxlinked:3"):
+        "d158114e04dcf19b07e5cc31eae42a74549dc015acc06ab66a6d93d12dfe7128",
+}
+
+
+def test_pinned_output_bytes(capsys):
+    for (spec, fmt, *verb), digest in PINNED_OUTPUT.items():
+        code, out = run_main(capsys, "--groupoid", spec, "--format", fmt, *verb)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, fmt, verb)
+    # the escaping view has no orbit partition: a refusal, and nothing on stdout
+    code, out = run_main(capsys, "--groupoid", "symmetric-3", "orbits", "--within", "maxlinked:3")
+    assert (code, out) == (2, "")
+
+
+def test_json_output_is_the_canonical_dump(capsys):
+    for argv in (["enumerate", "--class", "linked:2"], ["enumerate", "--count-only"],
+                 ["classify", "<[0,1],[0,2],[1,2]>"], ["product", "<[1]>", "<[2]>", "--oracle"],
+                 ["table"], ["table", "--within", "maxlinked:2"], ["analyze"], ["orbits"],
+                 ["sections"], ["verify-paper"]):
+        code, out = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", *argv)
+        assert code in (0, 1), argv           # verify-paper exits 1 on criterion 4
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+    code, out = run_main(capsys, "--groupoid", "symmetric-3", "--format", "json",
+                         "table", "--within", "maxlinked:3")
+    report = json.loads(out)
+    assert report["payload"]["closed"] is False
+    assert any(-1 in row for row in report["payload"]["table"])
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_table_streams_under_an_address_space_limit():
+    # 7.0M cells; the whole document as Python lists needs about 1 GB
+    limit = 512 << 20
+    res = run_proc("--groupoid", "cyclic:6", "--format", "json", "table", "--within",
+                   "maxlinked:2",
+                   preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert res.returncode == 0, res.stderr[-500:]
+    table = np.array(json.loads(res.stdout)["payload"]["table"], dtype=np.int32)
+    assert np.array_equal(table, lambda_view(build_builtin("cyclic", 6)).table)
+
+
+ODD_NAMES = ["e\"", "a\\b", "(x y)", "-1"]
+
+
+def _odd_groupoid(tmp_path, names):
+    table = [[names[(i + j) % len(names)] for j in range(len(names))]
+             for i in range(len(names))]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"name": "odd", "elements": names, "table": table}))
+    return f"file:{path}"
+
+
+def test_dot_escapes_labels(tmp_path, capsys):
+    spec = _odd_groupoid(tmp_path, ODD_NAMES[:2])
+    labels = json.loads(run_main(capsys, "--groupoid", spec, "--format", "json", "table")[1])[
+        "payload"]["labels"]
+    code, out = run_main(capsys, "--groupoid", spec, "--format", "dot", "table")
+    assert code == 0
+    found = re.findall(r'^  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', out, re.M)
+    assert [int(i) for i, _ in found] == list(range(len(labels)))
+    assert [re.sub(r"\\(.)", r"\1", lab) for _, lab in found] == labels
+
+
+def test_enumerate_labels_read_back_through_classify(tmp_path, capsys):
+    spec = _odd_groupoid(tmp_path, ODD_NAMES)
+    code, out = run_main(capsys, "--groupoid", spec, "enumerate")
+    assert code == 0
+    labels = [line.split(": ", 1)[1] for line in out.splitlines()]
+    assert len(labels) == 166
+    for label in labels:
+        code, out = run_main(capsys, "--groupoid", spec, "--format", "json", "classify", label)
+        assert code == 0
+        assert json.loads(out)["payload"]["hyperspace"] == label
+
+
+def test_unreadable_element_names_refused(tmp_path):
+    for bad in ("a,b", "[a", "a]", "<a", "a>", " a", "a\t"):
+        res = run_proc("--groupoid", _odd_groupoid(tmp_path, ["e", bad]), "enumerate")
+        _assert_input_error(res)
+        assert repr(bad) in res.stderr
