@@ -4,11 +4,13 @@ Everything here works on an explicit SemigroupView: the elements' 64-bit
 membership words and their composition table, one 2-D numpy integer array.
 Views take a uint64 word array (a class census) or Hyperspaces, need
 carriers up to 6 points and hold at most MAX_VIEW_ELEMENTS elements, checked
-before any Hyperspace is built. One builder, `_compose`, fills every table
-by byte-table gathers of columns; over an associative carrier it gathers one
-column per right orbit {V o <h>} at one row per left orbit {<x> o U} and
+before any Hyperspace is built; a view reads whether it is closed, and its
+first escape, off its own table. One builder, `_compose`, fills every table
+by byte-table gathers of blocks of columns; over an associative carrier it
+gathers one column per right orbit {V o <h>} at one row per left orbit
+{<x> o U}, both found by one numpy reduction over a point-shift table, and
 derives the other cells through the point-shift tables (λ(Z6): 231,561
-gathered words for 7.0M cells, about 0.08-0.10 s).
+gathered words for 7.0M cells, about 0.1 s).
 
 Cancelability, zeros, the center and the minimal one-sided ideals are
 decided on the table, not by the classical characterizations, which stay
@@ -23,8 +25,8 @@ census of `classify.class_words`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,35 +50,45 @@ class SemigroupView:
     `words` holds the elements' membership words as a read-only uint64
     array in element order; `elements`, the same elements as Hyperspaces,
     is built from it on first use. `table` is a read-only 2-D int32 array
-    whose entries index the elements, -1 marking a product that escaped; a
-    table given as nested sequences is converted once on construction. A
-    closed view's table holds no -1; labels and words have one entry each.
-    `shift`, the read-only point-shift table of the same build (shift[i, h]
-    indexes element i o <h>, or is -1), is None over a non-associative
-    carrier. Quotient views carry labels, and `words` and `shift` None.
-    Views compare by identity.
+    with at least one row, whose entries index the elements, -1 marking a
+    product that escaped (nested sequences are converted once); labels and
+    words have one entry each. `closed` (no -1) and `escape` are read off
+    the table. `shift`, the read-only point-shift table of the same build
+    (shift[i, h] indexes element i o <h>, or is -1), is None over a
+    non-associative carrier. Quotient views carry labels, and `words` and
+    `shift` None. Views compare by identity.
     """
     groupoid: Groupoid
     words: np.ndarray | None
     labels: tuple[str, ...] | None
     table: np.ndarray
-    closed: bool
-    escape: Optional[tuple[int, int, Hyperspace]] = None
     shift: np.ndarray | None = None
+    closed: bool = field(init=False)
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.int32)
         m, lo = len(table) if table.ndim else 0, table.min(initial=0)
         if table.shape != (m, m) or lo < -1 or table.max(initial=-1) >= m:
             raise InputError(f"a table must be a 2-D square with entries in [-1, {m})")
-        if self.closed and lo < 0:
-            raise InputError("a closed view's table holds no -1")
+        if not m:
+            raise InputError("view needs at least one element")
         if any(x is not None and len(x) != m for x in (self.labels, self.words)):
             raise InputError(f"labels and words need one entry per element, {m}")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "closed", bool(lo >= 0))
         if self.shift is not None:
             self.shift.setflags(write=False)
+
+    @functools.cached_property
+    def escape(self) -> tuple[int, int, Hyperspace] | None:
+        """The row-major first -1 cell (i, j) and the escaped product of
+        elements i and j; None on a closed view or on one without words."""
+        if self.closed or self.words is None:
+            return None
+        i, j = _first_escape(self.table)
+        u, v = (Hyperspace._raw(self.groupoid.n, int(self.words[x])) for x in (i, j))
+        return i, j, product(self.groupoid, u, v)
 
     @functools.cached_property
     def elements(self) -> tuple[Hyperspace, ...] | None:
@@ -163,38 +175,33 @@ def _plan(shift: np.ndarray) -> tuple[np.ndarray, ...]:
     representatives or a kid, element kid is element parent shifted by
     point h, and every parent is a representative.
 
-    The plan walks the indices in order: one not yet planned is a
-    representative, and every unplanned shift of it is its kid (shifting
-    twice is shifting once, by the product of the two points, so one step
-    reaches every shift).
+    An index's parent is the smallest index that reaches it in one shift,
+    itself included, and the representatives are their own parents; h is
+    the first point with shift[parent, h] == kid. Both come from one
+    reduction: the smallest code i * w + h over the cells shift[i, h] that
+    hold the index (an index's own code is the largest of its row).
+    Shifting twice is shifting once, by the product of the two points, so a
+    smallest reacher is itself reached by nothing smaller: a representative.
     """
-    planned = bytearray(len(shift))
-    reps, kids = [], []
-    for j, row in enumerate(shift.tolist()):
-        if planned[j]:
-            continue
-        planned[j] = 1
-        reps.append(j)
-        for h, k in enumerate(row):
-            if k >= 0 and not planned[k]:       # k is j shifted by point h
-                planned[k] = 1
-                kids.append((k, j, h))
-    kid, parent, h = np.array(kids, dtype=np.intp).reshape(-1, 3).T
-    return np.array(reps, dtype=np.intp), kid, parent, h
+    m, w = len(shift), shift.shape[1] + 1
+    code = np.arange(m) * w + w - 1
+    i, h = np.nonzero(shift >= 0)
+    np.minimum.at(code, shift[i, h], i * w + h)
+    parent, h = np.divmod(code, w)
+    kid = np.flatnonzero(parent != np.arange(m))
+    return np.flatnonzero(parent == np.arange(m)), kid, parent[kid], h[kid]
 
 
-def _compose(g: Groupoid, words: np.ndarray) -> tuple[
-        np.ndarray, np.ndarray | None, tuple[int, int] | None]:
-    """The composition table over `words`, the point-shift table over an
-    associative carrier (else None) and the table's row-major first -1
-    entry (or None); table[i, j] is the index in `words` of
+def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The composition table over `words` and the point-shift table over an
+    associative carrier (else None); table[i, j] is the index in `words` of
     words[i] o words[j], shift[i, h] that of words[i] o <h>, -1 if absent.
 
     A gathered column j sends element words' bits through the right
     translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
     of words[j] is set), and looks the words up by binary search. Columns
-    are gathered _BATCH at a time (`_gather_words`) and built as the rows of
-    one m x m buffer, which is transposed in place at the end.
+    are gathered _BATCH at a time (`_gather_words`) into one block, copied
+    into rows of one m x m buffer that is transposed in place at the end.
 
     Over an associative carrier G(X) is a semigroup, so both sides of the
     table follow from a few of its cells:
@@ -211,9 +218,6 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[
     row is gathered at every row, and the columns planned from a column
     with any escaped product are gathered too. Over other carriers every
     column is gathered at every row.
-
-    The table holds a -1 only if a gathered column or the shift table
-    does, so only then is it scanned for its first -1.
     """
     m, n = len(words), g.n
     lookup = _lookup(words)
@@ -228,25 +232,25 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[
     escaped = []                                # columns with an escaped product
 
     def gather(js) -> None:
-        """Fill the buffer rows js. The cells go in one buffer row at a
-        time: a 2-D write of a batch at scattered cells strides across all
-        of its rows for every cell (all of G(5) over right-zero:5 took about
-        5.5 s that way, 3.8 s row by row)."""
+        """Fill the buffer rows js, one block of _BATCH columns at a time."""
+        out = np.empty((_BATCH, m), dtype=np.int32)
         for lo in range(0, len(js), _BATCH):
             cols = js[lo:lo + _BATCH]
             t = _transforms(pre, words[cols])
-            full = []                           # a parent cell escaped
-            for k, got in enumerate(lookup(_gather_words(row_words, t))):
-                col = buf[cols[k]]
-                col[rows] = got
-                par = col[lpar]
-                if (par < 0).any():
-                    full.append(k)
-                else:
-                    col[lkid] = lshift.ravel().take(par * n + xs)
-            if full:
-                buf[cols[full]] = lookup(_gather_words(words, t[full]))
-            escaped.extend(cols[buf[cols].min(axis=1) < 0].tolist())
+            block = out[:len(cols)]
+            # `got` lives into the next batch, so malloc does not trim the heap
+            # and fault it in again (G(5) on right-zero:5: 686k faults, not 7k)
+            got = lookup(_gather_words(row_words, t))
+            block[:, rows] = got
+            par = block[:, lpar]
+            # a -1 parent reads some in-range cell here (take wraps it), but
+            # its column is gathered again at every row just below
+            block[:, lkid] = lshift.ravel().take(par * n + xs)
+            full = (par < 0).any(axis=1)
+            if full.any():
+                block[full] = lookup(_gather_words(words, t[full]))
+            buf[cols] = block
+            escaped.extend(cols[block.min(axis=1) < 0].tolist())
 
     reps, kid, parent, hs = _plan(shift)
     gather(reps)
@@ -257,8 +261,7 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[
         buf[kid[lo:lo + _BATCH]] = shift.ravel().take(
             buf[parent[lo:lo + _BATCH]] * n + hs[lo:lo + _BATCH, None])
     _transpose_in_place(buf)
-    escape = _first_escape(buf) if escaped or (shift < 0).any() else None
-    return buf, (shift if g.associative else None), escape
+    return buf, (shift if g.associative else None)
 
 
 def _transpose_in_place(a: np.ndarray) -> None:
@@ -286,17 +289,20 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
 
 def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     """Composition table over the given elements, a uint64 word array or
-    Hyperspaces, in their order; flags the first escape. The input checks
-    all run before any Hyperspace is built."""
+    Hyperspaces, in their order. The input checks all run before any
+    Hyperspace is built."""
     if g.n > MAX_ENUM_CARRIER:
         raise InputError(f"views need carrier <= {MAX_ENUM_CARRIER}")
     raw = isinstance(elements, np.ndarray)
     if raw and (elements.dtype != np.uint64 or elements.ndim != 1):
         raise InputError("element words must be a 1-D uint64 array")
-    elements = elements if raw else tuple(elements)
+    # a lone item that is no collection is refused with the non-Hyperspaces
+    elements = elements if raw else tuple(elements) if isinstance(elements, Iterable) else (None,)
     if len(elements) > MAX_VIEW_ELEMENTS:
         raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, "
                          f"got {len(elements)}")
+    if not raw and not all(isinstance(h, Hyperspace) for h in elements):
+        raise InputError("view elements must be Hyperspaces or a uint64 word array")
     if not raw and any(h.n != g.n for h in elements):
         raise InputError("carrier mismatch in view elements")
     words = np.array(elements if raw else [h.bits for h in elements], dtype=np.uint64)
@@ -307,13 +313,8 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     if not _hyperspace_mask(g.n, words).all():
         raise InputError(f"element words must be hyperspaces on {g.n} points")
     words.setflags(write=False)
-    table, shift, escape = _compose(g, words)
-    if escape is not None:
-        i, j = escape
-        u, v = (Hyperspace._raw(g.n, int(words[x])) for x in escape)
-        escape = (i, j, product(g, u, v))
-    return SemigroupView(groupoid=g, words=words, labels=None, table=table,
-                         closed=escape is None, escape=escape, shift=shift)
+    table, shift = _compose(g, words)
+    return SemigroupView(groupoid=g, words=words, labels=None, table=table, shift=shift)
 
 
 # -- special elements --------------------------------------------------------
@@ -514,8 +515,7 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
         i, j, p = view.escape
         raise InputError(f"element set not closed under the product: "
                          f"{view.label(i)} o {view.label(j)} = {p!r}")
-    escape = _first_escape(view.shift)
-    if escape is not None:
+    if (escape := _first_escape(view.shift)) is not None:
         i, h = escape
         p = product(g, Hyperspace._raw(g.n, int(view.words[i])), principal(g.n, h))
         raise InputError(f"element set not closed under right shifts: "
@@ -535,8 +535,7 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
         groupoid=g,
         words=None,
         labels=tuple(f"orbit({Hyperspace._raw(g.n, b)!r})" for b in view.words[reps].tolist()),
-        table=qtab,
-        closed=True)
+        table=qtab)
     return OrbitDecomposition(
         view=view,
         orbits=tuple(tuple(sorted(set(row))) for row in view.shift[reps].tolist()),

@@ -355,3 +355,25 @@ def gather_table(g, words, rights) -> np.ndarray:
         pos = np.minimum(np.searchsorted(ranked, col), len(ranked) - 1)
         table[:, j] = np.where(ranked[pos] == col, order[pos], -1)
     return table
+
+
+def naive_plan(shift) -> tuple[np.ndarray, ...]:
+    """(reps, kid, parent, h) for a shift table, by a walk over the indices
+    in order: one not yet planned is a representative, and every unplanned
+    shift of it is its kid (shifting twice is shifting once, by the product
+    of the two points, so one step reaches every shift). This is the
+    reference for the builder's one-reduction plan.
+    """
+    planned = bytearray(len(shift))
+    reps, kids = [], []
+    for j, row in enumerate(shift.tolist()):
+        if planned[j]:
+            continue
+        planned[j] = 1
+        reps.append(j)
+        for h, k in enumerate(row):
+            if k >= 0 and not planned[k]:       # k is j shifted by point h
+                planned[k] = 1
+                kids.append((k, j, h))
+    kid, parent, h = np.array(kids, dtype=np.intp).reshape(-1, 3).T
+    return np.array(reps, dtype=np.intp), kid, parent, h

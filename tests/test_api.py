@@ -1,7 +1,9 @@
+import dataclasses
 import importlib
 
 import gspace
 from gspace import Groupoid, Hyperspace
+from gspace.structure import SemigroupView
 
 # helpers deleted because nothing outside the tests called them
 DELETED = {
@@ -31,3 +33,9 @@ def test_public_surface():
             assert name not in gspace.__all__
     for cls, name in DELETED_METHODS:
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_view_fields():
+    # `closed` and `escape` are read off the table, never passed in
+    init = [f.name for f in dataclasses.fields(SemigroupView) if f.init]
+    assert init == ["groupoid", "words", "labels", "table", "shift"]

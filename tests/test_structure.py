@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 
-from gspace import (BudgetExceeded, Hyperspace, InputError, build_builtin,
+from gspace import (BudgetExceeded, Groupoid, Hyperspace, InputError, build_builtin,
                     center, center_of_gx, enumerate_all, enumerate_class,
                     find_sections, generate, is_shift_invariant, lambda_view,
                     largest, maximal_linked_families, minimal_ideal,
@@ -121,21 +121,20 @@ def test_view_rejects_duplicates(z3):
 
 def test_hand_built_view_checks_its_table(z2):
     words = np.array([principal(2, 0).bits, principal(2, 1).bits], dtype=np.uint64)
-    cases = [("2-D square", ((0, 1, 2),), True, None, None),
-             ("2-D square", (0, 1), True, None, None),
-             ("2-D square", (((0,),),), True, None, None),
-             ("2-D square", 0, True, None, None),
-             ("entries in", ((0, 5), (1, 0)), True, None, None),
-             ("entries in", ((0, -2), (1, 0)), False, None, None),
-             ("holds no -1", ((0, -1), (1, 0)), True, None, None),
-             ("one entry per element", ((0, 1), (1, 0)), True, ("a",), None),
-             ("one entry per element", ((0, 1), (1, 0)), True, None, words[:1])]
-    for message, table, closed, labels, w in cases:
+    cases = [("2-D square", ((0, 1, 2),), None, None),
+             ("2-D square", (0, 1), None, None),
+             ("2-D square", (((0,),),), None, None),
+             ("2-D square", 0, None, None),
+             ("entries in", ((0, 5), (1, 0)), None, None),
+             ("entries in", ((0, -2), (1, 0)), None, None),
+             ("at least one", np.empty((0, 0), dtype=int), None, None),
+             ("one entry per element", ((0, 1), (1, 0)), ("a",), None),
+             ("one entry per element", ((0, 1), (1, 0)), None, words[:1])]
+    for message, table, labels, w in cases:
         with pytest.raises(InputError, match=message):
-            SemigroupView(z2, w, labels, table, closed)
-    view = SemigroupView(z2, words, ("a", "b"), ((0, -1), (1, 0)), False)
+            SemigroupView(z2, w, labels, table)
+    view = SemigroupView(z2, words, ("a", "b"), ((0, -1), (1, 0)))
     assert not view.closed and view.table.tolist() == [[0, -1], [1, 0]]
-    assert SemigroupView(z2, None, None, np.empty((0, 0), dtype=int), True).size == 0
 
 
 def test_index_of_follows_caller_order(z3, g3_all):
@@ -364,6 +363,94 @@ def test_escape_only_in_a_derived_column(z3):
     assert not view.closed and view.escape == (1, 1, principal(3, 2))
 
 
+def check_plan(shift):
+    """_plan equals the walk of oracles.naive_plan, kids sorted; every kid is
+    its parent shifted by the first such point, and every parent is a
+    representative."""
+    reps, kid, parent, h = _plan(shift)
+    want_reps, *want = oracles.naive_plan(shift)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(np.stack([kid, parent, h])[:, np.argsort(kid)],
+                          np.stack(want)[:, np.argsort(want[0])])
+    assert np.array_equal(np.sort(np.concatenate([reps, kid])), np.arange(len(shift)))
+    assert np.array_equal(shift[parent, h], kid) and np.isin(parent, reps).all()
+    assert all((shift[p, :x] != k).all() for k, p, x in zip(kid.tolist(), parent.tolist(), h.tolist()))
+
+
+def _class_tokens(n):
+    if n == 6:      # the other n = 6 censuses take a second or more each
+        return [("filters", None), ("ultrafilters", None), ("maxlinked", 2)]
+    return ([("all", None), ("filters", None), ("ultrafilters", None), ("centered", None),
+             ("shiftinv", None)] + [(t, k) for t in ("linked", "maxlinked") for k in range(2, n + 1)])
+
+
+PLAN_CARRIERS = ([(name, n) for name in ("cyclic", "left-zero", "right-zero") for n in range(1, 7)]
+                 + [("klein-4", 4), ("symmetric-3", 6)])
+
+
+@pytest.mark.parametrize("name,n", PLAN_CARRIERS)
+def test_plan_matches_walk_on_class_views(name, n):
+    g = build_builtin(name, n)
+    rng = np.random.default_rng(n)
+    for token, k in _class_tokens(n):
+        words = class_words(g, token, k)
+        if not 0 < len(words) <= MAX_VIEW_ELEMENTS:
+            continue
+        size = min(len(words), 60)
+        for w in (words, words[rng.permutation(len(words))],
+                  np.sort(rng.choice(words, size=size, replace=False)),
+                  rng.choice(words, size=size, replace=False)):
+            for shift in shift_tables(g, w):
+                check_plan(shift)
+
+
+NONGROUP_OPS = {"max": lambda i, j, n: max(i, j), "min": lambda i, j, n: min(i, j),
+                "truncated-add": lambda i, j, n: min(i + j, n - 1),
+                "mul": lambda i, j, n: i * j % n,
+                "z2-left-zero": lambda i, j, n: i - i % 2 + (i + j) % 2}   # i is (i % 2, i // 2)
+NONGROUP_CARRIERS = ([(name, n) for n in range(2, 6) for name in ("max", "min", "truncated-add", "mul")]
+                     + [("z2-left-zero", 2), ("z2-left-zero", 4)])
+
+
+@pytest.mark.parametrize("name,n", NONGROUP_CARRIERS)
+def test_views_over_nongroup_semigroup_carriers_match_gather(name, n):
+    # associative carriers whose point shifts are neither permutations nor
+    # constant (but Z2 x left-zero(1), which is Z2), so an index can be
+    # reached from several smaller ones and the orbits overlap
+    op = NONGROUP_OPS[name]
+    g = Groupoid(list(range(n)), [[op(i, j, n) for j in range(n)] for i in range(n)], f"{name}:{n}")
+    assert g.associative
+    words = upset_words(n)
+    rng = np.random.default_rng(len(words) + n)
+    picks = [np.arange(len(words))] if n <= 4 else []
+    for _ in range(8):
+        pick = rng.choice(len(words), size=int(rng.integers(1, min(len(words), 200) + 1)),
+                          replace=False)
+        picks += [np.sort(pick), pick]
+    for pick in picks:
+        sub = words[pick]
+        view = subsemigroup_view(g, sub)
+        want = oracles.gather_table(g, sub, sub)
+        assert np.array_equal(view.table, want)
+        bad = np.argwhere(want < 0)
+        assert view.closed == (not len(bad))
+        if len(bad):
+            i, j, p = view.escape
+            assert (i, j) == tuple(bad[0].tolist())
+            assert p == product(g, view.elements[i], view.elements[j])
+        else:
+            assert view.escape is None
+        for shift in shift_tables(g, sub):
+            check_plan(shift)
+
+
+def test_view_refuses_items_that_are_not_hyperspaces(z3):
+    for bad in ([1, 2], [principal(3, 0), 5], "abc", None, 5):
+        for build in (subsemigroup_view, orbits, find_sections):
+            with pytest.raises(InputError, match="must be Hyperspaces"):
+                build(z3, bad)
+
+
 def test_view_carrier_cap():
     g7 = build_builtin("cyclic", 7)
     with pytest.raises(InputError):
@@ -377,7 +464,7 @@ def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all):
         views.append(search.decomposition.quotient)
         views += [_section_view(search, sec) for sec in search.sections]
     g = build_builtin("cyclic", 2)
-    views += [SemigroupView(g, None, ("0", "1"), table, True)
+    views += [SemigroupView(g, None, ("0", "1"), table)
               for table in (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0)),
                             ((1, 1), (0, 0)))]
     for view in views:
@@ -588,8 +675,7 @@ def check_table_analysis(view):
 
 
 def table_view(g, table):
-    return SemigroupView(groupoid=g, words=None, labels=None,
-                         table=np.asarray(table), closed=True)
+    return SemigroupView(groupoid=g, words=None, labels=None, table=np.asarray(table))
 
 
 def test_table_analysis_matches_oracles_on_small_views(magma3):
@@ -901,17 +987,17 @@ def test_t_z2_not_isomorphic_to_left_zero_semigroup(z2, g2_all):
     sview = _section_view(search, search.sections[0])
     lz = SemigroupView(
         groupoid=z2, words=None, labels=("x", "y", "z"),
-        table=((0, 0, 0), (1, 1, 1), (2, 2, 2)), closed=True)
+        table=((0, 0, 0), (1, 1, 1), (2, 2, 2)))
     assert are_isomorphic(sview, lz) is None
 
 
 def test_isomorphism_respects_table():
     g = build_builtin("cyclic", 2)
-    v1 = SemigroupView(g, None, ("0", "1"), ((0, 1), (1, 0)), True)
-    v2 = SemigroupView(g, None, ("0", "1"), ((1, 0), (0, 1)), True)
+    v1 = SemigroupView(g, None, ("0", "1"), ((0, 1), (1, 0)))
+    v2 = SemigroupView(g, None, ("0", "1"), ((1, 0), (0, 1)))
     perm = are_isomorphic(v1, v2)
     assert perm == (1, 0)
-    v3 = SemigroupView(g, None, ("0", "1"), ((0, 0), (0, 0)), True)
+    v3 = SemigroupView(g, None, ("0", "1"), ((0, 0), (0, 0)))
     assert are_isomorphic(v1, v3) is None
 
 
@@ -919,7 +1005,7 @@ def test_isomorphism_search_depth_does_not_grow_with_size(z2):
     # a left-zero band (ij = i) above the default recursion limit of 1000
     m = 1100
     table = np.repeat(np.arange(m)[:, None], m, axis=1)
-    band = SemigroupView(z2, None, tuple(map(str, range(m))), table, True)
+    band = SemigroupView(z2, None, tuple(map(str, range(m))), table)
     assert are_isomorphic(band, band) == tuple(range(m))
 
 
