@@ -16,10 +16,12 @@ Cancelability, zeros, the center and the minimal one-sided ideals are
 decided on the table, not by the classical characterizations, which stay
 checkable statements in the test suite: a cheap necessary filter (one sum
 per row and per column, a block of columns), then an exact check of the
-survivors only. Sections of an orbit quotient and isomorphisms of views are
-one search, `_maps`, for table-preserving maps with forced propagation. The
-shift-invariant core (the right zeros of G(X)) is the `shiftinv` class
-census of `classify.class_words`.
+survivors only. Associativity is Light's test on a greedy generating set,
+reduced to the orbit representatives of both sides when two point
+identities hold on the whole table. Sections of an orbit quotient and
+isomorphisms of views are one search, `_maps`, for table-preserving maps
+with forced propagation. The shift-invariant core (the right zeros of G(X))
+is the `shiftinv` class census of `classify.class_words`.
 """
 
 from __future__ import annotations
@@ -106,16 +108,86 @@ class SemigroupView:
             Hyperspace._raw(self.groupoid.n, int(self.words[i])))
 
     @functools.cached_property
-    def _associative(self) -> bool:
+    def generators(self) -> np.ndarray:
+        """A generating set of a closed view, as a read-only index array.
+
+        Greedy, rarest first: the elements are visited in increasing order
+        of their number of cells in the table (stable), and each one not yet
+        generated is picked and the generated set closed again by frontier
+        gathers, the products of the newly generated elements with all
+        generated ones on both sides. An element that is no product is
+        visited before every product, and is in every generating set.
+        """
+        if not self.closed:
+            raise InputError("generators need a closed view")
         t = self.table
-        return all(np.array_equal(t[t[i]], t[i][t]) for i in range(self.size))
+        counts = sum(np.bincount(t[lo:lo + _LINES].ravel(), minlength=self.size)
+                     for lo in range(0, self.size, _LINES))     # no m x m intp copy
+        inside = np.zeros(self.size, dtype=bool)
+        picks = []
+        for b in np.argsort(counts, kind="stable").tolist():
+            if inside[b]:
+                continue
+            picks.append(b)
+            inside[b] = True
+            front = np.array([b])
+            while len(front):
+                have = np.flatnonzero(inside)
+                new = np.concatenate([t[np.ix_(front, have)].ravel(),
+                                      t[np.ix_(have, front)].ravel()])
+                front = np.unique(new[~inside[new]])
+                inside[front] = True
+        gens = np.array(picks, dtype=np.intp)
+        gens.setflags(write=False)
+        return gens
+
+    @functools.cached_property
+    def _light(self) -> bool:
+        t = self.table
+        rows = cols = np.arange(self.size)
+        if self.words is not None and self.groupoid.associative:
+            shift, lshift = _shift_tables(_preimage_bits(self.groupoid), self.words,
+                                          _lookup(self.words))
+            if min(shift.min(), lshift.min()) >= 0 and _point_identities(t, shift, lshift):
+                rows, cols = _plan(lshift)[0], _plan(shift)[0]
+        return _light_holds(t, self.generators, rows, cols)
 
     def is_associative(self) -> bool:
-        """Exact m^3 check, one row gather per element: (ij)k = i(jk);
-        the verdict is kept on the (immutable) view."""
+        """Whether (x·y)·z = x·(y·z) for all elements of a closed view, by
+        Light's test (Clifford & Preston I); the verdict is kept on the
+        (immutable) view.
+
+        The set M = {b : (x·b)·y = x·(b·y) for all x, y} is closed under the
+        product: for b, c in M, (x·(b·c))·y = ((x·b)·c)·y = (x·b)·(c·y) =
+        x·(b·(c·y)) = x·((b·c)·y). So the table is associative iff M holds
+        the `generators`, and Light's equation is checked for each generator
+        b only.
+
+        Reduced path, over words of an associative carrier: write s_h(y) =
+        shift[y, h] and l_p(x) = lshift[x, p] for the point-shift tables of
+        the words (y o <h> and <p> o x). If no entry of either is -1 and the
+        point identities
+          (A) x·s_h(y) = s_h(x·y)  and  (B) l_p(x)·y = l_p(x·y)
+        hold on every cell of the table, each generator b is checked only at
+        the left-representative rows and right-representative columns of
+        `_plan` (447 x 447 of the 2,646^2 cells on λ(Z6)). Proof: write
+        E(x, y) for (x·b)·y = x·(b·y). By (A), E(x, y) gives
+        (x·b)·s_h(y) = s_h((x·b)·y) = s_h(x·(b·y)) = x·s_h(b·y) = x·(b·s_h(y)),
+        which is E(x, s_h(y)); by (B), E(x, y) gives E(l_p(x), y) alike. In
+        `_plan` every index is a representative or a kid, the shift of a
+        parent with a smaller index. So by induction on the index, E at the
+        representative rows and columns gives E(x, y) at every representative
+        row x and every column, then at every row. The proof uses only (A)
+        and (B) as facts about the table, not the semigroup G(X): the words
+        just supply the maps.
+
+        Fallback, on quotient views, non-associative carriers, a -1 shift
+        entry or a failed identity: Light's equation on all m^2 cells per
+        generator. The m^3 check lives in the tests as the reference.
+        """
         if not self.closed:
             raise InputError("associativity needs a closed view")
-        return self._associative
+        return self._light
 
     def index_of(self, h: Hyperspace) -> int:
         """Position of h among the elements, found by comparing words."""
@@ -257,11 +329,41 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     lost = np.isin(parent, escaped)
     gather(kid[lost])
     kid, parent, hs = kid[~lost], parent[~lost], hs[~lost]
+    # one index block and one result block for every batch, as in `gather`
+    at, out = np.empty((_BATCH, m), dtype=np.intp), np.empty((_BATCH, m), dtype=np.int32)
     for lo in range(0, len(kid), _BATCH):
-        buf[kid[lo:lo + _BATCH]] = shift.ravel().take(
-            buf[parent[lo:lo + _BATCH]] * n + hs[lo:lo + _BATCH, None])
+        par = parent[lo:lo + _BATCH]
+        idx, block = at[:len(par)], out[:len(par)]
+        np.multiply(buf.take(par, axis=0, out=block, mode="clip"), n, out=idx)
+        idx += hs[lo:lo + _BATCH, None]
+        buf[kid[lo:lo + _BATCH]] = shift.take(idx, out=block, mode="clip")
     _transpose_in_place(buf)
     return buf, (shift if g.associative else None)
+
+
+def _point_identities(t: np.ndarray, shift: np.ndarray, lshift: np.ndarray) -> bool:
+    """(A) t[x, shift[y, h]] == shift[t[x, y], h] and (B) t[lshift[x, p], y]
+    == lshift[t[x, y], p] for every cell and point, over blocks of _LINES
+    table rows, one point at a time."""
+    points = np.ascontiguousarray(shift.T), np.ascontiguousarray(lshift.T)
+    for lo in range(0, len(t), _LINES):
+        rows = t[lo:lo + _LINES]
+        for s, ls in zip(*points):              # s_h and l_h as index arrays
+            if not (np.array_equal(rows[:, s], s[rows])
+                    and np.array_equal(t[ls[lo:lo + _LINES]], ls[rows])):
+                return False
+    return True
+
+
+def _light_holds(t: np.ndarray, gens: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Light's equation (x·b)·y == x·(b·y) for every b in gens, x in rows and
+    y in cols, over blocks of _LINES rows."""
+    for lo in range(0, len(rows), _LINES):
+        tx = t[rows[lo:lo + _LINES]]            # x·z for the block's x and every z
+        for b in gens.tolist():
+            if not np.array_equal(t[np.ix_(tx[:, b], cols)], tx[:, t[b, cols]]):
+                return False
+    return True
 
 
 def _transpose_in_place(a: np.ndarray) -> None:
@@ -683,10 +785,12 @@ def _invariants(t: np.ndarray) -> np.ndarray:
     return (((sq == ar) * 2 + (t[sq, sq] == sq)) * (m + 1) + rows) * (m + 1) + cols
 
 
-def are_isomorphic(v1: SemigroupView, v2: SemigroupView) -> tuple[int, ...] | None:
+def are_isomorphic(v1: SemigroupView, v2: SemigroupView,
+                   budget: int = SECTION_BUDGET) -> tuple[int, ...] | None:
     """A table-preserving bijection as a tuple (i -> image index), or None:
     between tables of one size, the first injective homomorphism `_maps`
-    finds, an element's candidates those with its invariants."""
+    finds, an element's candidates those with its invariants. Past `budget`
+    search nodes BudgetExceeded is raised."""
     if not (v1.closed and v2.closed):
         raise InputError("isomorphism search needs closed views")
     if v1.size != v2.size:
@@ -695,7 +799,7 @@ def are_isomorphic(v1: SemigroupView, v2: SemigroupView) -> tuple[int, ...] | No
     if not np.array_equal(np.sort(k1), np.sort(k2)):
         return None
     cls = np.unique(np.concatenate([k1, k2]), return_inverse=True)[1]
-    maps, _ = _maps(v1.table, v2.table, cls[:v1.size], cls[v1.size:], np.inf, first=True)
+    maps, _ = _maps(v1.table, v2.table, cls[:v1.size], cls[v1.size:], budget, first=True)
     return tuple(maps[0].tolist()) if maps else None
 
 

@@ -210,10 +210,11 @@ def naive_product_transform(g, v) -> list[int]:
 
 
 def naive_is_associative(table) -> bool:
-    """(ij)k == i(jk) for every triple of a composition table (nested lists)."""
-    rng = range(len(table))
-    return all(table[table[i][j]][k] == table[i][table[j][k]]
-               for i in rng for j in rng for k in rng)
+    """(ij)k == i(jk) for every triple of a closed composition table (nested
+    lists or an array), one row gather per i: rows j of t[t[i]] and t[i][t]
+    hold (ij)k and i(jk) for every k."""
+    t = np.asarray(table)
+    return all(np.array_equal(t[t[i]], t[i][t]) for i in range(len(t)))
 
 
 def naive_isomorphism(t1, t2) -> tuple[int, ...] | None:

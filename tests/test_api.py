@@ -20,7 +20,8 @@ DELETED = {
     "gspace.cli": ("_view_for", "_class_elements", "_report"),
 }
 DELETED_METHODS = ((Hyperspace, "support"), (Hyperspace, "member_count"),
-                   (Groupoid, "mul"), (Groupoid, "element_index"))
+                   (Groupoid, "mul"), (Groupoid, "element_index"),
+                   (SemigroupView, "_associative"))
 
 
 def test_public_surface():

@@ -15,8 +15,9 @@ from click.testing import CliRunner
 import gspace
 import oracles
 from gspace import (Hyperspace, InputError, SemigroupView, build_builtin,
-                    format_hyperspace, generate, lambda_view, orbits, principal)
-from gspace.cli import cli, main
+                    format_hyperspace, generate, lambda_view, minimal_left_ideals, orbits,
+                    principal)
+from gspace.cli import _load_groupoid, _show, cli, main
 
 Z2_JSON = json.dumps({
     "name": "Z2-from-file",
@@ -261,6 +262,24 @@ def test_analyze_nonassociative_degrades():
     assert payload["associative"] is False
     assert "minimal_ideal" not in payload
     assert payload["minimal_left_ideals"]
+
+
+@pytest.mark.parametrize("spec", ["cyclic:6", "symmetric-3"])
+def test_lambda_kernel_from_analyze(spec):
+    # a computed result, pinned here and not replayed by verify-paper: the
+    # kernel of λ(Z6) and of λ(S3) is the union of 9 minimal left ideals of
+    # 2 elements each
+    res = run_proc("--groupoid", spec, "--format", "json", "analyze", "--within", "maxlinked:2")
+    assert res.returncode == 0, res.stderr[-500:]
+    payload = json.loads(res.stdout)["payload"]
+    g = _load_groupoid(spec)
+    view = lambda_view(g)
+    left = minimal_left_ideals(view)
+    assert [len(ideal) for ideal in left] == [2] * 9
+    kernel = sorted({i for ideal in left for i in ideal})
+    assert len(kernel) == 18 and tuple(kernel) == oracles.descent_minimal_ideal(view.table)
+    assert payload["size"] == 2646 and "associative" not in payload
+    assert payload["minimal_ideal"] == [_show(g, view.elements[i]) for i in kernel]
 
 
 def test_orbits_command():

@@ -417,8 +417,7 @@ def test_views_over_nongroup_semigroup_carriers_match_gather(name, n):
     # associative carriers whose point shifts are neither permutations nor
     # constant (but Z2 x left-zero(1), which is Z2), so an index can be
     # reached from several smaller ones and the orbits overlap
-    op = NONGROUP_OPS[name]
-    g = Groupoid(list(range(n)), [[op(i, j, n) for j in range(n)] for i in range(n)], f"{name}:{n}")
+    g = carrier(name, n)
     assert g.associative
     words = upset_words(n)
     rng = np.random.default_rng(len(words) + n)
@@ -457,7 +456,10 @@ def test_view_carrier_cap():
         subsemigroup_view(g7, [principal(7, 0)])
 
 
-def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all):
+def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all, light_paths):
+    # but for λ(Z3), Light's test runs on every cell: quotients and
+    # hand-built tables have no words, and sections are closed views whose
+    # point shifts leave them
     views = [lambda_view(z3)]
     for g, elems in ((z2, g2_all), (z3, g3_all)):
         search = find_sections(g, elems)
@@ -468,7 +470,172 @@ def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all):
               for table in (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0)),
                             ((1, 1), (0, 0)))]
     for view in views:
+        light_paths.clear()
         check_associativity(view)
+        assert (light_paths[0] == (view.size, view.size)) == (view is not views[0])
+        assert view.words is None or view is views[0] or (view.shift < 0).any()
+
+
+@pytest.fixture
+def light_paths(monkeypatch):
+    """The (rows, columns) of each Light's test that is_associative runs."""
+    import gspace.structure as structure
+    seen, light = [], structure._light_holds
+    monkeypatch.setattr(structure, "_light_holds", lambda t, gens, rows, cols:
+                        seen.append((len(rows), len(cols))) or light(t, gens, rows, cols))
+    return seen
+
+
+def check_generators(view):
+    """The generators are distinct, hold every element that is no product,
+    and generate the view."""
+    t, gens = view.table, view.generators
+    assert not gens.flags.writeable and len(set(gens.tolist())) == len(gens)
+    assert set(range(view.size)) - set(t.ravel().tolist()) <= set(gens.tolist())
+    inside = set(gens.tolist())
+    while grown := {int(t[a, b]) for a in inside for b in inside} - inside:
+        inside |= grown
+    assert inside == set(range(view.size))
+
+
+def carrier(name, n, magma3=None):
+    """A builtin, magma3, or a NONGROUP_OPS carrier on n points."""
+    if name == "magma3":
+        return magma3
+    if name in NONGROUP_OPS:
+        op = NONGROUP_OPS[name]
+        return Groupoid(list(range(n)), [[op(i, j, n) for j in range(n)] for i in range(n)],
+                        f"{name}:{n}")
+    return build_builtin(name, n)
+
+
+VERDICT_CARRIERS = ([(name, n) for name in ("cyclic", "left-zero", "right-zero")
+                     for n in range(1, 5)] + [("klein-4", 4), ("magma3", 3)]
+                    + NONGROUP_CARRIERS)
+
+
+@pytest.mark.parametrize("name,n", VERDICT_CARRIERS)
+def test_associativity_matches_oracle_on_class_views(name, n, magma3, light_paths):
+    # every closed class view of at most 200 elements, and its orbit quotient;
+    # Light's test is reduced to representatives iff the point shifts stay
+    # in the view (the identities hold on a table built from the words)
+    g = carrier(name, n, magma3)
+    closed = 0
+    for token, k in _class_tokens(n):
+        words = class_words(g, token, k)
+        if not 0 < len(words) <= 200:
+            continue
+        view = subsemigroup_view(g, words)
+        if not view.closed:
+            continue
+        closed += 1
+        light_paths.clear()
+        check_associativity(view)
+        check_generators(view)
+        lshift = shift_tables(g, words)[1] if g.associative else None
+        if g.associative and (view.shift >= 0).all() and (lshift >= 0).all():
+            assert light_paths[0] == (len(_plan(lshift)[0]), len(_plan(view.shift)[0]))
+            if g.is_group():
+                quotient = orbits(g, words).quotient        # no words: the full test
+                check_associativity(quotient)
+                assert light_paths[-1] == (quotient.size, quotient.size)
+        else:
+            assert light_paths[0] == (view.size, view.size)
+    assert closed
+
+
+def one_cell_changes(view, rng, count):
+    """Views over the same words whose tables each differ from the view's in
+    one cell: `count` at representative cells (a left-representative row and
+    a right-representative column), then `count` at derived cells."""
+    size = view.size
+    rows = _plan(shift_tables(view.groupoid, view.words)[1])[0]
+    cols = _plan(view.shift)[0]
+    rep = np.isin(np.arange(size), rows)[:, None] & np.isin(np.arange(size), cols)
+    cells = [(int(rng.choice(rows)), int(rng.choice(cols))) for _ in range(count)]
+    cells += [divmod(int(c), size) for c in rng.choice(np.flatnonzero(~rep.ravel()),
+                                                       size=count, replace=False)]
+    assert len(cols) < size and not rep[cells[-1]]
+    for i, j in cells:
+        table = view.table.copy()
+        table[i, j] = (table[i, j] + rng.integers(1, size)) % size
+        yield SemigroupView(view.groupoid, view.words, None, table, view.shift)
+
+
+@pytest.mark.parametrize("name,n,token", [("cyclic", 4, "all"), ("klein-4", 4, "all"),
+                                          ("cyclic", 5, "maxlinked")])
+def test_associativity_rejects_one_cell_perturbations(name, n, token, light_paths):
+    g = build_builtin(name, n)
+    view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
+    assert view.is_associative() and light_paths[-1][1] < view.size
+    for seed in range(3):
+        for changed in one_cell_changes(view, np.random.default_rng([n, seed]), 3):
+            assert changed.is_associative() == oracles.naive_is_associative(changed.table)
+
+
+def orbit_values(cell, v, shift, lshift):
+    """The entries that v at `cell` forces through the point identities on
+    the cells its shifts reach, or None on a conflict."""
+    got, todo = {cell: v}, [cell]
+    while todo:
+        x, y = todo.pop()
+        w = got[x, y]
+        for nxt, u in [*(((x, s), shift[w][h]) for h, s in enumerate(shift[y])),
+                       *(((p, y), lshift[w][q]) for q, p in enumerate(lshift[x]))]:
+            if nxt not in got:
+                got[nxt] = u
+                todo.append(nxt)
+            elif got[nxt] != u:
+                return None
+    return got
+
+
+def equivariant_table(view, rng):
+    """A random table over a shift-closed view of a group carrier on which
+    the point identities hold: each orbit of cells takes, at its first cell,
+    the first value in a random order that forces no conflict (the view's
+    own entry forces none)."""
+    shift, lshift = (s.tolist() for s in shift_tables(view.groupoid, view.words))
+    table = np.full((view.size, view.size), -1)
+    for cell in itertools.product(range(view.size), repeat=2):
+        if table[cell] < 0:
+            forced = (orbit_values(cell, v, shift, lshift)
+                      for v in rng.permutation(view.size).tolist())
+            for c, w in next(filter(None, forced)).items():
+                table[c] = w
+    return table
+
+
+@pytest.mark.parametrize("name,n,token", [("cyclic", 2, "all"), ("cyclic", 3, "all"),
+                                          ("klein-4", 4, "all"), ("cyclic", 5, "maxlinked")])
+def test_reduced_light_test_on_tables_with_the_point_identities(name, n, token, light_paths):
+    # the reduction is a theorem about any table on which (A) and (B) hold:
+    # random such tables, mostly not associative, take the reduced path
+    # and must get the m^3 verdict
+    g = build_builtin(name, n)
+    view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
+    reps = (len(_plan(shift_tables(g, view.words)[1])[0]), len(_plan(view.shift)[0]))
+    verdicts = []
+    for seed in range(6):
+        table = equivariant_table(view, np.random.default_rng([n, seed]))
+        light_paths.clear()
+        built = SemigroupView(g, view.words, None, table, view.shift)
+        verdicts.append(built.is_associative())
+        assert verdicts[-1] == oracles.naive_is_associative(table)
+        assert light_paths == [reps]
+    assert not all(verdicts)
+
+
+def test_associativity_fallback_on_failed_identities(z3, g3_all, light_paths):
+    # the left-zero table t[i, j] = i over G(Z3)'s words is associative, but
+    # x·s_h(y) = x is not s_h(x): Light's test runs on every cell
+    words = np.array([h.bits for h in g3_all], dtype=np.uint64)
+    m = len(words)
+    view = SemigroupView(z3, words, None, np.repeat(np.arange(m)[:, None], m, axis=1))
+    assert view.is_associative() and light_paths == [(m, m)]
+    light_paths.clear()
+    flipped = SemigroupView(z3, words, None, view.table.T)     # right zero: also a band
+    assert flipped.is_associative() and light_paths == [(m, m)]
 
 
 # -- special elements ------------------------------------------------------------------
@@ -1099,6 +1266,33 @@ def test_map_search_keeps_maps_injective():
 
 def test_lambda_z6_not_isomorphic_to_lambda_s3(z6, s3):
     assert are_isomorphic(lambda_view(z6), lambda_view(s3)) is None
+
+
+def quaternion_table():
+    """Q8 as 4 * sign + unit, units 1, i, j, k."""
+    units = [[(0, 0), (0, 1), (0, 2), (0, 3)], [(0, 1), (1, 0), (0, 3), (1, 2)],
+             [(0, 2), (1, 3), (1, 0), (0, 1)], [(0, 3), (0, 2), (1, 1), (1, 0)]]
+    return [[4 * ((a // 4 + b // 4 + units[a % 4][b % 4][0]) % 2) + units[a % 4][b % 4][1]
+             for b in range(8)] for a in range(8)]
+
+
+def test_isomorphism_budget_on_equal_invariants(z2):
+    # Z8 and Q8: one idempotent, two elements with an idempotent square, and
+    # every row and column a permutation, but only Z8 is commutative
+    labels = tuple(map(str, range(8)))
+    z8 = SemigroupView(z2, None, labels, [[(a + b) % 8 for b in range(8)] for a in range(8)])
+    q8 = SemigroupView(z2, None, labels, quaternion_table())
+    assert oracles.naive_is_associative(q8.table) and q8.is_associative()
+    k1, k2 = _invariants(z8.table), _invariants(q8.table)
+    assert np.array_equal(np.sort(k1), np.sort(k2))
+    cls = np.unique(np.concatenate([k1, k2]), return_inverse=True)[1]
+    maps, nodes = _maps(z8.table, q8.table, cls[:8], cls[8:], np.inf, first=True)
+    assert maps == [] and nodes > 1
+    assert oracles.naive_isomorphism(z8.table.tolist(), q8.table.tolist()) is None
+    assert are_isomorphic(z8, q8) is None
+    assert are_isomorphic(z8, q8, budget=nodes) is None
+    with pytest.raises(BudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+        are_isomorphic(z8, q8, budget=nodes - 1)
 
 
 # -- right cancelability ------------------------------------------------------------------------------
