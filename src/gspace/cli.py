@@ -240,18 +240,13 @@ def _table_lines(fmt, view, labels):
         yield "digraph product {"
         for i, lab in enumerate(labels):
             yield '  n%d [label="%s"];' % (i, lab.replace("\\", "\\\\").replace('"', '\\"'))
-        tails = [f' [label="o {j}"];' for j in range(view.size)]
-        # a row with no escape is the edges' products interleaved with their
-        # tails, each tail ending in the next edge's head, \0 for the row number
-        pieces = [""] * (2 * view.size)
-        pieces[1::2] = [tail + "\n  n\0 -> n" for tail in tails[:-1]] + tails[-1:]
-        for i, row, low in zip(num, view.table, view.table.min(axis=1).tolist()):
-            ks = row.tolist()
-            if low >= 0:
-                pieces[::2] = map(num.__getitem__, ks)
-                yield ("  n\0 -> n" + "".join(pieces)).replace("\0", i)
-            elif edges := [f"  n{i} -> n{num[k]}{tails[j]}" for j, k in enumerate(ks) if k >= 0]:
-                yield "\n".join(edges)      # a row of escapes draws no edge
+        prods = np.array(num[:-1], dtype=object)
+        tails = np.array([f' [label="o {j}"];' for j in range(view.size)], dtype=object)
+        for i, row in zip(num, view.table):
+            cols = np.flatnonzero(row >= 0)
+            if len(cols):                   # a row of escapes draws no edge
+                edges = (prods[row[cols]] + tails[cols]).tolist()
+                yield f"  n{i} -> n" + f"\n  n{i} -> n".join(edges)
         yield "}"
     else:
         yield f"closed: {view.closed}"

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 
+import gspace.structure as structure
 from gspace import (BudgetExceeded, Groupoid, Hyperspace, InputError, build_builtin,
                     center, center_of_gx, enumerate_all, enumerate_class,
                     find_sections, generate, is_shift_invariant, lambda_view,
@@ -20,7 +21,7 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table, left_shift
-from gspace.structure import (_TILE, SemigroupView, _invariants, _lookup, _maps,
+from gspace.structure import (_REDUCED_MIN, _TILE, SemigroupView, _invariants, _lookup, _maps,
                               _minimal_row_ideals, _plan, _preimage_bits, _shift_tables)
 
 
@@ -478,12 +479,26 @@ def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all, lig
 
 @pytest.fixture
 def light_paths(monkeypatch):
-    """The (rows, columns) of each Light's test that is_associative runs."""
-    import gspace.structure as structure
+    """The (rows, columns) of each Light's test that is_associative runs,
+    with the reduced path open to views of every size."""
     seen, light = [], structure._light_holds
     monkeypatch.setattr(structure, "_light_holds", lambda t, gens, rows, cols:
                         seen.append((len(rows), len(cols))) or light(t, gens, rows, cols))
+    monkeypatch.setattr(structure, "_REDUCED_MIN", 0)
     return seen
+
+
+def test_reduced_light_test_from_a_view_size(monkeypatch, light_paths):
+    # below _REDUCED_MIN elements the full test is as fast: λ(Z5) (81
+    # elements) takes it, G(Z4) (166) the reduced one
+    monkeypatch.setattr(structure, "_REDUCED_MIN", _REDUCED_MIN)
+    g4, g5 = build_builtin("cyclic", 4), build_builtin("cyclic", 5)
+    small = subsemigroup_view(g5, class_words(g5, "maxlinked", 2))
+    large = subsemigroup_view(g4, class_words(g4, "all"))
+    assert small.size < _REDUCED_MIN <= large.size
+    assert small.is_associative() and light_paths == [(small.size, small.size)]
+    light_paths.clear()
+    assert large.is_associative() and light_paths[0][1] < large.size
 
 
 def check_generators(view):
@@ -1276,7 +1291,7 @@ def quaternion_table():
              for b in range(8)] for a in range(8)]
 
 
-def test_isomorphism_budget_on_equal_invariants(z2):
+def test_isomorphism_budget_on_equal_invariants(z2, monkeypatch):
     # Z8 and Q8: one idempotent, two elements with an idempotent square, and
     # every row and column a permutation, but only Z8 is commutative
     labels = tuple(map(str, range(8)))
@@ -1290,9 +1305,11 @@ def test_isomorphism_budget_on_equal_invariants(z2):
     assert maps == [] and nodes > 1
     assert oracles.naive_isomorphism(z8.table.tolist(), q8.table.tolist()) is None
     assert are_isomorphic(z8, q8) is None
-    assert are_isomorphic(z8, q8, budget=nodes) is None
+    monkeypatch.setattr(structure, "SECTION_BUDGET", nodes)
+    assert are_isomorphic(z8, q8) is None
+    monkeypatch.setattr(structure, "SECTION_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
-        are_isomorphic(z8, q8, budget=nodes - 1)
+        are_isomorphic(z8, q8)
 
 
 # -- right cancelability ------------------------------------------------------------------------------
