@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 
 import yaml
 
@@ -26,8 +27,18 @@ MAX_VIEW_ELEMENTS = 10_000
 BUILTIN_NAMES = ("cyclic", "symmetric-3", "klein-4", "left-zero", "right-zero")
 
 
+def _entry(v) -> int:
+    """A table entry as an int: Python and numpy integers only, no float or
+    string is rounded or parsed."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InputError(f"table entry {v!r} is not an integer") from None
+
+
 class Groupoid:
-    """Immutable finite groupoid: element labels plus an n x n index table."""
+    """Immutable finite groupoid: element labels plus an n x n index table,
+    whose entries are Python or numpy integers in [0, n)."""
 
     __slots__ = ("name", "names", "table", "n", "associative", "commutative",
                  "identity", "quasigroup", "_hash")
@@ -45,7 +56,7 @@ class Groupoid:
                                  "surrounding whitespace, '[', ']', ',', '<' or '>' allowed")
         if len(table) != n or any(len(row) != n for row in table):
             raise InputError(f"table must be {n}x{n}")
-        tab = tuple(tuple(int(v) for v in row) for row in table)
+        tab = tuple(tuple(_entry(v) for v in row) for row in table)
         for row in tab:
             for v in row:
                 if not 0 <= v < n:

@@ -323,7 +323,9 @@ def format_hyperspace(f: Hyperspace, names) -> str:
 
 
 def parse_hyperspace(text: str, n: int, names) -> Hyperspace:
-    """Parse the literal syntax back into a hyperspace over the given carrier."""
+    """Parse the literal syntax back into a hyperspace over the given carrier.
+    Whitespace may stand around the literal, the names and the commas
+    between sets."""
     s = text.strip()
     if not (s.startswith("<") and s.endswith(">")):
         raise InputError(f"hyperspace literal must look like <[..],[..]>: {text!r}")
@@ -332,10 +334,15 @@ def parse_hyperspace(text: str, n: int, names) -> Hyperspace:
         raise InputError("hyperspace literal needs at least one base set")
     pos = {name: i for i, name in enumerate(names)}
     base = []
+
+    def past_space(i: int) -> int:
+        return len(body) - len(body[i:].lstrip())
+
     i = 0
     while i < len(body):
+        at, i = i, past_space(i)        # the stripped body ends in no space
         if body[i] != "[":
-            raise InputError(f"expected '[' at position {i} in {text!r}")
+            raise InputError(f"expected '[' at position {at} in {text!r}")
         j = body.find("]", i)
         if j < 0:
             raise InputError(f"unclosed '[' in {text!r}")
@@ -348,7 +355,7 @@ def parse_hyperspace(text: str, n: int, names) -> Hyperspace:
         if mask == 0:
             raise InputError(f"empty base set in {text!r}")
         base.append(mask)
-        i = j + 1
+        i = past_space(j + 1)
         if i < len(body):
             if body[i] != ",":
                 raise InputError(f"expected ',' between sets in {text!r}")

@@ -43,7 +43,6 @@ SECTION_BUDGET = 10 ** 7
 _LINES = 64         # table rows or columns read per block by the analyses
 _BATCH = 32         # table columns gathered, or derived, per batch
 _TILE = 128         # side of the square tiles of the in-place transpose
-_REDUCED_MIN = 128  # views this large take the reduced Light's test
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +55,20 @@ class SemigroupView:
     with at least one row, whose entries index the elements, -1 marking a
     product that escaped (nested sequences are converted once); labels and
     words have one entry each. `closed` (no -1) and `escape` are read off
-    the table. `shift`, the read-only point-shift table of the same build
-    (shift[i, h] indexes element i o <h>, or is -1), is None over a
-    non-associative carrier. Quotient views carry labels, and `words` and
-    `shift` None. Views compare by identity.
+    the table. `shift` and `lshift`, the read-only point-shift tables of the
+    same build (shift[i, h] indexes element i o <h>, lshift[i, x] indexes
+    <x> o element i, or is -1), are None over a non-associative carrier.
+    Given tables must be integer arrays of shape (m, n), n the carrier's
+    points, with entries in [-1, m), and lshift needs shift. Quotient views
+    carry labels, and `words`, `shift` and `lshift` None. Views compare by
+    identity.
     """
     groupoid: Groupoid
     words: np.ndarray | None
     labels: tuple[str, ...] | None
     table: np.ndarray
     shift: np.ndarray | None = None
+    lshift: np.ndarray | None = None
     closed: bool = field(init=False)
 
     def __post_init__(self):
@@ -80,8 +83,19 @@ class SemigroupView:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "closed", bool(lo >= 0))
-        if self.shift is not None:
-            self.shift.setflags(write=False)
+        if self.lshift is not None and self.shift is None:
+            raise InputError("a left point-shift table needs the right one")
+        n = self.groupoid.n
+        for name in ("shift", "lshift"):
+            if (s := getattr(self, name)) is None:
+                continue
+            s = np.asarray(s)
+            if s.dtype.kind not in "iu" or s.shape != (m, n) \
+                    or s.min(initial=0) < -1 or s.max(initial=-1) >= m:
+                raise InputError(f"a point-shift table must be an integer {m} x {n} "
+                                 f"array with entries in [-1, {m})")
+            s.setflags(write=False)
+            object.__setattr__(self, name, s)
 
     @functools.cached_property
     def escape(self) -> tuple[int, int, Hyperspace] | None:
@@ -144,14 +158,11 @@ class SemigroupView:
 
     @functools.cached_property
     def _light(self) -> bool:
-        t = self.table
+        t, shift, lshift = self.table, self.shift, self.lshift
         rows = cols = np.arange(self.size)
-        if self.words is not None and self.groupoid.associative \
-                and self.size >= _REDUCED_MIN:
-            shift, lshift = _shift_tables(_preimage_bits(self.groupoid), self.words,
-                                          _lookup(self.words))
-            if min(shift.min(), lshift.min()) >= 0 and _point_identities(t, shift, lshift):
-                rows, cols = _plan(lshift)[0], _plan(shift)[0]
+        if lshift is not None and min(shift.min(), lshift.min()) >= 0 \
+                and _point_identities(t, shift, lshift):
+            rows, cols = _plan(lshift)[0], _plan(shift)[0]
         return _light_holds(t, self.generators, rows, cols)
 
     def is_associative(self) -> bool:
@@ -165,11 +176,9 @@ class SemigroupView:
         the `generators`, and Light's equation is checked for each generator
         b only.
 
-        Reduced path, over words of an associative carrier and on views of
-        at least _REDUCED_MIN elements: write s_h(y) = shift[y, h] and
-        l_p(x) = lshift[x, p] for the point-shift tables of the words
-        (y o <h> and <p> o x). If no entry of either is -1 and the point
-        identities
+        Reduced path, on a view that carries both point-shift tables: write
+        s_h(y) = shift[y, h] and l_p(x) = lshift[x, p]. If no entry of
+        either is -1 and the point identities
           (A) x·s_h(y) = s_h(x·y)  and  (B) l_p(x)·y = l_p(x·y)
         hold on every cell of the table, each generator b is checked only at
         the left-representative rows and right-representative columns of
@@ -181,16 +190,13 @@ class SemigroupView:
         parent with a smaller index. So by induction on the index, E at the
         representative rows and columns gives E(x, y) at every representative
         row x and every column, then at every row. The proof uses only (A)
-        and (B) as facts about the table, not the semigroup G(X): the words
-        just supply the maps.
+        and (B) and that every kid has a smaller parent, so it holds for any
+        validated tables, not just those of G(X): the words just supply them.
 
-        Fallback, on quotient views, non-associative carriers, smaller views,
-        a -1 shift entry or a failed identity: Light's equation on all m^2
-        cells per generator. Below about 100 elements the full test is as
-        fast as the identities' 2n whole-table gathers and the plans (λ(Z5),
-        m = 81: 0.75 against 0.82 ms); at m = 166 (G(Z4), G(klein-4)) the
-        reduced test takes 1.7 and 2.1 ms against 2.7 and 3.6 ms. The m^3
-        check lives in the tests as the reference.
+        Fallback, on views without both tables (quotients, non-associative
+        carriers), a -1 shift entry or a failed identity: Light's equation on
+        all m^2 cells per generator. The m^3 check lives in the tests as the
+        reference.
         """
         if not self.closed:
             raise InputError("associativity needs a closed view")
@@ -251,16 +257,17 @@ def _shift_tables(pre: np.ndarray, words: np.ndarray, lookup) -> tuple[np.ndarra
 
 def _plan(shift: np.ndarray) -> tuple[np.ndarray, ...]:
     """(reps, kid, parent, h) for a shift table: every index is one of the
-    representatives or a kid, element kid is element parent shifted by
-    point h, and every parent is a representative.
+    representatives or a kid, element kid is element parent < kid shifted
+    by point h, and on the builder's tables every parent is a representative.
 
     An index's parent is the smallest index that reaches it in one shift,
     itself included, and the representatives are their own parents; h is
     the first point with shift[parent, h] == kid. Both come from one
     reduction: the smallest code i * w + h over the cells shift[i, h] that
     hold the index (an index's own code is the largest of its row).
-    Shifting twice is shifting once, by the product of the two points, so a
-    smallest reacher is itself reached by nothing smaller: a representative.
+    Over an associative carrier shifting twice is shifting once, by the
+    product of the two points, so a smallest reacher is itself reached by
+    nothing smaller: a representative.
     """
     m, w = len(shift), shift.shape[1] + 1
     code = np.arange(m) * w + w - 1
@@ -271,10 +278,12 @@ def _plan(shift: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.flatnonzero(parent == np.arange(m)), kid, parent[kid], h[kid]
 
 
-def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The composition table over `words` and the point-shift table over an
-    associative carrier (else None); table[i, j] is the index in `words` of
-    words[i] o words[j], shift[i, h] that of words[i] o <h>, -1 if absent.
+def _compose(g: Groupoid, words: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(table, shift, lshift): the composition table over `words` and, over
+    an associative carrier (else None), both point-shift tables; table[i, j]
+    is the index in `words` of words[i] o words[j], shift[i, h] that of
+    words[i] o <h> and lshift[i, x] that of <x> o words[i], -1 if absent.
 
     A gathered column j sends element words' bits through the right
     translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
@@ -287,8 +296,7 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     - right: words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of
       V o <h> is the column of V sent through the shift table;
     - left: (<x> o U) o V = <x> o (U o V), and the cell in row <x> o U is
-      the cell in row U sent through the left shift table lshift
-      (lshift[i, x] indexes <x> o words[i], or is -1).
+      the cell in row U sent through the left shift table lshift.
     `_plan` picks the representatives of each side from its shift table.
     A representative column is gathered at the representative rows only,
     and its other cells are derived through lshift; the other columns are
@@ -347,7 +355,7 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
         idx += hs[lo:lo + _BATCH, None]
         buf[kid[lo:lo + _BATCH]] = shift.take(idx, out=block, mode="clip")
     _transpose_in_place(buf)
-    return buf, (shift if g.associative else None)
+    return (buf, shift, lshift) if g.associative else (buf, None, None)
 
 
 def _point_identities(t: np.ndarray, shift: np.ndarray, lshift: np.ndarray) -> bool:
@@ -424,8 +432,9 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     if not _hyperspace_mask(g.n, words).all():
         raise InputError(f"element words must be hyperspaces on {g.n} points")
     words.setflags(write=False)
-    table, shift = _compose(g, words)
-    return SemigroupView(groupoid=g, words=words, labels=None, table=table, shift=shift)
+    table, shift, lshift = _compose(g, words)
+    return SemigroupView(groupoid=g, words=words, labels=None, table=table, shift=shift,
+                         lshift=lshift)
 
 
 # -- special elements --------------------------------------------------------

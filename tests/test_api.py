@@ -14,7 +14,7 @@ DELETED = {
                            "minimal_sets", "support"),
     "gspace.structure": ("full_view", "section_view", "shift_invariant_core",
                          "_principal_two_sided_ideal", "CENTER_SAMPLES", "CENTER_SEED",
-                         "_refine_colors"),
+                         "_refine_colors", "_REDUCED_MIN"),
     "gspace.products": ("image_shift",),
     "gspace.terms": ("all_term_strings",),
     "gspace.cli": ("_view_for", "_class_elements", "_report"),
@@ -39,4 +39,4 @@ def test_public_surface():
 def test_view_fields():
     # `closed` and `escape` are read off the table, never passed in
     init = [f.name for f in dataclasses.fields(SemigroupView) if f.init]
-    assert init == ["groupoid", "words", "labels", "table", "shift"]
+    assert init == ["groupoid", "words", "labels", "table", "shift", "lshift"]

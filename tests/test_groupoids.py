@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -145,6 +147,17 @@ def test_latin_square_iff_unique_solvability(g):
 def test_table_entry_out_of_range():
     with pytest.raises(InputError):
         Groupoid(["a", "b"], [[0, 2], [1, 0]])
+
+
+def test_table_entries_are_integers_not_coerced():
+    for bad in (1.5, 1.0, "1", np.float64(1), None):
+        with pytest.raises(InputError, match=re.escape(f"table entry {bad!r} is not an integer")):
+            Groupoid(["a", "b"], [[0, bad], [1, 0]])
+    with pytest.raises(InputError, match="not an integer"):
+        Groupoid(["a", "b"], [["0", "1"], ["1", "0"]])
+    for one in (1, np.int64(1), np.uint8(1)):
+        g = Groupoid(["a", "b"], [[0, one], [one, 0]])
+        assert g.table == ((0, 1), (1, 0)) and all(type(v) is int for row in g.table for v in row)
 
 
 def test_fingerprint_stable(z3):

@@ -350,6 +350,25 @@ def test_literal_parse_named():
     assert h == generate(3, masks(3, (0, 1), (2,)))
 
 
+@pytest.mark.parametrize("text", ["<[0, 1],[2]>", "< [0,1],[2] >", "<[0,1], [2]>",
+                                  "<[0,1] ,[2]>", " <  [ 0 , 1 ]  ,  [2]\t>"])
+def test_literal_parse_whitespace(text):
+    assert parse_hyperspace(text, 3, ("0", "1", "2")) == generate(3, masks(3, (0, 1), (2,)))
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("<[0],x>", "expected '[' at position 4 in '<[0],x>'"),
+    ("<[0], x>", "expected '[' at position 4 in '<[0], x>'"),
+    ("<[0] x>", "expected ',' between sets in '<[0] x>'"),
+    ("<[0],>", "trailing ',' in '<[0],>'"),
+    ("<[0], ,[1]>", "expected '[' at position 4 in '<[0], ,[1]>'"),
+])
+def test_literal_parse_error_messages(bad, message):
+    with pytest.raises(InputError) as err:
+        parse_hyperspace(bad, 3, ("0", "1", "2"))
+    assert str(err.value) == message
+
+
 @given(hyperspaces(5))
 def test_literal_roundtrip(h):
     names = tuple(str(i) for i in range(5))

@@ -21,7 +21,7 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table, left_shift
-from gspace.structure import (_REDUCED_MIN, _TILE, SemigroupView, _invariants, _lookup, _maps,
+from gspace.structure import (_TILE, SemigroupView, _invariants, _lookup, _maps,
                               _minimal_row_ideals, _plan, _preimage_bits, _shift_tables)
 
 
@@ -136,6 +136,25 @@ def test_hand_built_view_checks_its_table(z2):
             SemigroupView(z2, w, labels, table)
     view = SemigroupView(z2, words, ("a", "b"), ((0, -1), (1, 0)))
     assert not view.closed and view.table.tolist() == [[0, -1], [1, 0]]
+
+
+def test_hand_built_view_checks_its_shift_tables(z4):
+    # G(Z4): m = 166 elements, n = 4 points; Light's test reads both tables
+    view = subsemigroup_view(z4, class_words(z4, "all"))
+    m, table, shift, lshift = view.size, view.table, view.shift, view.lshift
+    assert (m, *shift.shape, *lshift.shape) == (166, 166, 4, 166, 4)
+    bad = [shift[:, :1], shift[:3], shift[:, :3], shift.ravel(), shift[None],
+           np.full_like(shift, m + 5), np.full_like(shift, -2), shift.astype(float)]
+    for s in bad:
+        for tables in ((s,), (s, lshift), (shift, s)):
+            with pytest.raises(InputError, match=f"integer {m} x 4 array with entries in"):
+                SemigroupView(z4, view.words, None, table, *tables)
+    with pytest.raises(InputError, match="needs the right one"):
+        SemigroupView(z4, view.words, None, table, None, lshift)
+    for tables in ((), (shift,), (shift.tolist(), lshift.tolist())):
+        built = SemigroupView(z4, view.words, None, table, *tables)
+        assert all(not s.flags.writeable for s in (built.shift, built.lshift) if s is not None)
+        assert built.is_associative()
 
 
 def test_index_of_follows_caller_order(z3, g3_all):
@@ -459,8 +478,8 @@ def test_view_carrier_cap():
 
 def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all, light_paths):
     # but for λ(Z3), Light's test runs on every cell: quotients and
-    # hand-built tables have no words, and sections are closed views whose
-    # point shifts leave them
+    # hand-built tables carry no shift tables, and sections are closed views
+    # whose point shifts leave them
     views = [lambda_view(z3)]
     for g, elems in ((z2, g2_all), (z3, g3_all)):
         search = find_sections(g, elems)
@@ -479,26 +498,25 @@ def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all, lig
 
 @pytest.fixture
 def light_paths(monkeypatch):
-    """The (rows, columns) of each Light's test that is_associative runs,
-    with the reduced path open to views of every size."""
+    """The (rows, columns) of each Light's test that is_associative runs."""
     seen, light = [], structure._light_holds
     monkeypatch.setattr(structure, "_light_holds", lambda t, gens, rows, cols:
                         seen.append((len(rows), len(cols))) or light(t, gens, rows, cols))
-    monkeypatch.setattr(structure, "_REDUCED_MIN", 0)
     return seen
 
 
-def test_reduced_light_test_from_a_view_size(monkeypatch, light_paths):
-    # below _REDUCED_MIN elements the full test is as fast: λ(Z5) (81
-    # elements) takes it, G(Z4) (166) the reduced one
-    monkeypatch.setattr(structure, "_REDUCED_MIN", _REDUCED_MIN)
-    g4, g5 = build_builtin("cyclic", 4), build_builtin("cyclic", 5)
-    small = subsemigroup_view(g5, class_words(g5, "maxlinked", 2))
-    large = subsemigroup_view(g4, class_words(g4, "all"))
-    assert small.size < _REDUCED_MIN <= large.size
-    assert small.is_associative() and light_paths == [(small.size, small.size)]
-    light_paths.clear()
-    assert large.is_associative() and light_paths[0][1] < large.size
+@pytest.mark.parametrize("name,n,token", [("cyclic", 5, "maxlinked"), ("cyclic", 4, "all")])
+def test_reduced_light_test_reads_the_view_shift_tables(name, n, token, monkeypatch, light_paths):
+    # λ(Z5) and G(Z4): the verdict gathers no word, the shift tables being
+    # the view's own from its one build
+    g = build_builtin(name, n)
+    view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
+    gathered = []
+    monkeypatch.setattr("gspace.structure._gather_words",
+                        lambda ws, index: gathered.append(len(index)) or _gather_words(ws, index))
+    assert view.is_associative() and not gathered
+    assert light_paths == [(len(_plan(view.lshift)[0]), len(_plan(view.shift)[0]))]
+    assert light_paths[0][1] < view.size
 
 
 def check_generators(view):
@@ -547,11 +565,10 @@ def test_associativity_matches_oracle_on_class_views(name, n, magma3, light_path
         light_paths.clear()
         check_associativity(view)
         check_generators(view)
-        lshift = shift_tables(g, words)[1] if g.associative else None
-        if g.associative and (view.shift >= 0).all() and (lshift >= 0).all():
-            assert light_paths[0] == (len(_plan(lshift)[0]), len(_plan(view.shift)[0]))
+        if g.associative and (view.shift >= 0).all() and (view.lshift >= 0).all():
+            assert light_paths[0] == (len(_plan(view.lshift)[0]), len(_plan(view.shift)[0]))
             if g.is_group():
-                quotient = orbits(g, words).quotient        # no words: the full test
+                quotient = orbits(g, words).quotient        # no shift tables: the full test
                 check_associativity(quotient)
                 assert light_paths[-1] == (quotient.size, quotient.size)
         else:
@@ -564,8 +581,7 @@ def one_cell_changes(view, rng, count):
     one cell: `count` at representative cells (a left-representative row and
     a right-representative column), then `count` at derived cells."""
     size = view.size
-    rows = _plan(shift_tables(view.groupoid, view.words)[1])[0]
-    cols = _plan(view.shift)[0]
+    rows, cols = _plan(view.lshift)[0], _plan(view.shift)[0]
     rep = np.isin(np.arange(size), rows)[:, None] & np.isin(np.arange(size), cols)
     cells = [(int(rng.choice(rows)), int(rng.choice(cols))) for _ in range(count)]
     cells += [divmod(int(c), size) for c in rng.choice(np.flatnonzero(~rep.ravel()),
@@ -574,7 +590,7 @@ def one_cell_changes(view, rng, count):
     for i, j in cells:
         table = view.table.copy()
         table[i, j] = (table[i, j] + rng.integers(1, size)) % size
-        yield SemigroupView(view.groupoid, view.words, None, table, view.shift)
+        yield SemigroupView(view.groupoid, view.words, None, table, view.shift, view.lshift)
 
 
 @pytest.mark.parametrize("name,n,token", [("cyclic", 4, "all"), ("klein-4", 4, "all"),
@@ -610,7 +626,7 @@ def equivariant_table(view, rng):
     the point identities hold: each orbit of cells takes, at its first cell,
     the first value in a random order that forces no conflict (the view's
     own entry forces none)."""
-    shift, lshift = (s.tolist() for s in shift_tables(view.groupoid, view.words))
+    shift, lshift = view.shift.tolist(), view.lshift.tolist()
     table = np.full((view.size, view.size), -1)
     for cell in itertools.product(range(view.size), repeat=2):
         if table[cell] < 0:
@@ -629,12 +645,12 @@ def test_reduced_light_test_on_tables_with_the_point_identities(name, n, token, 
     # and must get the m^3 verdict
     g = build_builtin(name, n)
     view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
-    reps = (len(_plan(shift_tables(g, view.words)[1])[0]), len(_plan(view.shift)[0]))
+    reps = (len(_plan(view.lshift)[0]), len(_plan(view.shift)[0]))
     verdicts = []
     for seed in range(6):
         table = equivariant_table(view, np.random.default_rng([n, seed]))
         light_paths.clear()
-        built = SemigroupView(g, view.words, None, table, view.shift)
+        built = SemigroupView(g, view.words, None, table, view.shift, view.lshift)
         verdicts.append(built.is_associative())
         assert verdicts[-1] == oracles.naive_is_associative(table)
         assert light_paths == [reps]
@@ -642,15 +658,21 @@ def test_reduced_light_test_on_tables_with_the_point_identities(name, n, token, 
 
 
 def test_associativity_fallback_on_failed_identities(z3, g3_all, light_paths):
-    # the left-zero table t[i, j] = i over G(Z3)'s words is associative, but
-    # x·s_h(y) = x is not s_h(x): Light's test runs on every cell
+    # the left-zero table t[i, j] = i over G(Z3)'s words and shift tables is
+    # associative, but x·s_h(y) = x is not s_h(x): Light's test runs on
+    # every cell; so it does, identities unchecked, on a view with no tables
     words = np.array([h.bits for h in g3_all], dtype=np.uint64)
-    m = len(words)
-    view = SemigroupView(z3, words, None, np.repeat(np.arange(m)[:, None], m, axis=1))
-    assert view.is_associative() and light_paths == [(m, m)]
-    light_paths.clear()
-    flipped = SemigroupView(z3, words, None, view.table.T)     # right zero: also a band
-    assert flipped.is_associative() and light_paths == [(m, m)]
+    m, tables = len(words), shift_tables(z3, words)
+    assert min(s.min() for s in tables) >= 0
+    left_zero = np.repeat(np.arange(m)[:, None], m, axis=1)
+    for table in (left_zero, left_zero.T):                     # right zero: also a band
+        light_paths.clear()
+        view = SemigroupView(z3, words, None, table, *tables)
+        assert view.is_associative() and light_paths == [(m, m)]
+        assert not structure._point_identities(view.table, *tables)
+        light_paths.clear()
+        bare = SemigroupView(z3, words, None, table)
+        assert bare.is_associative() and light_paths == [(m, m)]
 
 
 # -- special elements ------------------------------------------------------------------
