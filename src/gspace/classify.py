@@ -103,8 +103,12 @@ def is_maximal_k_linked(f: Hyperspace, k: int) -> bool:
     of F^T: F is maximal iff F^T lies in the up-set generated by I_(k-1).
     """
     levels = _intersections(f, k)
-    return 0 not in levels[-1] and not (
-        f.transversal().bits & ~generate(f.n, set().union(*levels[:k])).bits)
+    return 0 not in levels[-1] and _in_upset(f.transversal().bits, f.n, levels[:k])
+
+
+def _in_upset(t: int, n: int, levels: list[set[int]]) -> bool:
+    """Whether word t (F^T) lies in the up-set generated by the levels' masks."""
+    return not (t & ~generate(n, set().union(*levels)).bits)
 
 
 def is_shift_invariant(g: Groupoid, f: Hyperspace) -> bool:
@@ -136,14 +140,14 @@ def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
     n = f.n
     levels = _intersections(f, n)
     linked_up_to = len(levels) - 2 if 0 in levels[-1] else n
-    t = f.transversal().bits    # maximal k-linked: F^T inside the up-set of I_(k-1)
+    t = f.transversal().bits
     return ClassFlags(
         linked_up_to=linked_up_to,
-        centered=is_centered(f),
+        centered=linked_up_to == n,     # n-linked on n points
         filter=is_filter(f),
         ultrafilter=is_ultrafilter(f),
-        maximal_k_linked={k: k <= linked_up_to and not (
-            t & ~generate(n, set().union(*levels[:k])).bits) for k in range(2, n + 1)},
+        maximal_k_linked={k: k <= linked_up_to and _in_upset(t, n, levels[:k])
+                          for k in range(2, n + 1)},
         self_transversal=t == f.bits,
         shift_invariant=None if g is None else is_shift_invariant(g, f),
     )

@@ -69,6 +69,11 @@ def _show(g: Groupoid, f) -> str:
     return term if term is not None else format_hyperspace(f, g.names)
 
 
+def _labeler(g: Groupoid, words: np.ndarray):
+    """A function sending element indices to their labels, built for those only."""
+    return lambda indices: [_show(g, Hyperspace._raw(g.n, int(words[i]))) for i in indices]
+
+
 def _json_chunks(obj, level=0):
     """`json.dumps(obj, indent=2, sort_keys=True)` in pieces, nested `level` deep.
     Str-keyed dicts are walked, and a view table in one is written row by row."""
@@ -270,28 +275,26 @@ def analyze_cmd(ctx, within):
             f"class {within!r} is not product-closed: "
             f"{view.label(i)} o {view.label(j)} escapes")
     spec = special_elements(view)
-    labels = [_show(g, f) for f in view.elements]
+    labels = _labeler(g, view.words)
     payload = {
         "within": within,
         "size": view.size,
         "groupoid": groupoid_properties(g),
-        "idempotents": [labels[i] for i in spec.idempotents],
-        "left_zeros": [labels[i] for i in spec.left_zeros],
-        "right_zeros": [labels[i] for i in spec.right_zeros],
-        "zeros": [labels[i] for i in spec.zeros],
-        "identity": None if spec.identity is None else labels[spec.identity],
-        "left_cancelable": [labels[i] for i in spec.left_cancelable],
-        "right_cancelable": [labels[i] for i in spec.right_cancelable],
-        "center": [labels[i] for i in center(view)],
+        "idempotents": labels(spec.idempotents),
+        "left_zeros": labels(spec.left_zeros),
+        "right_zeros": labels(spec.right_zeros),
+        "zeros": labels(spec.zeros),
+        "identity": None if spec.identity is None else labels([spec.identity])[0],
+        "left_cancelable": labels(spec.left_cancelable),
+        "right_cancelable": labels(spec.right_cancelable),
+        "center": labels(center(view)),
     }
     if view.is_associative():
-        payload["minimal_ideal"] = [labels[i] for i in minimal_ideal(view)]
+        payload["minimal_ideal"] = labels(minimal_ideal(view))
     else:
         payload["associative"] = False
-        payload["minimal_left_ideals"] = [
-            [labels[i] for i in ideal] for ideal in minimal_left_ideals(view)]
-        payload["minimal_right_ideals"] = [
-            [labels[i] for i in ideal] for ideal in minimal_right_ideals(view)]
+        payload["minimal_left_ideals"] = [labels(ideal) for ideal in minimal_left_ideals(view)]
+        payload["minimal_right_ideals"] = [labels(ideal) for ideal in minimal_right_ideals(view)]
     if within == "all":
         core = enumerate_class(g, "shiftinv")
         payload["shift_invariant_core"] = [_show(g, f) for f in core]
@@ -330,19 +333,16 @@ def sections_cmd(ctx, within):
     g = _groupoid(ctx)
     search = find_sections(g, class_words(g, *parse_class_token(within)),
                            budget=ctx.obj["budget"])
-    words = search.decomposition.view.words
-    labels = {i: _show(g, Hyperspace._raw(g.n, int(words[i])))
-              for sec in search.sections for i in sec}
+    sections = list(map(_labeler(g, search.decomposition.view.words), search.sections))
     payload = {
         "within": within,
         "orbit_count": len(search.decomposition.orbits),
         "section_count": len(search.sections),
-        "sections": [[labels[i] for i in sec] for sec in search.sections],
+        "sections": sections,
         "nodes": search.nodes,
     }
     lines = [f"{len(search.sections)} transversal semigroup(s) ({search.nodes} search nodes)"]
-    lines += [f"  section {k}: " + ", ".join(labels[i] for i in sec)
-              for k, sec in enumerate(search.sections)]
+    lines += [f"  section {k}: " + ", ".join(sec) for k, sec in enumerate(sections)]
     _emit(ctx, payload, lines)
 
 

@@ -49,19 +49,16 @@ _TILE = 128         # side of the square tiles of the in-place transpose
 class SemigroupView:
     """A finite magma extracted from G(X): elements and their composition table.
 
-    `words` holds the elements' membership words as a read-only uint64
-    array in element order; `elements`, the same elements as Hyperspaces,
-    is built from it on first use. `table` is a read-only 2-D int32 array
-    with at least one row, whose entries index the elements, -1 marking a
-    product that escaped (nested sequences are converted once); labels and
-    words have one entry each. `closed` (no -1) and `escape` are read off
-    the table. `shift` and `lshift`, the read-only point-shift tables of the
-    same build (shift[i, h] indexes element i o <h>, lshift[i, x] indexes
-    <x> o element i, or is -1), are None over a non-associative carrier.
-    Given tables must be integer arrays of shape (m, n), n the carrier's
-    points, with entries in [-1, m), and lshift needs shift. Quotient views
-    carry labels, and `words`, `shift` and `lshift` None. Views compare by
-    identity.
+    `words` holds the elements' membership words in element order;
+    `elements`, the same elements as Hyperspaces, is built from it on first
+    use. table[i, j] indexes the product of elements i and j, -1 marking one
+    that escaped; `closed` (no -1) and `escape` are read off it. shift[i, h]
+    indexes element i o <h> and lshift[i, x] <x> o element i, or is -1: the
+    point-shift tables of the same build, None over a non-associative
+    carrier. Quotient views carry labels, and `words`, `shift` and `lshift`
+    None. Views compare by identity. A view, built or by hand, holds only
+    what `__post_init__` accepts (`_index_array`, `_word_array`): at least
+    one row, and labels and words with one entry each; lshift needs shift.
     """
     groupoid: Groupoid
     words: np.ndarray | None
@@ -72,30 +69,19 @@ class SemigroupView:
     closed: bool = field(init=False)
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int32)
-        m, lo = len(table) if table.ndim else 0, table.min(initial=0)
-        if table.shape != (m, m) or lo < -1 or table.max(initial=-1) >= m:
-            raise InputError(f"a table must be a 2-D square with entries in [-1, {m})")
-        if not m:
+        table, lo = _index_array(self.table, None, None, "a table must be a 2-D square")
+        if not (m := len(table)):
             raise InputError("view needs at least one element")
-        if any(x is not None and len(x) != m for x in (self.labels, self.words)):
+        words = None if self.words is None else _word_array(self.groupoid, self.words)
+        if any(x is not None and len(x) != m for x in (self.labels, words)):
             raise InputError(f"labels and words need one entry per element, {m}")
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "closed", bool(lo >= 0))
         if self.lshift is not None and self.shift is None:
             raise InputError("a left point-shift table needs the right one")
-        n = self.groupoid.n
-        for name in ("shift", "lshift"):
-            if (s := getattr(self, name)) is None:
-                continue
-            s = np.asarray(s)
-            if s.dtype.kind not in "iu" or s.shape != (m, n) \
-                    or s.min(initial=0) < -1 or s.max(initial=-1) >= m:
-                raise InputError(f"a point-shift table must be an integer {m} x {n} "
-                                 f"array with entries in [-1, {m})")
-            s.setflags(write=False)
-            object.__setattr__(self, name, s)
+        what = f"a point-shift table must be an integer {m} x {self.groupoid.n} array"
+        shift, lshift = (s if s is None else _index_array(s, m, self.groupoid.n, what)[0]
+                         for s in (self.shift, self.lshift))
+        self.__dict__.update(table=table, closed=lo >= 0, words=words,
+                             shift=shift, lshift=lshift)
 
     @functools.cached_property
     def escape(self) -> tuple[int, int, Hyperspace] | None:
@@ -118,9 +104,9 @@ class SemigroupView:
         return len(self.table)
 
     def label(self, i: int) -> str:
-        """Element i's label: the stored one, else the element's repr."""
-        return self.labels[i] if self.labels is not None else repr(
-            Hyperspace._raw(self.groupoid.n, int(self.words[i])))
+        """Element i's label: the stored one, else the element's repr, else i."""
+        return self.labels[i] if self.labels is not None else str(i) if self.words is None \
+            else repr(Hyperspace._raw(self.groupoid.n, int(self.words[i])))
 
     @functools.cached_property
     def generators(self) -> np.ndarray:
@@ -133,9 +119,7 @@ class SemigroupView:
         generated ones on both sides. An element that is no product is
         visited before every product, and is in every generating set.
         """
-        if not self.closed:
-            raise InputError("generators need a closed view")
-        t = self.table
+        t = _closed_table(self, "generators need a closed view")
         counts = sum(np.bincount(t[lo:lo + _LINES].ravel(), minlength=self.size)
                      for lo in range(0, self.size, _LINES))     # no m x m intp copy
         inside = np.zeros(self.size, dtype=bool)
@@ -198,8 +182,7 @@ class SemigroupView:
         all m^2 cells per generator. The m^3 check lives in the tests as the
         reference.
         """
-        if not self.closed:
-            raise InputError("associativity needs a closed view")
+        _closed_table(self, "associativity needs a closed view")
         return self._light
 
     def index_of(self, h: Hyperspace) -> int:
@@ -210,6 +193,44 @@ class SemigroupView:
         if not len(hit):
             raise InputError(f"{h!r} is not an element of this view")
         return int(hit[0])
+
+
+def _index_array(a, m: int | None, n: int | None, what: str) -> tuple[np.ndarray, int]:
+    """(`a` as read-only int32, not copied if int32; its least entry) if `a` is an integer
+    array of shape (m, n), square if m is None, with entries in [-1, m) before the cast."""
+    try:
+        a = np.asarray(a)
+    except ValueError:                          # ragged nesting
+        a = np.empty(0, dtype=object)
+    if m is None:
+        m = n = len(a) if a.ndim else 0
+    lo = a.min() if a.dtype.kind in "iu" and a.size else 0
+    if a.dtype.kind not in "iu" or a.shape != (m, n) or lo < -1 or (a.size and a.max() >= m):
+        raise InputError(f"{what} with entries in [-1, {m})")
+    a = a.astype(np.int32, copy=False)
+    a.setflags(write=False)
+    return a, int(lo)
+
+
+def _word_array(g: Groupoid, words) -> np.ndarray:
+    """`words`, read-only, if a non-empty 1-D uint64 array of distinct hyperspaces on g."""
+    if not isinstance(words, np.ndarray) or words.dtype != np.uint64 or words.ndim != 1:
+        raise InputError("element words must be a 1-D uint64 array")
+    if not len(words):
+        raise InputError("view needs at least one element")
+    if len(np.unique(words)) != len(words):
+        raise InputError("view elements must be distinct")
+    if g.n > MAX_ENUM_CARRIER or not _hyperspace_mask(g.n, words).all():
+        raise InputError(f"element words must be hyperspaces on {g.n} points")
+    words.setflags(write=False)
+    return words
+
+
+def _closed_table(view: SemigroupView, message: str) -> np.ndarray:
+    """The table of a closed view; InputError(message) on one that is not."""
+    if not view.closed:
+        raise InputError(message)
+    return view.table
 
 
 def _preimage_bits(g: Groupoid) -> np.ndarray:
@@ -413,28 +434,17 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     if g.n > MAX_ENUM_CARRIER:
         raise InputError(f"views need carrier <= {MAX_ENUM_CARRIER}")
     raw = isinstance(elements, np.ndarray)
-    if raw and (elements.dtype != np.uint64 or elements.ndim != 1):
-        raise InputError("element words must be a 1-D uint64 array")
     # a lone item that is no collection is refused with the non-Hyperspaces
     elements = elements if raw else tuple(elements) if isinstance(elements, Iterable) else (None,)
-    if len(elements) > MAX_VIEW_ELEMENTS:
-        raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, "
-                         f"got {len(elements)}")
+    if (size := elements.size if raw else len(elements)) > MAX_VIEW_ELEMENTS:
+        raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, got {size}")
     if not raw and not all(isinstance(h, Hyperspace) for h in elements):
         raise InputError("view elements must be Hyperspaces or a uint64 word array")
     if not raw and any(h.n != g.n for h in elements):
         raise InputError("carrier mismatch in view elements")
-    words = np.array(elements if raw else [h.bits for h in elements], dtype=np.uint64)
-    if not len(words):
-        raise InputError("view needs at least one element")
-    if len(np.unique(words)) != len(words):
-        raise InputError("view elements must be distinct")
-    if not _hyperspace_mask(g.n, words).all():
-        raise InputError(f"element words must be hyperspaces on {g.n} points")
-    words.setflags(write=False)
-    table, shift, lshift = _compose(g, words)
-    return SemigroupView(groupoid=g, words=words, labels=None, table=table, shift=shift,
-                         lshift=lshift)
+    words = _word_array(g, elements.copy() if raw else
+                        np.array([h.bits for h in elements], dtype=np.uint64))
+    return SemigroupView(g, words, None, *_compose(g, words))
 
 
 # -- special elements --------------------------------------------------------
@@ -474,9 +484,7 @@ def special_elements(view: SemigroupView) -> SpecialElements:
     identity's row and column are both the identity permutation, so its
     candidates are the elements that are cancelable on both sides.
     """
-    if not view.closed:
-        raise InputError("special_elements needs a closed view")
-    t = view.table
+    t = _closed_table(view, "special_elements needs a closed view")
     m = view.size
     ar = np.arange(m)
     row_sums, col_sums = t.sum(axis=1, dtype=np.int64), t.sum(axis=0, dtype=np.int64)
@@ -510,9 +518,7 @@ def center(view: SemigroupView) -> tuple[int, ...]:
     only the survivors' cells, and after the last block every survivor has
     been checked against every column.
     """
-    if not view.closed:
-        raise InputError("center needs a closed view")
-    t = view.table
+    t = _closed_table(view, "center needs a closed view")
     alive = np.arange(view.size)
     for lo in range(0, view.size, _LINES):
         hi = lo + _LINES
@@ -544,8 +550,7 @@ def minimal_ideal(view: SemigroupView) -> tuple[int, ...]:
     ideals (held equal to a descent through principal two-sided ideals in
     the tests).
     """
-    if not view.closed:
-        raise InputError("minimal_ideal needs a closed view")
+    _closed_table(view, "minimal_ideal needs a closed view")
     if not view.is_associative():
         raise InputError(
             "minimal_ideal needs an associative view; use the one-sided reports")
@@ -597,15 +602,11 @@ def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
 
 def minimal_left_ideals(view: SemigroupView) -> list[tuple[int, ...]]:
     """Inclusion-minimal principal left ideals {x} u S*x."""
-    if not view.closed:
-        raise InputError("minimal_left_ideals needs a closed view")
-    return _minimal_row_ideals(view.table.T)
+    return _minimal_row_ideals(_closed_table(view, "minimal_left_ideals needs a closed view").T)
 
 
 def minimal_right_ideals(view: SemigroupView) -> list[tuple[int, ...]]:
-    if not view.closed:
-        raise InputError("minimal_right_ideals needs a closed view")
-    return _minimal_row_ideals(view.table)
+    return _minimal_row_ideals(_closed_table(view, "minimal_right_ideals needs a closed view"))
 
 
 # -- orbits and quotients ----------------------------------------------------------
@@ -651,17 +652,13 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
             "relation is not a congruence (the carrier must be "
             "a commutative group for point shifts to slide past "
             "the left factor)")
-    quotient = SemigroupView(
-        groupoid=g,
-        words=None,
-        labels=tuple(f"orbit({Hyperspace._raw(g.n, b)!r})" for b in view.words[reps].tolist()),
-        table=qtab)
+    labels = tuple(f"orbit({Hyperspace._raw(g.n, b)!r})" for b in view.words[reps].tolist())
     return OrbitDecomposition(
         view=view,
         orbits=tuple(tuple(sorted(set(row))) for row in view.shift[reps].tolist()),
         orbit_of=tuple(orbit_of.tolist()),
         representatives=tuple(reps.tolist()),
-        quotient=quotient)
+        quotient=SemigroupView(g, None, labels, qtab))
 
 
 # -- homomorphism search -------------------------------------------------------------
@@ -808,16 +805,14 @@ def are_isomorphic(v1: SemigroupView, v2: SemigroupView) -> tuple[int, ...] | No
     between tables of one size, the first injective homomorphism `_maps`
     finds, an element's candidates those with its invariants. Past
     SECTION_BUDGET search nodes BudgetExceeded is raised."""
-    if not (v1.closed and v2.closed):
-        raise InputError("isomorphism search needs closed views")
+    t1, t2 = (_closed_table(v, "isomorphism search needs closed views") for v in (v1, v2))
     if v1.size != v2.size:
         return None
-    k1, k2 = _invariants(v1.table), _invariants(v2.table)
+    k1, k2 = _invariants(t1), _invariants(t2)
     if not np.array_equal(np.sort(k1), np.sort(k2)):
         return None
     cls = np.unique(np.concatenate([k1, k2]), return_inverse=True)[1]
-    maps, _ = _maps(v1.table, v2.table, cls[:v1.size], cls[v1.size:], SECTION_BUDGET,
-                    first=True)
+    maps, _ = _maps(t1, t2, cls[:v1.size], cls[v1.size:], SECTION_BUDGET, first=True)
     return tuple(maps[0].tolist()) if maps else None
 
 

@@ -174,6 +174,11 @@ def test_labels_build_no_view_elements(monkeypatch, capsys):
     assert (payload["orbit_count"], payload["sections"]) == (17, [])
     main(["--groupoid", "cyclic:2", "--format", "json", "sections"])
     assert json.loads(capsys.readouterr().out)["payload"]["sections"] == [["0∧1", "0", "0∨1"]]
+    # analyze labels only the elements its payload lists
+    main(["--groupoid", "cyclic:3", "--format", "json", "analyze", "--within", "maxlinked:2"])
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["zeros"] == payload["minimal_ideal"] == ["(0∨1)∧(0∨2)∧(1∨2)"]
+    assert (payload["identity"], payload["left_cancelable"]) == ("0", ["0", "1", "2"])
 
 
 def test_classify_command():

@@ -105,19 +105,26 @@ def test_escaping_view_reports_witness(z3):
         special_elements(view)
 
 
-def test_view_rejects_duplicates(z3):
+def test_view_rejects_duplicates(z2, z3):
     with pytest.raises(InputError):
         subsemigroup_view(z3, [principal(3, 0), principal(3, 0)])
     words = class_words(z3, "all")
-    cases = [("distinct", words[[0, 5, 0]]),
-             ("hyperspaces on 3", np.array([words[0], 0b10000010], dtype=np.uint64)),
-             ("hyperspaces on 3", np.array([principal(2, 0).bits], dtype=np.uint64)),
-             ("hyperspaces on 3", np.array([principal(4, 0).bits], dtype=np.uint64)),
-             ("1-D uint64", words.astype(np.int64)),
-             ("at least one", words[:0])]
-    for message, bad in cases:
-        with pytest.raises(InputError, match=message):
-            subsemigroup_view(z3, bad)
+    cases = [(z3, "distinct", words[[0, 5, 0]]),
+             (z3, "hyperspaces on 3", np.array([words[0], 0b10000010], dtype=np.uint64)),
+             (z3, "hyperspaces on 3", np.array([principal(2, 0).bits], dtype=np.uint64)),
+             (z3, "hyperspaces on 3", np.array([principal(4, 0).bits], dtype=np.uint64)),
+             (z2, "hyperspaces on 2", words[:2]),
+             (z3, "1-D uint64", words.astype(np.int64)),
+             (z3, "1-D uint64", words.astype(float)),
+             (z3, "1-D uint64", words[None]),
+             (z3, "at least one", words[:0])]
+    for g, message, bad in cases:
+        # a hand-built view over the same words refuses them too
+        table = np.zeros((bad.shape[-1],) * 2, dtype=np.int32)
+        for build in (lambda: subsemigroup_view(g, bad),
+                      lambda: SemigroupView(g, bad, None, table)):
+            with pytest.raises(InputError, match=message):
+                build()
 
 
 def test_hand_built_view_checks_its_table(z2):
@@ -130,12 +137,23 @@ def test_hand_built_view_checks_its_table(z2):
              ("entries in", ((0, -2), (1, 0)), None, None),
              ("at least one", np.empty((0, 0), dtype=int), None, None),
              ("one entry per element", ((0, 1), (1, 0)), ("a",), None),
-             ("one entry per element", ((0, 1), (1, 0)), None, words[:1])]
+             ("one entry per element", ((0, 1), (1, 0)), None, words[:1]),
+             # not cast: floats, strings and bools are no indices, ragged rows no table
+             ("2-D square", ((0, 1.5), (1, 0)), None, None),
+             ("2-D square", (("0", "1"), ("1", "0")), None, None),
+             ("2-D square", ((True, False), (False, True)), None, None),
+             ("2-D square", ((0, 1), (1,)), None, None),
+             # range checked before the int32 cast, which would wrap these to 0
+             ("entries in", np.array([[0, 2 ** 32], [1, 0]]), None, None),
+             ("entries in", np.array([[0, 2 ** 63], [1, 0]], dtype=np.uint64), None, None)]
     for message, table, labels, w in cases:
         with pytest.raises(InputError, match=message):
             SemigroupView(z2, w, labels, table)
     view = SemigroupView(z2, words, ("a", "b"), ((0, -1), (1, 0)))
     assert not view.closed and view.table.tolist() == [[0, -1], [1, 0]]
+    assert view.table.dtype == np.int32 and not view.table.flags.writeable
+    # with neither labels nor words, an element is labelled by its index
+    assert [SemigroupView(z2, None, None, ((0, 1), (1, 0))).label(i) for i in (0, 1)] == ["0", "1"]
 
 
 def test_hand_built_view_checks_its_shift_tables(z4):
@@ -143,8 +161,10 @@ def test_hand_built_view_checks_its_shift_tables(z4):
     view = subsemigroup_view(z4, class_words(z4, "all"))
     m, table, shift, lshift = view.size, view.table, view.shift, view.lshift
     assert (m, *shift.shape, *lshift.shape) == (166, 166, 4, 166, 4)
+    wide = shift.astype(np.uint64)
+    wide[0, 0] = 2 ** 32                        # in int32 it would read 0
     bad = [shift[:, :1], shift[:3], shift[:, :3], shift.ravel(), shift[None],
-           np.full_like(shift, m + 5), np.full_like(shift, -2), shift.astype(float)]
+           np.full_like(shift, m + 5), np.full_like(shift, -2), shift.astype(float), wide]
     for s in bad:
         for tables in ((s,), (s, lshift), (shift, s)):
             with pytest.raises(InputError, match=f"integer {m} x 4 array with entries in"):
@@ -153,7 +173,8 @@ def test_hand_built_view_checks_its_shift_tables(z4):
         SemigroupView(z4, view.words, None, table, None, lshift)
     for tables in ((), (shift,), (shift.tolist(), lshift.tolist())):
         built = SemigroupView(z4, view.words, None, table, *tables)
-        assert all(not s.flags.writeable for s in (built.shift, built.lshift) if s is not None)
+        assert all(s.dtype == np.int32 and not s.flags.writeable
+                   for s in (built.shift, built.lshift) if s is not None)
         assert built.is_associative()
 
 
