@@ -1,8 +1,9 @@
 """Semigroup-theoretic analysis of G(X) and its sub-semigroups.
 
 Everything here works on an explicit SemigroupView: the elements' 64-bit
-membership words and their composition table, one 2-D numpy integer array.
-Views take a uint64 word array (a class census) or Hyperspaces, need
+membership words and their composition table, one read-only 2-D int16
+array with entries in [-1, m), as are its point-shift tables; arithmetic
+on entries runs in intp. Views take a uint64 word array (a class census) or Hyperspaces, need
 carriers up to 6 points and hold at most MAX_VIEW_ELEMENTS elements, checked
 before any Hyperspace is built; a view reads whether it is closed, and its
 first escape, off its own table. One builder, `_compose`, fills every table
@@ -40,6 +41,11 @@ from .hyperspaces import (Hyperspace, _bit_rows, _gather_words, _hyperspace_mask
 from .products import _image_table, _preimage_table, left_shift, product
 
 SECTION_BUDGET = 10 ** 7
+# Every table, point-shift table and lookup result: an index in [-1, m) with
+# m <= MAX_VIEW_ELEMENTS. Arithmetic on entries runs in intp: NumPy keeps
+# int16 for int16 operands and Python ints alike, and wraps silently.
+_INDEX = np.int16
+assert MAX_VIEW_ELEMENTS <= np.iinfo(_INDEX).max
 _LINES = 64         # table rows or columns read per block by the analyses
 _BATCH = 32         # table columns gathered, or derived, per batch
 _TILE = 128         # side of the square tiles of the in-place transpose
@@ -57,8 +63,12 @@ class SemigroupView:
     point-shift tables of the same build, None over a non-associative
     carrier. Quotient views carry labels, and `words`, `shift` and `lshift`
     None. Views compare by identity. A view, built or by hand, holds only
-    what `__post_init__` accepts (`_index_array`, `_word_array`): at least
-    one row, and labels and words with one entry each; lshift needs shift.
+    what `__post_init__` accepts (`_index_array`, `_word_array`): one to
+    MAX_VIEW_ELEMENTS rows, and labels and words with one entry each;
+    lshift needs shift. The table and both shift tables are stored as
+    read-only int16. A caller's int16 array, like its uint64 words, is kept
+    and frozen (its `writeable` flag is cleared), not copied; an array of
+    any other integer dtype, or nested sequences, is copied.
     """
     groupoid: Groupoid
     words: np.ndarray | None
@@ -196,18 +206,21 @@ class SemigroupView:
 
 
 def _index_array(a, m: int | None, n: int | None, what: str) -> tuple[np.ndarray, int]:
-    """(`a` as read-only int32, not copied if int32; its least entry) if `a` is an integer
-    array of shape (m, n), square if m is None, with entries in [-1, m) before the cast."""
+    """(`a` as read-only _INDEX, not copied if _INDEX; its least entry) if `a` is an integer
+    array of shape (m, n), square of at most MAX_VIEW_ELEMENTS rows if m is None, with
+    entries in [-1, m) before the cast."""
     try:
         a = np.asarray(a)
     except ValueError:                          # ragged nesting
         a = np.empty(0, dtype=object)
     if m is None:
         m = n = len(a) if a.ndim else 0
+        if m > MAX_VIEW_ELEMENTS:               # from the shape, before any pass
+            raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, got {m}")
     lo = a.min() if a.dtype.kind in "iu" and a.size else 0
     if a.dtype.kind not in "iu" or a.shape != (m, n) or lo < -1 or (a.size and a.max() >= m):
         raise InputError(f"{what} with entries in [-1, {m})")
-    a = a.astype(np.int32, copy=False)
+    a = a.astype(_INDEX, copy=False)
     a.setflags(write=False)
     return a, int(lo)
 
@@ -253,7 +266,7 @@ def _lookup(words: np.ndarray):
     """A function sending an array of words to their indices in `words`,
     -1 for a word not among them, found by binary search."""
     m = len(words)
-    order = np.argsort(words, kind="stable").astype(np.int32)
+    order = np.argsort(words, kind="stable").astype(_INDEX)
     ranked = words[order]
 
     def lookup(gathered: np.ndarray) -> np.ndarray:
@@ -330,18 +343,18 @@ def _compose(g: Groupoid, words: np.ndarray) \
     m, n = len(words), g.n
     lookup = _lookup(words)
     pre = _preimage_bits(g)
-    buf = np.empty((m, m), dtype=np.int32)      # row j: column j of the table
+    buf = np.empty((m, m), dtype=_INDEX)     # row j: column j of the table
     if g.associative:
         shift, lshift = _shift_tables(pre, words, lookup)
     else:                                       # no shifts: nothing is derived
-        shift = lshift = np.empty((m, 0), dtype=np.int32)
+        shift = lshift = np.empty((m, 0), dtype=_INDEX)
     rows, lkid, lpar, xs = _plan(lshift)
     row_words = words[rows]
     escaped = []                                # columns with an escaped product
 
     def gather(js) -> None:
         """Fill the buffer rows js, one block of _BATCH columns at a time."""
-        out = np.empty((_BATCH, m), dtype=np.int32)
+        out = np.empty((_BATCH, m), dtype=_INDEX)
         for lo in range(0, len(js), _BATCH):
             cols = js[lo:lo + _BATCH]
             t = _transforms(pre, words[cols])
@@ -353,7 +366,7 @@ def _compose(g: Groupoid, words: np.ndarray) \
             par = block[:, lpar]
             # a -1 parent reads some in-range cell here (take wraps it), but
             # its column is gathered again at every row just below
-            block[:, lkid] = lshift.ravel().take(par * n + xs)
+            block[:, lkid] = lshift.ravel().take(np.multiply(par, n, dtype=np.intp) + xs)
             full = (par < 0).any(axis=1)
             if full.any():
                 block[full] = lookup(_gather_words(words, t[full]))
@@ -368,11 +381,11 @@ def _compose(g: Groupoid, words: np.ndarray) \
     # one index block and one result block for every batch, as in `gather`;
     # a parent left after `lost` is a representative column with no -1, so
     # every index is in range and clip only skips numpy's buffering of `out`
-    at, out = np.empty((_BATCH, m), dtype=np.intp), np.empty((_BATCH, m), dtype=np.int32)
+    at, out = np.empty((_BATCH, m), dtype=np.intp), np.empty((_BATCH, m), dtype=_INDEX)
     for lo in range(0, len(kid), _BATCH):
         par = parent[lo:lo + _BATCH]
         idx, block = at[:len(par)], out[:len(par)]
-        np.multiply(buf.take(par, axis=0, out=block, mode="clip"), n, out=idx)
+        np.multiply(buf.take(par, axis=0, out=block, mode="clip"), n, out=idx, dtype=np.intp)
         idx += hs[lo:lo + _BATCH, None]
         buf[kid[lo:lo + _BATCH]] = shift.take(idx, out=block, mode="clip")
     _transpose_in_place(buf)
@@ -713,7 +726,7 @@ def _maps(t1, t2, cls1, cls2, budget, first=False) -> tuple[list[np.ndarray], in
             if new:     # the first read of an unmapped element maps it to an unused candidate
                 at = fresh.nonzero()[0]
                 at = at[firsts(slots[0], d[at], at)]
-                dn, pn = d[at], p[at]
+                dn, pn = d[at].astype(np.intp), p[at].astype(np.intp)    # dn * m1 in intp
                 phi[dn] = pn
                 bad = phi.take(d) != p
                 phi[dn] = -1

@@ -143,7 +143,10 @@ def test_hand_built_view_checks_its_table(z2):
              ("2-D square", (("0", "1"), ("1", "0")), None, None),
              ("2-D square", ((True, False), (False, True)), None, None),
              ("2-D square", ((0, 1), (1,)), None, None),
-             # range checked before the int32 cast, which would wrap these to 0
+             # range checked before the int16 cast, which would wrap 2^15 to
+             # -2^15 and the others to 0
+             ("entries in", np.array([[0, 2 ** 15], [1, 0]]), None, None),
+             ("entries in", np.array([[0, 2 ** 16], [1, 0]]), None, None),
              ("entries in", np.array([[0, 2 ** 32], [1, 0]]), None, None),
              ("entries in", np.array([[0, 2 ** 63], [1, 0]], dtype=np.uint64), None, None)]
     for message, table, labels, w in cases:
@@ -151,7 +154,7 @@ def test_hand_built_view_checks_its_table(z2):
             SemigroupView(z2, w, labels, table)
     view = SemigroupView(z2, words, ("a", "b"), ((0, -1), (1, 0)))
     assert not view.closed and view.table.tolist() == [[0, -1], [1, 0]]
-    assert view.table.dtype == np.int32 and not view.table.flags.writeable
+    assert view.table.dtype == np.int16 and not view.table.flags.writeable
     # with neither labels nor words, an element is labelled by its index
     assert [SemigroupView(z2, None, None, ((0, 1), (1, 0))).label(i) for i in (0, 1)] == ["0", "1"]
 
@@ -161,10 +164,11 @@ def test_hand_built_view_checks_its_shift_tables(z4):
     view = subsemigroup_view(z4, class_words(z4, "all"))
     m, table, shift, lshift = view.size, view.table, view.shift, view.lshift
     assert (m, *shift.shape, *lshift.shape) == (166, 166, 4, 166, 4)
-    wide = shift.astype(np.uint64)
-    wide[0, 0] = 2 ** 32                        # in int32 it would read 0
+    wide = [shift.astype(np.uint64) for _ in range(3)]
+    for s, big in zip(wide, (2 ** 15, 2 ** 16, 2 ** 32)):
+        s[0, 0] = big                           # in int16 it would read -2^15, 0, 0
     bad = [shift[:, :1], shift[:3], shift[:, :3], shift.ravel(), shift[None],
-           np.full_like(shift, m + 5), np.full_like(shift, -2), shift.astype(float), wide]
+           np.full_like(shift, m + 5), np.full_like(shift, -2), shift.astype(float), *wide]
     for s in bad:
         for tables in ((s,), (s, lshift), (shift, s)):
             with pytest.raises(InputError, match=f"integer {m} x 4 array with entries in"):
@@ -173,9 +177,36 @@ def test_hand_built_view_checks_its_shift_tables(z4):
         SemigroupView(z4, view.words, None, table, None, lshift)
     for tables in ((), (shift,), (shift.tolist(), lshift.tolist())):
         built = SemigroupView(z4, view.words, None, table, *tables)
-        assert all(s.dtype == np.int32 and not s.flags.writeable
+        assert all(s.dtype == np.int16 and not s.flags.writeable
                    for s in (built.shift, built.lshift) if s is not None)
         assert built.is_associative()
+
+
+def test_hand_built_view_size_cap(z2):
+    assert MAX_VIEW_ELEMENTS <= np.iinfo(structure._INDEX).max
+    # zero strides: no memory behind either table; the cap reads the shape
+    for m in (MAX_VIEW_ELEMENTS + 1, 2 ** 15, 2 ** 16):
+        with pytest.raises(InputError, match=f"at most {MAX_VIEW_ELEMENTS} elements, got {m}"):
+            SemigroupView(z2, None, None, np.broadcast_to(np.int16(0), (m, m)))
+    edge = SemigroupView(z2, None, None, np.broadcast_to(np.int16(0), (MAX_VIEW_ELEMENTS,) * 2))
+    assert edge.size == MAX_VIEW_ELEMENTS and edge.closed
+
+
+def test_hand_built_view_freezes_int16_and_copies_other_dtypes(z4):
+    view = subsemigroup_view(z4, class_words(z4, "all"))
+    for dtype in (np.int16, np.int32, np.int64, np.uint16):
+        words = view.words.copy()
+        given = [a.astype(dtype) for a in (view.table, view.shift, view.lshift)]
+        built = SemigroupView(z4, words, None, *given)
+        kept = (built.table, built.shift, built.lshift)
+        # int16 arrays are kept and frozen; any other dtype is copied, the
+        # caller's array left writeable
+        assert all((k is a) == (dtype == np.int16) for k, a in zip(kept, given)), dtype
+        assert all(a.flags.writeable == (dtype != np.int16) for a in given), dtype
+        assert all(k.dtype == np.int16 and not k.flags.writeable for k in kept)
+        assert all(np.array_equal(k, a) for k, a in zip(kept, given))
+        # uint64 words are always kept and frozen
+        assert built.words is words and not words.flags.writeable
 
 
 def test_index_of_follows_caller_order(z3, g3_all):
@@ -1232,6 +1263,19 @@ def test_isomorphism_search_depth_does_not_grow_with_size(z2):
     table = np.repeat(np.arange(m)[:, None], m, axis=1)
     band = SemigroupView(z2, None, tuple(map(str, range(m))), table)
     assert are_isomorphic(band, band) == tuple(range(m))
+
+
+def test_isomorphism_of_tables_past_the_int16_products(z2):
+    # _maps keeps flat cell offsets a * m; from m = 182 on they pass 2^15, so
+    # they must not be computed in the int16 of the table entries
+    m = 200
+    t = np.add.outer(np.arange(m), np.arange(m)) % m     # the cyclic group Z_200
+    rng = np.random.default_rng(7)
+    v1 = SemigroupView(z2, None, None, t)
+    v2 = SemigroupView(z2, None, None, relabeled(t, rng))
+    image = are_isomorphic(v1, v2)
+    assert image is not None
+    check_isomorphism(v1, v2, image)
 
 
 def relabeled(t, rng):
