@@ -74,6 +74,13 @@ def _labeler(g: Groupoid, words: np.ndarray):
     return lambda indices: [_show(g, Hyperspace._raw(g.n, int(words[i]))) for i in indices]
 
 
+def _escape(g: Groupoid, view) -> dict:
+    """The first escape of a view that is not closed: its factors' labels and product."""
+    i, j, p = view.escape
+    left, right = _labeler(g, view.words)([i, j])
+    return {"left": left, "right": right, "product": _show(g, p)}
+
+
 def _json_chunks(obj, level=0):
     """`json.dumps(obj, indent=2, sort_keys=True)` in pieces, nested `level` deep.
     Str-keyed dicts are walked, and a view table in one is written row by row."""
@@ -95,7 +102,7 @@ def _json_chunks(obj, level=0):
 
 def _emit(ctx, payload: dict, lines, verdicts: dict | None = None) -> None:
     """Write a verb's output, the JSON report (timed before rendering) or else its
-    `lines`, read lazily: each write joins 256 lines or table rows, not the whole."""
+    `lines`, read lazily and written piece by piece to the buffered stdout."""
     if ctx.obj["format"] == "json":
         g = ctx.obj["groupoid_loaded"]
         report = {
@@ -109,8 +116,7 @@ def _emit(ctx, payload: dict, lines, verdicts: dict | None = None) -> None:
         pieces = itertools.chain(_json_chunks(report), ["\n"])
     else:
         pieces = (line + "\n" for line in lines)
-    while batch := "".join(itertools.islice(pieces, 256)):
-        click.echo(batch, nl=False)
+    sys.stdout.writelines(pieces)
 
 
 @click.group()
@@ -224,12 +230,10 @@ def table_cmd(ctx, within):
     """Composition table of a class, as text, csv, json, or dot."""
     g = _groupoid(ctx)
     view = subsemigroup_view(g, class_words(g, *parse_class_token(within)))
-    labels = [_show(g, f) for f in view.elements]
+    labels = _labeler(g, view.words)(range(view.size))
     payload = {"within": within, "closed": view.closed, "labels": labels, "table": view.table}
     if not view.closed:
-        i, j, p = view.escape
-        payload["first_escape"] = {
-            "left": labels[i], "right": labels[j], "product": _show(g, p)}
+        payload["first_escape"] = _escape(g, view)
     _emit(ctx, payload, _table_lines(ctx.obj["format"], view, labels))
 
 
@@ -270,10 +274,8 @@ def analyze_cmd(ctx, within):
     g = _groupoid(ctx)
     view = subsemigroup_view(g, class_words(g, *parse_class_token(within)))
     if not view.closed:
-        i, j, p = view.escape
-        raise InputError(
-            f"class {within!r} is not product-closed: "
-            f"{view.label(i)} o {view.label(j)} escapes")
+        raise InputError(f"class {within!r} is not product-closed: "
+                         "{left} o {right} = {product}".format(**_escape(g, view)))
     spec = special_elements(view)
     labels = _labeler(g, view.words)
     payload = {
@@ -308,18 +310,17 @@ def orbits_cmd(ctx, within):
     """Right-action orbit partition and the quotient table."""
     g = _groupoid(ctx)
     dec = orbits(g, class_words(g, *parse_class_token(within)))
-    labels = [_show(g, f) for f in dec.view.elements]
+    labels = list(map(_labeler(g, dec.view.words), dec.orbits))
     payload = {
         "within": within,
         "orbit_count": len(dec.orbits),
-        "orbits": [[labels[i] for i in orb] for orb in dec.orbits],
+        "orbits": labels,
         "quotient_table": dec.quotient.table,
     }
 
     def lines():
         yield f"{len(dec.orbits)} orbits"
-        for k, orb in enumerate(dec.orbits):
-            yield f"  orbit {k}: " + ", ".join(labels[i] for i in orb)
+        yield from (f"  orbit {k}: " + ", ".join(orb) for k, orb in enumerate(labels))
         yield "quotient table rows: " + "; ".join(
             " ".join(map(str, row.tolist())) for row in dec.quotient.table)
     _emit(ctx, payload, lines())

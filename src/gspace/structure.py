@@ -2,10 +2,10 @@
 
 Everything here works on an explicit SemigroupView: the elements' 64-bit
 membership words and their composition table, one read-only 2-D int16
-array with entries in [-1, m), as are its point-shift tables; arithmetic
-on entries runs in intp. Views take a uint64 word array (a class census) or Hyperspaces, need
-carriers up to 6 points and hold at most MAX_VIEW_ELEMENTS elements, checked
-before any Hyperspace is built; a view reads whether it is closed, and its
+array with entries in [-1, m), as are the point-shift tables read off its
+words; arithmetic on entries runs in intp. Views take a uint64 word array
+(a class census) or Hyperspaces, need carriers up to 6 points and hold at
+most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace is built; a view reads whether it is closed, and its
 first escape, off its own table. One builder, `_compose`, fills every table
 by byte-table gathers of blocks of columns; over an associative carrier it
 gathers one column per right orbit {V o <h>} at one row per left orbit
@@ -55,43 +55,40 @@ _TILE = 128         # side of the square tiles of the in-place transpose
 class SemigroupView:
     """A finite magma extracted from G(X): elements and their composition table.
 
-    `words` holds the elements' membership words in element order;
-    `elements`, the same elements as Hyperspaces, is built from it on first
-    use. table[i, j] indexes the product of elements i and j, -1 marking one
-    that escaped; `closed` (no -1) and `escape` are read off it. shift[i, h]
-    indexes element i o <h> and lshift[i, x] <x> o element i, or is -1: the
-    point-shift tables of the same build, None over a non-associative
-    carrier. Quotient views carry labels, and `words`, `shift` and `lshift`
-    None. Views compare by identity. A view, built or by hand, holds only
-    what `__post_init__` accepts (`_index_array`, `_word_array`): one to
-    MAX_VIEW_ELEMENTS rows, and labels and words with one entry each;
-    lshift needs shift. The table and both shift tables are stored as
-    read-only int16. A caller's int16 array, like its uint64 words, is kept
-    and frozen (its `writeable` flag is cleared), not copied; an array of
-    any other integer dtype, or nested sequences, is copied.
+    `words` holds the elements' membership words in element order, and
+    `elements` the same elements as Hyperspaces, built on first use.
+    table[i, j] indexes the product of elements i and j, -1 marking one that
+    escaped; `closed` (no -1) and `escape` are read off it. shift[i, h]
+    indexes element i o <h> and lshift[i, x] <x> o element i, or is -1: read
+    off the words (a built view keeps its build's), None without words or
+    over a non-associative carrier. Views compare by identity. A view holds
+    only what `__post_init__` accepts (`_index_array`, `_word_array`): one to
+    MAX_VIEW_ELEMENTS rows and one word per row. All three tables are
+    read-only int16. A caller's int16 table and uint64 words are kept and
+    frozen, not copied; another integer table, or nested rows, is copied.
     """
     groupoid: Groupoid
     words: np.ndarray | None
-    labels: tuple[str, ...] | None
     table: np.ndarray
-    shift: np.ndarray | None = None
-    lshift: np.ndarray | None = None
     closed: bool = field(init=False)
 
     def __post_init__(self):
-        table, lo = _index_array(self.table, None, None, "a table must be a 2-D square")
+        table, lo = _index_array(self.table)
         if not (m := len(table)):
             raise InputError("view needs at least one element")
         words = None if self.words is None else _word_array(self.groupoid, self.words)
-        if any(x is not None and len(x) != m for x in (self.labels, words)):
-            raise InputError(f"labels and words need one entry per element, {m}")
-        if self.lshift is not None and self.shift is None:
-            raise InputError("a left point-shift table needs the right one")
-        what = f"a point-shift table must be an integer {m} x {self.groupoid.n} array"
-        shift, lshift = (s if s is None else _index_array(s, m, self.groupoid.n, what)[0]
-                         for s in (self.shift, self.lshift))
-        self.__dict__.update(table=table, closed=lo >= 0, words=words,
-                             shift=shift, lshift=lshift)
+        if words is not None and len(words) != m:
+            raise InputError(f"words need one entry per element, {m}")
+        self.__dict__.update(table=table, closed=lo >= 0, words=words)
+
+    @functools.cached_property
+    def _shifts(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        if self.words is None or not self.groupoid.associative:
+            return None, None
+        return _shift_tables(_preimage_bits(self.groupoid), self.words, _lookup(self.words))
+
+    shift = property(lambda self: self._shifts[0])
+    lshift = property(lambda self: self._shifts[1])
 
     @functools.cached_property
     def escape(self) -> tuple[int, int, Hyperspace] | None:
@@ -114,8 +111,8 @@ class SemigroupView:
         return len(self.table)
 
     def label(self, i: int) -> str:
-        """Element i's label: the stored one, else the element's repr, else i."""
-        return self.labels[i] if self.labels is not None else str(i) if self.words is None \
+        """Element i's repr, or i on a view without words."""
+        return str(i) if self.words is None \
             else repr(Hyperspace._raw(self.groupoid.n, int(self.words[i])))
 
     @functools.cached_property
@@ -170,7 +167,7 @@ class SemigroupView:
         the `generators`, and Light's equation is checked for each generator
         b only.
 
-        Reduced path, on a view that carries both point-shift tables: write
+        Reduced path, on a view with point-shift tables: write
         s_h(y) = shift[y, h] and l_p(x) = lshift[x, p]. If no entry of
         either is -1 and the point identities
           (A) x·s_h(y) = s_h(x·y)  and  (B) l_p(x)·y = l_p(x·y)
@@ -185,9 +182,9 @@ class SemigroupView:
         representative rows and columns gives E(x, y) at every representative
         row x and every column, then at every row. The proof uses only (A)
         and (B) and that every kid has a smaller parent, so it holds for any
-        validated tables, not just those of G(X): the words just supply them.
+        table on which they hold, not just those of G(X).
 
-        Fallback, on views without both tables (quotients, non-associative
+        Fallback, on views without shift tables (quotients, non-associative
         carriers), a -1 shift entry or a failed identity: Light's equation on
         all m^2 cells per generator. The m^3 check lives in the tests as the
         reference.
@@ -205,21 +202,19 @@ class SemigroupView:
         return int(hit[0])
 
 
-def _index_array(a, m: int | None, n: int | None, what: str) -> tuple[np.ndarray, int]:
-    """(`a` as read-only _INDEX, not copied if _INDEX; its least entry) if `a` is an integer
-    array of shape (m, n), square of at most MAX_VIEW_ELEMENTS rows if m is None, with
-    entries in [-1, m) before the cast."""
+def _index_array(a) -> tuple[np.ndarray, int]:
+    """(`a` as read-only _INDEX, not copied if _INDEX; its least entry) if `a` is a square
+    integer array of at most MAX_VIEW_ELEMENTS rows with entries in [-1, m) before the cast."""
     try:
         a = np.asarray(a)
     except ValueError:                          # ragged nesting
         a = np.empty(0, dtype=object)
-    if m is None:
-        m = n = len(a) if a.ndim else 0
-        if m > MAX_VIEW_ELEMENTS:               # from the shape, before any pass
-            raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, got {m}")
+    m = len(a) if a.ndim else 0
+    if m > MAX_VIEW_ELEMENTS:                   # from the shape, before any pass
+        raise InputError(f"views hold at most {MAX_VIEW_ELEMENTS} elements, got {m}")
     lo = a.min() if a.dtype.kind in "iu" and a.size else 0
-    if a.dtype.kind not in "iu" or a.shape != (m, n) or lo < -1 or (a.size and a.max() >= m):
-        raise InputError(f"{what} with entries in [-1, {m})")
+    if a.dtype.kind not in "iu" or a.shape != (m, m) or lo < -1 or (a.size and a.max() >= m):
+        raise InputError(f"a table must be a 2-D square with entries in [-1, {m})")
     a = a.astype(_INDEX, copy=False)
     a.setflags(write=False)
     return a, int(lo)
@@ -276,8 +271,8 @@ def _lookup(words: np.ndarray):
 
 
 def _shift_tables(pre: np.ndarray, words: np.ndarray, lookup) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, lshift) over an associative carrier: shift[i, h] indexes
-    words[i] o <h> and lshift[i, x] indexes <x> o words[i], -1 if absent.
+    """(shift, lshift) over an associative carrier, read-only: shift[i, h]
+    indexes words[i] o <h> and lshift[i, x] <x> o words[i], -1 if absent.
 
     Both come from one gather and one lookup: the point transforms for the
     right shifts, and the preimage rows themselves for the left ones (bit A
@@ -285,8 +280,10 @@ def _shift_tables(pre: np.ndarray, words: np.ndarray, lookup) -> tuple[np.ndarra
     """
     n = len(pre)
     both = lookup(_gather_words(words, np.concatenate(
-        [_transforms(pre, _point_words(n)), pre])))
-    return np.ascontiguousarray(both[:n].T), np.ascontiguousarray(both[n:].T)
+        [_transforms(pre, _point_words(n)), pre]))).reshape(2, n, -1)
+    tables = np.ascontiguousarray(both.transpose(0, 2, 1))     # shift, then lshift
+    tables.setflags(write=False)
+    return tables[0], tables[1]
 
 
 def _plan(shift: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -457,7 +454,10 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
         raise InputError("carrier mismatch in view elements")
     words = _word_array(g, elements.copy() if raw else
                         np.array([h.bits for h in elements], dtype=np.uint64))
-    return SemigroupView(g, words, None, *_compose(g, words))
+    table, *shifts = _compose(g, words)
+    view = SemigroupView(g, words, table)
+    view.__dict__["_shifts"] = tuple(shifts)    # the build's own: not gathered again
+    return view
 
 
 # -- special elements --------------------------------------------------------
@@ -665,13 +665,12 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
             "relation is not a congruence (the carrier must be "
             "a commutative group for point shifts to slide past "
             "the left factor)")
-    labels = tuple(f"orbit({Hyperspace._raw(g.n, b)!r})" for b in view.words[reps].tolist())
     return OrbitDecomposition(
         view=view,
         orbits=tuple(tuple(sorted(set(row))) for row in view.shift[reps].tolist()),
         orbit_of=tuple(orbit_of.tolist()),
         representatives=tuple(reps.tolist()),
-        quotient=SemigroupView(g, None, labels, qtab))
+        quotient=SemigroupView(g, None, qtab))
 
 
 # -- homomorphism search -------------------------------------------------------------

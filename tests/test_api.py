@@ -39,4 +39,4 @@ def test_public_surface():
 def test_view_fields():
     # `closed` and `escape` are read off the table, never passed in
     init = [f.name for f in dataclasses.fields(SemigroupView) if f.init]
-    assert init == ["groupoid", "words", "labels", "table", "shift", "lshift"]
+    assert init == ["groupoid", "words", "table"]

@@ -179,6 +179,13 @@ def test_labels_build_no_view_elements(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["zeros"] == payload["minimal_ideal"] == ["(0∨1)∧(0∨2)∧(1∨2)"]
     assert (payload["identity"], payload["left_cancelable"]) == ("0", ["0", "1", "2"])
+    # table and orbits label every element through the same helper
+    main(["--groupoid", "cyclic:3", "--format", "json", "table", "--within", "maxlinked:2"])
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["labels"] == ["0", "1", "(0∨1)∧(0∨2)∧(1∨2)", "2"]
+    main(["--groupoid", "cyclic:3", "--format", "json", "orbits", "--within", "maxlinked:2"])
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["orbits"] == [["0", "1", "2"], ["(0∨1)∧(0∨2)∧(1∨2)"]]
 
 
 def test_classify_command():
@@ -477,6 +484,36 @@ def test_json_table_streams_under_an_address_space_limit():
     assert res.returncode == 0, res.stderr[-500:]
     table = np.array(json.loads(res.stdout)["payload"]["table"], dtype=np.int32)
     assert np.array_equal(table, lambda_view(build_builtin("cyclic", 6)).table)
+
+
+def test_dot_table_streams_under_an_address_space_limit():
+    # each piece of the dot rendering is one row of edges, written as it is
+    # made: none are joined into larger strings
+    limit = 200 << 20
+    res = run_proc("--groupoid", "cyclic:6", "--format", "dot", "table", "--within",
+                   "maxlinked:2",
+                   preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert res.returncode == 0, res.stderr[-500:]
+    assert res.stdout.count(" -> ") == 2646 ** 2 and res.stdout.endswith("}\n")
+
+
+def test_analyze_names_its_escape_as_table_does(capsys):
+    # symmetric-3 maxlinked:3 is not product-closed: analyze refuses it with
+    # the cell that table reports as its first escape, in literal syntax
+    left = "<[e,(01),(02)],[e,(01),(12)],[e,(02),(12)],[(01),(02),(12)]>"
+    right = ("<[e,(01),(02)],[e,(01),(12)],[e,(01),(012)],[e,(02),(12),(012)],"
+             "[(01),(02),(12),(012)]>")
+    prod = ("<[e,(01),(02),(012)],[e,(02),(12),(012)],[e,(01),(02),(021)],"
+            "[e,(01),(12),(021)],[e,(01),(012),(021)],[(01),(02),(12),(012),(021)]>")
+    code, out = run_main(capsys, "--groupoid", "symmetric-3", "--format", "json", "table",
+                         "--within", "maxlinked:3")
+    escape = json.loads(out)["payload"]["first_escape"]
+    assert code == 0 and escape == {"left": left, "right": right, "product": prod}
+    with pytest.raises(SystemExit) as exc:
+        main(["--groupoid", "symmetric-3", "analyze", "--within", "maxlinked:3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("input error: class 'maxlinked:3' is not product-closed: "
+                                       f"{left} o {right} = {prod}\n")
 
 
 ODD_NAMES = ["e\"", "a\\b", "(x y)", "-1"]

@@ -122,64 +122,65 @@ def test_view_rejects_duplicates(z2, z3):
         # a hand-built view over the same words refuses them too
         table = np.zeros((bad.shape[-1],) * 2, dtype=np.int32)
         for build in (lambda: subsemigroup_view(g, bad),
-                      lambda: SemigroupView(g, bad, None, table)):
+                      lambda: SemigroupView(g, bad, table)):
             with pytest.raises(InputError, match=message):
                 build()
 
 
 def test_hand_built_view_checks_its_table(z2):
     words = np.array([principal(2, 0).bits, principal(2, 1).bits], dtype=np.uint64)
-    cases = [("2-D square", ((0, 1, 2),), None, None),
-             ("2-D square", (0, 1), None, None),
-             ("2-D square", (((0,),),), None, None),
-             ("2-D square", 0, None, None),
-             ("entries in", ((0, 5), (1, 0)), None, None),
-             ("entries in", ((0, -2), (1, 0)), None, None),
-             ("at least one", np.empty((0, 0), dtype=int), None, None),
-             ("one entry per element", ((0, 1), (1, 0)), ("a",), None),
-             ("one entry per element", ((0, 1), (1, 0)), None, words[:1]),
+    cases = [("2-D square", ((0, 1, 2),), None),
+             ("2-D square", (0, 1), None),
+             ("2-D square", (((0,),),), None),
+             ("2-D square", 0, None),
+             ("entries in", ((0, 5), (1, 0)), None),
+             ("entries in", ((0, -2), (1, 0)), None),
+             ("at least one", np.empty((0, 0), dtype=int), None),
+             ("one entry per element", ((0, 1), (1, 0)), words[:1]),
              # not cast: floats, strings and bools are no indices, ragged rows no table
-             ("2-D square", ((0, 1.5), (1, 0)), None, None),
-             ("2-D square", (("0", "1"), ("1", "0")), None, None),
-             ("2-D square", ((True, False), (False, True)), None, None),
-             ("2-D square", ((0, 1), (1,)), None, None),
+             ("2-D square", ((0, 1.5), (1, 0)), None),
+             ("2-D square", (("0", "1"), ("1", "0")), None),
+             ("2-D square", ((True, False), (False, True)), None),
+             ("2-D square", ((0, 1), (1,)), None),
              # range checked before the int16 cast, which would wrap 2^15 to
              # -2^15 and the others to 0
-             ("entries in", np.array([[0, 2 ** 15], [1, 0]]), None, None),
-             ("entries in", np.array([[0, 2 ** 16], [1, 0]]), None, None),
-             ("entries in", np.array([[0, 2 ** 32], [1, 0]]), None, None),
-             ("entries in", np.array([[0, 2 ** 63], [1, 0]], dtype=np.uint64), None, None)]
-    for message, table, labels, w in cases:
+             ("entries in", np.array([[0, 2 ** 15], [1, 0]]), None),
+             ("entries in", np.array([[0, 2 ** 16], [1, 0]]), None),
+             ("entries in", np.array([[0, 2 ** 32], [1, 0]]), None),
+             ("entries in", np.array([[0, 2 ** 63], [1, 0]], dtype=np.uint64), None)]
+    for message, table, w in cases:
         with pytest.raises(InputError, match=message):
-            SemigroupView(z2, w, labels, table)
-    view = SemigroupView(z2, words, ("a", "b"), ((0, -1), (1, 0)))
+            SemigroupView(z2, w, table)
+    view = SemigroupView(z2, words, ((0, -1), (1, 0)))
     assert not view.closed and view.table.tolist() == [[0, -1], [1, 0]]
     assert view.table.dtype == np.int16 and not view.table.flags.writeable
-    # with neither labels nor words, an element is labelled by its index
-    assert [SemigroupView(z2, None, None, ((0, 1), (1, 0))).label(i) for i in (0, 1)] == ["0", "1"]
+    # without words, an element is labelled by its index
+    assert [SemigroupView(z2, None, ((0, 1), (1, 0))).label(i) for i in (0, 1)] == ["0", "1"]
 
 
-def test_hand_built_view_checks_its_shift_tables(z4):
-    # G(Z4): m = 166 elements, n = 4 points; Light's test reads both tables
-    view = subsemigroup_view(z4, class_words(z4, "all"))
-    m, table, shift, lshift = view.size, view.table, view.shift, view.lshift
-    assert (m, *shift.shape, *lshift.shape) == (166, 166, 4, 166, 4)
-    wide = [shift.astype(np.uint64) for _ in range(3)]
-    for s, big in zip(wide, (2 ** 15, 2 ** 16, 2 ** 32)):
-        s[0, 0] = big                           # in int16 it would read -2^15, 0, 0
-    bad = [shift[:, :1], shift[:3], shift[:, :3], shift.ravel(), shift[None],
-           np.full_like(shift, m + 5), np.full_like(shift, -2), shift.astype(float), *wide]
-    for s in bad:
-        for tables in ((s,), (s, lshift), (shift, s)):
-            with pytest.raises(InputError, match=f"integer {m} x 4 array with entries in"):
-                SemigroupView(z4, view.words, None, table, *tables)
-    with pytest.raises(InputError, match="needs the right one"):
-        SemigroupView(z4, view.words, None, table, None, lshift)
-    for tables in ((), (shift,), (shift.tolist(), lshift.tolist())):
-        built = SemigroupView(z4, view.words, None, table, *tables)
-        assert all(s.dtype == np.int16 and not s.flags.writeable
-                   for s in (built.shift, built.lshift) if s is not None)
-        assert built.is_associative()
+def test_hand_built_view_reads_its_shift_tables_off_the_words(z4, z5, magma3, monkeypatch):
+    # G(Z4) and λ(Z5): a view over the same words and table has the built
+    # view's point-shift tables, gathered once, on first use
+    gathered = []
+    monkeypatch.setattr("gspace.structure._gather_words",
+                        lambda ws, index: gathered.append(len(index)) or _gather_words(ws, index))
+    for g, words in ((z4, class_words(z4, "all")), (z5, class_words(z5, "maxlinked", 2))):
+        view = subsemigroup_view(g, words)
+        gathered.clear()
+        built = SemigroupView(g, view.words, view.table)
+        assert not gathered
+        assert np.array_equal(built.shift, view.shift) and gathered == [2 * g.n]
+        assert np.array_equal(built.lshift, view.lshift) and gathered == [2 * g.n]
+        for v in (view, built):
+            assert all(s.dtype == np.int16 and not s.flags.writeable
+                       and s.shape == (v.size, g.n) for s in (v.shift, v.lshift))
+            with pytest.raises(AttributeError):
+                v.shift = None
+        bare = SemigroupView(g, None, view.table)
+        assert bare.shift is None and bare.lshift is None
+    view = subsemigroup_view(magma3, upset_words(3))        # not associative
+    for v in (view, SemigroupView(magma3, view.words, view.table)):
+        assert v.shift is None and v.lshift is None
 
 
 def test_hand_built_view_size_cap(z2):
@@ -187,8 +188,8 @@ def test_hand_built_view_size_cap(z2):
     # zero strides: no memory behind either table; the cap reads the shape
     for m in (MAX_VIEW_ELEMENTS + 1, 2 ** 15, 2 ** 16):
         with pytest.raises(InputError, match=f"at most {MAX_VIEW_ELEMENTS} elements, got {m}"):
-            SemigroupView(z2, None, None, np.broadcast_to(np.int16(0), (m, m)))
-    edge = SemigroupView(z2, None, None, np.broadcast_to(np.int16(0), (MAX_VIEW_ELEMENTS,) * 2))
+            SemigroupView(z2, None, np.broadcast_to(np.int16(0), (m, m)))
+    edge = SemigroupView(z2, None, np.broadcast_to(np.int16(0), (MAX_VIEW_ELEMENTS,) * 2))
     assert edge.size == MAX_VIEW_ELEMENTS and edge.closed
 
 
@@ -196,15 +197,14 @@ def test_hand_built_view_freezes_int16_and_copies_other_dtypes(z4):
     view = subsemigroup_view(z4, class_words(z4, "all"))
     for dtype in (np.int16, np.int32, np.int64, np.uint16):
         words = view.words.copy()
-        given = [a.astype(dtype) for a in (view.table, view.shift, view.lshift)]
-        built = SemigroupView(z4, words, None, *given)
-        kept = (built.table, built.shift, built.lshift)
-        # int16 arrays are kept and frozen; any other dtype is copied, the
+        given = view.table.astype(dtype)
+        built = SemigroupView(z4, words, given)
+        # an int16 table is kept and frozen; any other dtype is copied, the
         # caller's array left writeable
-        assert all((k is a) == (dtype == np.int16) for k, a in zip(kept, given)), dtype
-        assert all(a.flags.writeable == (dtype != np.int16) for a in given), dtype
-        assert all(k.dtype == np.int16 and not k.flags.writeable for k in kept)
-        assert all(np.array_equal(k, a) for k, a in zip(kept, given))
+        assert (built.table is given) == (dtype == np.int16), dtype
+        assert given.flags.writeable == (dtype != np.int16), dtype
+        assert built.table.dtype == np.int16 and not built.table.flags.writeable
+        assert np.array_equal(built.table, given)
         # uint64 words are always kept and frozen
         assert built.words is words and not words.flags.writeable
 
@@ -258,12 +258,12 @@ def test_escape_witness_is_row_major_first(z6):
     assert (view.table[:i] >= 0).all() and (view.table[i, :j] >= 0).all()
 
 
-def test_orbit_shift_table_matches_product(z3, z5, g3_all):
+def test_orbit_shift_table_matches_product(z3, z5, z6, g3_all, monkeypatch):
     for g, elems in ((z3, g3_all), (z5, maximal_linked_families(5))):
         points = [principal(g.n, h) for h in range(g.n)]
         words = np.array([h.bits for h in elems], dtype=np.uint64)
         dec = orbits(g, words)
-        assert "elements" not in dec.view.__dict__     # labels built from the representatives
+        assert "elements" not in dec.view.__dict__
         shift = dec.view.shift
         assert not shift.flags.writeable and dec.quotient.shift is None
         assert np.array_equal(shift, oracles.gather_table(g, words, [p.bits for p in points]))
@@ -275,7 +275,12 @@ def test_orbit_shift_table_matches_product(z3, z5, g3_all):
                 assert dec.orbit_of[k] == dec.orbit_of[i]
         assert [set(shift[o[0]].tolist()) for o in dec.orbits] == [set(o) for o in dec.orbits]
         assert list(dec.representatives) == sorted(o[0] for o in dec.orbits)
-        assert dec.quotient.labels == tuple(f"orbit({elems[r]!r})" for r in dec.representatives)
+    # λ(Z6): the decomposition builds no Hyperspace
+    words = class_words(z6, "maxlinked", 2)
+    raw, built = Hyperspace._raw.__func__, []
+    monkeypatch.setattr(Hyperspace, "_raw", classmethod(
+        lambda cls, n, bits: built.append(bits) or raw(cls, n, bits)))
+    assert len(orbits(z6, words).orbits) == 447 and built == []
 
 
 TABLE_CASES = [("lambda", "cyclic", 6), ("lambda", "symmetric-3", 6), ("lambda", "cyclic", 5),
@@ -538,7 +543,7 @@ def test_associativity_matches_oracle_on_built_views(z2, z3, g2_all, g3_all, lig
         views.append(search.decomposition.quotient)
         views += [_section_view(search, sec) for sec in search.sections]
     g = build_builtin("cyclic", 2)
-    views += [SemigroupView(g, None, ("0", "1"), table)
+    views += [SemigroupView(g, None, table)
               for table in (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0)),
                             ((1, 1), (0, 0)))]
     for view in views:
@@ -642,7 +647,7 @@ def one_cell_changes(view, rng, count):
     for i, j in cells:
         table = view.table.copy()
         table[i, j] = (table[i, j] + rng.integers(1, size)) % size
-        yield SemigroupView(view.groupoid, view.words, None, table, view.shift, view.lshift)
+        yield SemigroupView(view.groupoid, view.words, table)
 
 
 @pytest.mark.parametrize("name,n,token", [("cyclic", 4, "all"), ("klein-4", 4, "all"),
@@ -702,7 +707,7 @@ def test_reduced_light_test_on_tables_with_the_point_identities(name, n, token, 
     for seed in range(6):
         table = equivariant_table(view, np.random.default_rng([n, seed]))
         light_paths.clear()
-        built = SemigroupView(g, view.words, None, table, view.shift, view.lshift)
+        built = SemigroupView(g, view.words, table)
         verdicts.append(built.is_associative())
         assert verdicts[-1] == oracles.naive_is_associative(table)
         assert light_paths == [reps]
@@ -710,21 +715,23 @@ def test_reduced_light_test_on_tables_with_the_point_identities(name, n, token, 
 
 
 def test_associativity_fallback_on_failed_identities(z3, g3_all, light_paths):
-    # the left-zero table t[i, j] = i over G(Z3)'s words and shift tables is
-    # associative, but x·s_h(y) = x is not s_h(x): Light's test runs on
-    # every cell; so it does, identities unchecked, on a view with no tables
+    # the left-zero table t[i, j] = i over G(Z3)'s words, whose shift tables
+    # have no -1, is associative, but x·s_h(y) = x is not s_h(x): Light's
+    # test runs on every cell; so it does, identities unchecked, on a view
+    # without words and so without shift tables
     words = np.array([h.bits for h in g3_all], dtype=np.uint64)
     m, tables = len(words), shift_tables(z3, words)
     assert min(s.min() for s in tables) >= 0
     left_zero = np.repeat(np.arange(m)[:, None], m, axis=1)
     for table in (left_zero, left_zero.T):                     # right zero: also a band
         light_paths.clear()
-        view = SemigroupView(z3, words, None, table, *tables)
+        view = SemigroupView(z3, words, table)
         assert view.is_associative() and light_paths == [(m, m)]
+        assert all(np.array_equal(s, t) for s, t in zip((view.shift, view.lshift), tables))
         assert not structure._point_identities(view.table, *tables)
         light_paths.clear()
-        bare = SemigroupView(z3, words, None, table)
-        assert bare.is_associative() and light_paths == [(m, m)]
+        bare = SemigroupView(z3, None, table)
+        assert bare.shift is None and bare.is_associative() and light_paths == [(m, m)]
 
 
 # -- special elements ------------------------------------------------------------------
@@ -931,7 +938,7 @@ def check_table_analysis(view):
 
 
 def table_view(g, table):
-    return SemigroupView(groupoid=g, words=None, labels=None, table=np.asarray(table))
+    return SemigroupView(groupoid=g, words=None, table=np.asarray(table))
 
 
 def test_table_analysis_matches_oracles_on_small_views(magma3):
@@ -1241,19 +1248,17 @@ def test_sections_isomorphic_to_quotient(z2, g2_all):
 def test_t_z2_not_isomorphic_to_left_zero_semigroup(z2, g2_all):
     search = find_sections(z2, g2_all)
     sview = _section_view(search, search.sections[0])
-    lz = SemigroupView(
-        groupoid=z2, words=None, labels=("x", "y", "z"),
-        table=((0, 0, 0), (1, 1, 1), (2, 2, 2)))
+    lz = SemigroupView(groupoid=z2, words=None, table=((0, 0, 0), (1, 1, 1), (2, 2, 2)))
     assert are_isomorphic(sview, lz) is None
 
 
 def test_isomorphism_respects_table():
     g = build_builtin("cyclic", 2)
-    v1 = SemigroupView(g, None, ("0", "1"), ((0, 1), (1, 0)))
-    v2 = SemigroupView(g, None, ("0", "1"), ((1, 0), (0, 1)))
+    v1 = SemigroupView(g, None, ((0, 1), (1, 0)))
+    v2 = SemigroupView(g, None, ((1, 0), (0, 1)))
     perm = are_isomorphic(v1, v2)
     assert perm == (1, 0)
-    v3 = SemigroupView(g, None, ("0", "1"), ((0, 0), (0, 0)))
+    v3 = SemigroupView(g, None, ((0, 0), (0, 0)))
     assert are_isomorphic(v1, v3) is None
 
 
@@ -1261,7 +1266,7 @@ def test_isomorphism_search_depth_does_not_grow_with_size(z2):
     # a left-zero band (ij = i) above the default recursion limit of 1000
     m = 1100
     table = np.repeat(np.arange(m)[:, None], m, axis=1)
-    band = SemigroupView(z2, None, tuple(map(str, range(m))), table)
+    band = SemigroupView(z2, None, table)
     assert are_isomorphic(band, band) == tuple(range(m))
 
 
@@ -1271,8 +1276,8 @@ def test_isomorphism_of_tables_past_the_int16_products(z2):
     m = 200
     t = np.add.outer(np.arange(m), np.arange(m)) % m     # the cyclic group Z_200
     rng = np.random.default_rng(7)
-    v1 = SemigroupView(z2, None, None, t)
-    v2 = SemigroupView(z2, None, None, relabeled(t, rng))
+    v1 = SemigroupView(z2, None, t)
+    v2 = SemigroupView(z2, None, relabeled(t, rng))
     image = are_isomorphic(v1, v2)
     assert image is not None
     check_isomorphism(v1, v2, image)
@@ -1381,9 +1386,8 @@ def quaternion_table():
 def test_isomorphism_budget_on_equal_invariants(z2, monkeypatch):
     # Z8 and Q8: one idempotent, two elements with an idempotent square, and
     # every row and column a permutation, but only Z8 is commutative
-    labels = tuple(map(str, range(8)))
-    z8 = SemigroupView(z2, None, labels, [[(a + b) % 8 for b in range(8)] for a in range(8)])
-    q8 = SemigroupView(z2, None, labels, quaternion_table())
+    z8 = SemigroupView(z2, None, [[(a + b) % 8 for b in range(8)] for a in range(8)])
+    q8 = SemigroupView(z2, None, quaternion_table())
     assert oracles.naive_is_associative(q8.table) and q8.is_associative()
     k1, k2 = _invariants(z8.table), _invariants(q8.table)
     assert np.array_equal(np.sort(k1), np.sort(k2))
