@@ -7,11 +7,12 @@ words; arithmetic on entries runs in intp. Views take a uint64 word array
 (a class census) or Hyperspaces, need carriers up to 6 points and hold at
 most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace is built; a view reads whether it is closed, and its
 first escape, off its own table. One builder, `_compose`, fills every table
-by byte-table gathers of blocks of columns; over an associative carrier it
-gathers one column per right orbit {V o <h>} at one row per left orbit
-{<x> o U}, both found by one numpy reduction over a point-shift table, and
-derives the other cells through the point-shift tables (λ(Z6): 231,561
-gathered words for 7.0M cells, about 0.1 s).
+in row order by byte-table gathers of blocks of columns; over an associative
+carrier it gathers one column per right orbit {V o <h>} at one row per left
+orbit {<x> o U}, both found by one numpy reduction over a point-shift table,
+and derives the other cells through the point-shift tables (λ(Z6): 231,561
+gathered words for 7.0M cells, about 35 ms; all of G(Z5), 57M cells, about
+0.3 s).
 
 Cancelability, zeros, the center and the minimal one-sided ideals are
 decided on the table, not by the classical characterizations, which stay
@@ -46,9 +47,8 @@ SECTION_BUDGET = 10 ** 7
 # int16 for int16 operands and Python ints alike, and wraps silently.
 _INDEX = np.int16
 assert MAX_VIEW_ELEMENTS <= np.iinfo(_INDEX).max
-_LINES = 64         # table rows or columns read per block by the analyses
-_BATCH = 32         # table columns gathered, or derived, per batch
-_TILE = 128         # side of the square tiles of the in-place transpose
+_LINES = 64         # table rows or columns read per block by the builder and the analyses
+_BATCH = 32         # table columns gathered, or rows derived, per batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +309,17 @@ def _plan(shift: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.flatnonzero(parent == np.arange(m)), kid, parent[kid], h[kid]
 
 
+def _by_point(kid: np.ndarray, parent: np.ndarray, points: np.ndarray, n: int) \
+        -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(point, kids, parents) for each of the n points that has kids, from a
+    plan's kid, parent and point arrays: one stable sort, then slices."""
+    order = np.argsort(points, kind="stable")
+    kid, parent = kid[order], parent[order]
+    bounds = np.searchsorted(points[order], np.arange(n + 1)).tolist()
+    return [(x, kid[lo:hi], parent[lo:hi])
+            for x, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+
+
 def _compose(g: Groupoid, words: np.ndarray) \
         -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """(table, shift, lshift): the composition table over `words` and, over
@@ -319,74 +330,78 @@ def _compose(g: Groupoid, words: np.ndarray) \
     A gathered column j sends element words' bits through the right
     translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
     of words[j] is set), and looks the words up by binary search. Columns
-    are gathered _BATCH at a time (`_gather_words`) into one block, copied
-    into rows of one m x m buffer that is transposed in place at the end.
+    are gathered _BATCH at a time (`_gather_words`) at a set of rows, and
+    written straight into the row-major table.
 
     Over an associative carrier G(X) is a semigroup, so both sides of the
     table follow from a few of its cells:
     - right: words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of
       V o <h> is the column of V sent through the shift table;
-    - left: (<x> o U) o V = <x> o (U o V), and the cell in row <x> o U is
-      the cell in row U sent through the left shift table lshift.
-    `_plan` picks the representatives of each side from its shift table.
-    A representative column is gathered at the representative rows only,
-    and its other cells are derived through lshift; the other columns are
-    derived from the representative columns through shift. A derived cell
-    needs its parent cell, so a column with an escaped cell at a parent
-    row is gathered at every row, and the columns planned from a column
-    with any escaped product are gathered too. Over other carriers every
-    column is gathered at every row.
+    - left: (<x> o U) o V = <x> o (U o V), and the row of <x> o U is the
+      row of U sent through the left shift table lshift.
+    `_plan` picks the representatives of each side from its shift table,
+    and every parent is a representative. The table is filled at the
+    representative rows first: the representative columns are gathered,
+    and so is each kid column whose parent column holds a -1 there; the
+    other kid columns are derived, _LINES rows at a time, one point h at a
+    time. Then every left-kid row is derived from its parent row, _BATCH
+    rows at a time, one point x at a time, and the columns that hold a -1
+    at a left-parent row are gathered again at the left-kid rows. Entries
+    serve only as `take` indices, and no temporary exceeds a block of rows.
+    Over other carriers every column is gathered at every row.
     """
-    m, n = len(words), g.n
+    m = len(words)
     lookup = _lookup(words)
     pre = _preimage_bits(g)
-    buf = np.empty((m, m), dtype=_INDEX)     # row j: column j of the table
+    t = np.empty((m, m), dtype=_INDEX)
     if g.associative:
         shift, lshift = _shift_tables(pre, words, lookup)
     else:                                       # no shifts: nothing is derived
         shift = lshift = np.empty((m, 0), dtype=_INDEX)
-    rows, lkid, lpar, xs = _plan(lshift)
-    row_words = words[rows]
-    escaped = []                                # columns with an escaped product
 
-    def gather(js) -> None:
-        """Fill the buffer rows js, one block of _BATCH columns at a time."""
-        out = np.empty((_BATCH, m), dtype=_INDEX)
+    def gather(at, js) -> np.ndarray:
+        """Fill the cells (at, js), _BATCH columns at a time; the columns of
+        js that hold a -1 there."""
+        at_words, escaped = words[at], [js[:0]]
         for lo in range(0, len(js), _BATCH):
             cols = js[lo:lo + _BATCH]
-            t = _transforms(pre, words[cols])
-            block = out[:len(cols)]
             # `got` lives into the next batch, so malloc does not trim the heap
             # and fault it in again (G(5) on right-zero:5: 686k faults, not 7k)
-            got = lookup(_gather_words(row_words, t))
-            block[:, rows] = got
-            par = block[:, lpar]
-            # a -1 parent reads some in-range cell here (take wraps it), but
-            # its column is gathered again at every row just below
-            block[:, lkid] = lshift.ravel().take(np.multiply(par, n, dtype=np.intp) + xs)
-            full = (par < 0).any(axis=1)
-            if full.any():
-                block[full] = lookup(_gather_words(words, t[full]))
-            buf[cols] = block
-            escaped.extend(cols[block.min(axis=1) < 0].tolist())
+            got = lookup(_gather_words(at_words, _transforms(pre, words[cols])))
+            if cols[-1] - cols[0] == len(cols) - 1:
+                t[at, cols[0]:cols[-1] + 1] = got.T
+            else:
+                t[np.ix_(at, cols)] = got.T
+            escaped.append(cols[got.min(axis=1) < 0])
+        return np.concatenate(escaped)
 
+    rows, lkid, lpar, xs = _plan(lshift)
     reps, kid, parent, hs = _plan(shift)
-    gather(reps)
+    escaped = gather(rows, reps)
     lost = np.isin(parent, escaped)
-    gather(kid[lost])
-    kid, parent, hs = kid[~lost], parent[~lost], hs[~lost]
-    # one index block and one result block for every batch, as in `gather`;
-    # a parent left after `lost` is a representative column with no -1, so
-    # every index is in range and clip only skips numpy's buffering of `out`
-    at, out = np.empty((_BATCH, m), dtype=np.intp), np.empty((_BATCH, m), dtype=_INDEX)
-    for lo in range(0, len(kid), _BATCH):
-        par = parent[lo:lo + _BATCH]
-        idx, block = at[:len(par)], out[:len(par)]
-        np.multiply(buf.take(par, axis=0, out=block, mode="clip"), n, out=idx, dtype=np.intp)
-        idx += hs[lo:lo + _BATCH, None]
-        buf[kid[lo:lo + _BATCH]] = shift.take(idx, out=block, mode="clip")
-    _transpose_in_place(buf)
-    return (buf, shift, lshift) if g.associative else (buf, None, None)
+    escaped = np.concatenate([escaped, gather(rows, kid[lost])])
+    n = shift.shape[1]
+    shift_t, lshift_t = np.ascontiguousarray(shift.T), np.ascontiguousarray(lshift.T)
+    by_point = _by_point(kid[~lost], parent[~lost], hs[~lost], n)
+    for lo in range(0, len(rows) if by_point else 0, _LINES):
+        at = rows[lo:lo + _LINES]
+        block = t[at]
+        for h, k, p in by_point:
+            block[:, k] = shift_t[h].take(block[:, p])
+        t[at] = block
+    # a -1 parent cell reads some in-range entry here (take wraps it), but
+    # its column is gathered again at the left-kid rows just below
+    for x, k, p in _by_point(lkid, lpar, xs, n):
+        for lo in range(0, len(k), _BATCH):
+            t[k[lo:lo + _BATCH]] = lshift_t[x].take(t[p[lo:lo + _BATCH]])
+    # a representative row holds a -1 only in an escaped gathered column or
+    # where the shift table holds one
+    if len(lkid) and (len(escaped) or shift.min() < 0):
+        left_parents, bad = np.unique(lpar), np.zeros(m, dtype=bool)
+        for lo in range(0, len(left_parents), _LINES):
+            bad |= (t[left_parents[lo:lo + _LINES]] < 0).any(axis=0)
+        gather(lkid, np.flatnonzero(bad))
+    return (t, shift, lshift) if g.associative else (t, None, None)
 
 
 def _point_identities(t: np.ndarray, shift: np.ndarray, lshift: np.ndarray) -> bool:
@@ -412,19 +427,6 @@ def _light_holds(t: np.ndarray, gens: np.ndarray, rows: np.ndarray, cols: np.nda
             if not np.array_equal(t[np.ix_(tx[:, b], cols)], tx[:, t[b, cols]]):
                 return False
     return True
-
-
-def _transpose_in_place(a: np.ndarray) -> None:
-    """Transpose a square array tile by tile, without a second copy of it."""
-    m = len(a)
-    for lo in range(0, m, _TILE):
-        hi = lo + _TILE
-        a[lo:hi, lo:hi] = a[lo:hi, lo:hi].T.copy()
-        for lo2 in range(hi, m, _TILE):
-            hi2 = lo2 + _TILE
-            upper = a[lo:hi, lo2:hi2].copy()
-            a[lo:hi, lo2:hi2] = a[lo2:hi2, lo:hi].T
-            a[lo2:hi2, lo:hi] = upper.T
 
 
 def _first_escape(table: np.ndarray) -> tuple[int, int] | None:

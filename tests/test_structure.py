@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table, left_shift
-from gspace.structure import (_TILE, SemigroupView, _invariants, _lookup, _maps,
+from gspace.structure import (_BATCH, _LINES, SemigroupView, _invariants, _lookup, _maps,
                               _minimal_row_ideals, _plan, _preimage_bits, _shift_tables)
 
 
@@ -307,22 +308,44 @@ def test_compressed_table_matches_gather(kind, name, n, magma3):
             orbits(g, words)
 
 
-def test_compressed_table_skips_derived_gathers(z6, magma3, monkeypatch):
+def planned_gathers(g, words) -> int:
+    """The words the builder gathers by its plan: both shift tables, the
+    representative rows at the representative and lost columns (kid columns
+    whose parent holds a -1 at a representative row), and the left-kid rows
+    at the escaped columns (those holding a -1 at a left-parent row)."""
+    want = oracles.gather_table(g, words, words)
+    shift, lshift = shift_tables(g, words)
+    rows, lkid, lpar, _ = oracles.naive_plan(lshift)
+    reps, kid, parent, _ = oracles.naive_plan(shift)
+    lost = (want[np.ix_(rows, parent)] < 0).any(axis=0).sum()
+    escaped = (want[lpar] < 0).any(axis=0).sum()
+    return 2 * g.n * len(words) + len(rows) * (len(reps) + lost) + len(lkid) * escaped
+
+
+def test_compressed_table_skips_derived_gathers(z6, s3, magma3, monkeypatch):
     words = class_words(z6, "maxlinked", 2)
     m, n = len(words), z6.n
     reps = len(orbits(z6, words).orbits)
     bound = 2 * n * m + reps ** 2     # both shift tables, then reps x reps cells
     assert bound == 231_561
+    # unclosed: λ(Z6)'s first 200 words and 300 seeded words of λ(S3)
+    lambda_s3 = class_words(s3, "maxlinked", 2)
+    pick = np.random.default_rng(1).choice(len(lambda_s3), size=300, replace=False)
+    unclosed = [(z6, words[:200], 40_928), (s3, lambda_s3[pick], 93_600)]
+    plans = [planned_gathers(g, w) for g, w, _ in unclosed]
     gathered = []                   # gathered words: gathers x words, per call
     monkeypatch.setattr("gspace.structure._gather_words",
                         lambda ws, index: gathered.append(len(index) * len(ws))
                         or _gather_words(ws, index))
     subsemigroup_view(z6, words)
-    assert 0 < sum(gathered) <= bound
-    view_words = sum(gathered)
+    assert sum(gathered) == bound
     gathered.clear()
     orbits(z6, words)               # reads the view's own shift table
-    assert sum(gathered) == view_words
+    assert sum(gathered) == bound
+    for (g, w, count), plan in zip(unclosed, plans):
+        gathered.clear()
+        assert not subsemigroup_view(g, w).closed
+        assert sum(gathered) == plan == count, g.name
     gathered.clear()
     view = subsemigroup_view(magma3, upset_words(3))   # not associative
     assert sum(gathered) == view.size ** 2 == 18 * 18
@@ -331,7 +354,15 @@ def test_compressed_table_skips_derived_gathers(z6, magma3, monkeypatch):
 
 def test_full_g5_view_matches_gather_on_sampled_columns(z5):
     words = upset_words(5)
-    view = subsemigroup_view(z5, words)
+    tracemalloc.start()
+    try:
+        view = subsemigroup_view(z5, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the build holds the table and blocks of rows: no second table-sized
+    # array, and no copy of all representative rows (23 MB on G(Z5))
+    assert peak <= view.table.nbytes + 16 * 2 ** 20
     assert view.size == 7579 and view.closed and view.table.flags.c_contiguous
     cols = np.random.default_rng(5).choice(view.size, size=64, replace=False)
     assert np.array_equal(view.table[:, cols], oracles.gather_table(z5, words, words[cols]))
@@ -339,12 +370,19 @@ def test_full_g5_view_matches_gather_on_sampled_columns(z5):
     assert np.array_equal(view.shift, oracles.gather_table(z5, words, points))
 
 
-@pytest.mark.parametrize("size", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 44])
-def test_table_across_transpose_tiles_matches_gather(z5, size):
-    words = upset_words(5)[:size]
-    view = subsemigroup_view(z5, words)
+@pytest.mark.parametrize("name,n", [("cyclic", 5), ("left-zero", 4), ("right-zero", 4)])
+@pytest.mark.parametrize("size", [_BATCH - 1, _BATCH, _BATCH + 1,
+                                  _LINES - 1, _LINES, _LINES + 1, 2 * _LINES + 44])
+def test_table_across_batch_and_line_boundaries_matches_gather(name, n, size):
+    # census prefixes: on cyclic:5 most batches of gathered columns are
+    # scattered (an np.ix_ write), on the band carriers consecutive (a
+    # column-slice write);
+    # G(4) has 166 elements, so the last prefix of a band carrier is all of it
+    g = build_builtin(name, n)
+    words = upset_words(n)[:size]
+    view = subsemigroup_view(g, words)
     assert view.table.flags.c_contiguous
-    assert np.array_equal(view.table, oracles.gather_table(z5, words, words))
+    assert np.array_equal(view.table, oracles.gather_table(g, words, words))
 
 
 def test_escaped_representative_with_complete_shifted_column(z4):
@@ -420,7 +458,7 @@ def test_escaped_left_representative_with_existing_kid_products(z3):
     # words[1] = <1> o words[0], and words[0] o words[2] escapes while
     # words[1] o words[2] = <1> o (words[0] o words[2]) = words[3] exists;
     # that cell cannot be derived from its parent, so column 2 is gathered
-    # at every row
+    # again at the left-kid rows
     words = np.array([generate(3, masks(3, *sets)).bits for sets in (
         [(0,), (2,)], [(0,), (1,)], [(0, 1)], [(0, 1), (1, 2)])], dtype=np.uint64)
     _, lshift = shift_tables(z3, words)
