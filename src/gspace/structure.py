@@ -18,9 +18,13 @@ Cancelability, zeros, the center and the minimal one-sided ideals are
 decided on the table, not by the classical characterizations, which stay
 checkable statements in the test suite: a cheap necessary filter (one sum
 per row and per column, a block of columns), then an exact check of the
-survivors only. Associativity is Light's test on a greedy generating set,
-reduced to the orbit representatives of both sides when two point
-identities hold on the whole table. Sections of an orbit quotient and
+survivors only. The minimal one-sided ideals and the isomorphism invariants
+read each row or column as the packed set of its entries (`_line_sets`);
+like the orbit and generator checks, they hold at most the m x m/8 bytes of
+those sets and a few blocks of _LINES lines beside the table.
+Associativity is Light's test on a greedy generating set, reduced to the
+orbit representatives of both sides when two point identities hold on the
+whole table. Sections of an orbit quotient and
 isomorphisms of views are one search, `_maps`, for table-preserving maps
 with forced propagation. The shift-invariant core (the right zeros of G(X))
 is the `shiftinv` class census of `classify.class_words`.
@@ -122,14 +126,16 @@ class SemigroupView:
         Greedy, rarest first: the elements are visited in increasing order
         of their number of cells in the table (stable), and each one not yet
         generated is picked and the generated set closed again by frontier
-        gathers, the products of the newly generated elements with all
-        generated ones on both sides. An element that is no product is
-        visited before every product, and is in every generating set.
+        steps: the products of the newly generated elements with all
+        generated ones on both sides, read _LINES frontier elements at a
+        time and marked in a boolean array. An element that is no product
+        is visited before every product, and is in every generating set.
         """
         t = _closed_table(self, "generators need a closed view")
-        counts = sum(np.bincount(t[lo:lo + _LINES].ravel(), minlength=self.size)
-                     for lo in range(0, self.size, _LINES))     # no m x m intp copy
-        inside = np.zeros(self.size, dtype=bool)
+        m = self.size
+        counts = sum(np.bincount(t[lo:lo + _LINES].ravel(), minlength=m)
+                     for lo in range(0, m, _LINES))     # no m x m intp copy
+        inside = np.zeros(m, dtype=bool)
         picks = []
         for b in np.argsort(counts, kind="stable").tolist():
             if inside[b]:
@@ -138,10 +144,12 @@ class SemigroupView:
             inside[b] = True
             front = np.array([b])
             while len(front):
-                have = np.flatnonzero(inside)
-                new = np.concatenate([t[np.ix_(front, have)].ravel(),
-                                      t[np.ix_(have, front)].ravel()])
-                front = np.unique(new[~inside[new]])
+                have, fresh = np.flatnonzero(inside), np.zeros(m, dtype=bool)
+                for lo in range(0, len(front), _LINES):     # _LINES x |have| cells
+                    f = front[lo:lo + _LINES]
+                    fresh[t[np.ix_(f, have)]] = True
+                    fresh[t[np.ix_(have, f)]] = True
+                front = np.flatnonzero(fresh & ~inside)
                 inside[front] = True
         gens = np.array(picks, dtype=np.intp)
         gens.setflags(write=False)
@@ -226,12 +234,19 @@ def _word_array(g: Groupoid, words) -> np.ndarray:
         raise InputError("element words must be a 1-D uint64 array")
     if not len(words):
         raise InputError("view needs at least one element")
-    if len(np.unique(words)) != len(words):
+    if len(_distinct(words)) != len(words):
         raise InputError("view elements must be distinct")
     if g.n > MAX_ENUM_CARRIER or not _hyperspace_mask(g.n, words).all():
         raise InputError(f"element words must be hyperspaces on {g.n} points")
     words.setflags(write=False)
     return words
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, sorted: np.unique by one sort and
+    one compare, without the numpy.ma import np.unique makes on first use."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _closed_table(view: SemigroupView, message: str) -> np.ndarray:
@@ -377,8 +392,9 @@ def _compose(g: Groupoid, words: np.ndarray) \
 
     rows, lkid, lpar, xs = _plan(lshift)
     reps, kid, parent, hs = _plan(shift)
-    escaped = gather(rows, reps)
-    lost = np.isin(parent, escaped)
+    escaped, hit = gather(rows, reps), np.zeros(m, dtype=bool)
+    hit[escaped] = True
+    lost = hit[parent]
     escaped = np.concatenate([escaped, gather(rows, kid[lost])])
     n = shift.shape[1]
     shift_t, lshift_t = np.ascontiguousarray(shift.T), np.ascontiguousarray(lshift.T)
@@ -397,7 +413,7 @@ def _compose(g: Groupoid, words: np.ndarray) \
     # a representative row holds a -1 only in an escaped gathered column or
     # where the shift table holds one
     if len(lkid) and (len(escaped) or shift.min() < 0):
-        left_parents, bad = np.unique(lpar), np.zeros(m, dtype=bool)
+        left_parents, bad = _distinct(lpar), np.zeros(m, dtype=bool)
         for lo in range(0, len(left_parents), _LINES):
             bad |= (t[left_parents[lo:lo + _LINES]] < 0).any(axis=0)
         gather(lkid, np.flatnonzero(bad))
@@ -430,9 +446,13 @@ def _light_holds(t: np.ndarray, gens: np.ndarray, rows: np.ndarray, cols: np.nda
 
 
 def _first_escape(table: np.ndarray) -> tuple[int, int] | None:
-    """Row-major first -1 entry of a table, or None."""
-    bad = np.flatnonzero(table < 0)
-    return divmod(int(bad[0]), table.shape[1]) if bad.size else None
+    """Row-major first -1 entry of a table, or None, over blocks of _LINES rows."""
+    for lo in range(0, len(table), _LINES):
+        bad = np.flatnonzero(table[lo:lo + _LINES] < 0)
+        if bad.size:
+            i, j = divmod(int(bad[0]), table.shape[1])
+            return lo + i, j
+    return None
 
 
 def _indices(mask: np.ndarray) -> tuple[int, ...]:
@@ -512,13 +532,14 @@ def special_elements(view: SemigroupView) -> SpecialElements:
                         lambda c, rows: np.sort(rows, axis=1) == ar)
     rc = _lines_passing(t, np.flatnonzero(col_sums == perm), 0,
                         lambda c, cols: np.sort(cols, axis=0) == ar[:, None])
-    units = _lines_passing(t, np.intersect1d(lc, rc), 1, lambda c, rows: rows == ar)
+    units = _lines_passing(t, np.intersect1d(lc, rc, assume_unique=True), 1,
+                           lambda c, rows: rows == ar)
     units = _lines_passing(t, units, 0, lambda c, cols: cols == ar[:, None])
     return SpecialElements(
         idempotents=_indices(t[ar, ar] == ar),
         left_zeros=tuple(lz.tolist()),
         right_zeros=tuple(rz.tolist()),
-        zeros=tuple(np.intersect1d(lz, rz).tolist()),
+        zeros=tuple(np.intersect1d(lz, rz, assume_unique=True).tolist()),
         identity=int(units[0]) if len(units) else None,
         left_cancelable=tuple(lc.tolist()),
         right_cancelable=tuple(rc.tolist()))
@@ -572,34 +593,57 @@ def minimal_ideal(view: SemigroupView) -> tuple[int, ...]:
     return tuple(sorted({i for ideal in minimal_left_ideals(view) for i in ideal}))
 
 
-def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
-    """Inclusion-minimal sets among {x} u {t[x, s] : s}, over all rows x.
+def _line_sets(t: np.ndarray, axis: int) -> np.ndarray:
+    """Each row (axis 1) or column (axis 0) of a table with entries in
+    [0, m) as the set of its entries: line i of the m x ceil(m/8) uint8
+    result holds bit e (np.packbits order) iff e is in line i of t.
 
-    The sets are the rows of an m x m membership matrix, set from the flat
-    indices x*m + t[x, s] over blocks of _LINES table rows in memory order:
-    when t is the transpose of a C-ordered table (the left ideals), a block
-    of its columns is a block of rows in memory. No m x m index array is
-    built. The packed rows are deduplicated as single byte strings. Sets of
-    one size cannot contain each other, so the distinct sets are visited one
-    size class at a time: a set is minimal iff it contains none of the
-    minimal sets of smaller sizes, checked _LINES sets against _LINES sets
-    at a time.
+    One _LINES x m boolean block is set at a time from flat indices and
+    packed. For rows, t[lo + j, s] goes to j*m + t[lo + j, s]. For columns,
+    the slab t[:, lo:lo + _LINES] is read by rows, in memory order on a
+    C-ordered table, and t[s, lo + j] goes to j*m + t[s, lo + j], so the
+    scattered writes stay inside the block. Besides the result, a block
+    holds at most _LINES x m flat indices.
+    """
+    m = len(t)
+    sets = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+    for lo in range(0, m, _LINES):
+        k = min(_LINES, m - lo)
+        flat = np.arange(k) * m
+        block = np.zeros((k, m), dtype=bool)
+        block.reshape(-1)[(flat[:, None] + t[lo:lo + k] if axis == 1
+                           else t[:, lo:lo + k] + flat).ravel()] = True
+        sets[lo:lo + k] = np.packbits(block, axis=1)
+    return sets
+
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _set_sizes(sets: np.ndarray) -> np.ndarray:
+    """The number of elements of each packed set (a row of uint8 bytes)."""
+    return _POPCOUNT[sets].sum(axis=1, dtype=np.intp)
+
+
+def _minimal_ideals(t: np.ndarray, axis: int) -> list[tuple[int, ...]]:
+    """Inclusion-minimal sets among {x} u line x of t, over all rows (axis 1:
+    the principal right ideals {x} u x*S) or columns (axis 0: the principal
+    left ideals {x} u S*x).
+
+    The sets are the packed `_line_sets` with bit x set on line x, and are
+    deduplicated as single byte strings. Sets of one size cannot contain
+    each other, so the distinct sets are visited one size class at a time:
+    a set is minimal iff it contains none of the minimal sets of smaller
+    sizes, checked _LINES sets against _LINES sets at a time.
     """
     m = len(t)
     ar = np.arange(m)
-    member = np.eye(m, dtype=bool)
-    flat = member.reshape(-1)
-    by_rows = t.flags.c_contiguous or not t.T.flags.c_contiguous
-    src = np.ascontiguousarray(t) if by_rows else t.T
-    for lo in range(0, m, _LINES):
-        block = src[lo:lo + _LINES]     # t[x, s] for x in the block, or for s in it
-        base = ar[lo:lo + len(block), None] if by_rows else ar
-        flat[(base * m + block).ravel()] = True
-    packed = np.packbits(member, axis=1)
-    width = packed.shape[1]
-    ideals = np.unique(packed.view(np.dtype((np.void, width))).ravel())
+    sets = _line_sets(t, axis)
+    sets[ar, ar >> 3] |= (128 >> (ar & 7)).astype(np.uint8)
+    width = sets.shape[1]
+    ideals = _distinct(sets.view(np.dtype((np.void, width))).ravel())
     ideals = ideals.view(np.uint8).reshape(-1, width)
-    sizes = np.unpackbits(ideals, axis=1).sum(axis=1)
+    sizes = _set_sizes(ideals)
     by_size = np.argsort(sizes, kind="stable")
     minimal = ideals[:0]
     for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
@@ -617,11 +661,12 @@ def _minimal_row_ideals(t) -> list[tuple[int, ...]]:
 
 def minimal_left_ideals(view: SemigroupView) -> list[tuple[int, ...]]:
     """Inclusion-minimal principal left ideals {x} u S*x."""
-    return _minimal_row_ideals(_closed_table(view, "minimal_left_ideals needs a closed view").T)
+    return _minimal_ideals(_closed_table(view, "minimal_left_ideals needs a closed view"), 0)
 
 
 def minimal_right_ideals(view: SemigroupView) -> list[tuple[int, ...]]:
-    return _minimal_row_ideals(_closed_table(view, "minimal_right_ideals needs a closed view"))
+    """Inclusion-minimal principal right ideals {x} u x*S."""
+    return _minimal_ideals(_closed_table(view, "minimal_right_ideals needs a closed view"), 1)
 
 
 # -- orbits and quotients ----------------------------------------------------------
@@ -640,8 +685,8 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
 
     Requires a group carrier, a product-closed element set that is closed
     under right shifts by points, and verifies quotient well-definedness
-    (representatives shifted on the left land in the expected orbit) instead
-    of assuming it. Over a group, row i of the view's shift table is the
+    (representatives shifted on the left land in the expected orbit), one
+    point at a time, instead of assuming it. Over a group, row i of the view's shift table is the
     whole orbit of element i, so its minimum is the orbit's representative.
     """
     if not g.is_group():
@@ -657,11 +702,12 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
         raise InputError(f"element set not closed under right shifts: "
                          f"{view.label(i)} o point -> {p!r}")
     reps, orbit_of = np.unique(view.shift.min(axis=1), return_inverse=True)
-    t = view.table
+    t, orbit_of = view.table, orbit_of.astype(_INDEX)
     qtab = orbit_of[t[np.ix_(reps, reps)]]
-    # well-definedness: shifting the left factor must not move the product's orbit
-    shifted = orbit_of[t[view.shift[reps][:, :, None], reps[None, None, :]]]
-    if not (shifted == qtab[:, None, :]).all():
+    # well-definedness: shifting the left factor by any point must not move
+    # the product's orbit; one R x R gather per point
+    if not all(np.array_equal(orbit_of[t[np.ix_(view.shift[reps, h], reps)]], qtab)
+               for h in range(g.n)):
         raise InputError(
             "quotient multiplication ill-defined: the orbit "
             "relation is not a congruence (the carrier must be "
@@ -797,7 +843,9 @@ def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> Sectio
                         np.asarray(dec.orbit_of), budget)
     sections = tuple(sorted(tuple(sorted(s.tolist())) for s in maps))
     for sec in sections:
-        if not np.isin(t[np.ix_(sec, sec)], sec).all():
+        member = np.zeros(len(t), dtype=bool)
+        member[list(sec)] = True
+        if not member[t[np.ix_(sec, sec)]].all():
             raise GspaceError(f"section {sec} is not closed under the product")
     return SectionSearch(decomposition=dec, sections=sections, nodes=nodes)
 
@@ -807,10 +855,10 @@ def find_sections(g: Groupoid, elements, budget: int = SECTION_BUDGET) -> Sectio
 def _invariants(t: np.ndarray) -> np.ndarray:
     """Per element, one int64 that isomorphisms preserve: whether it and its
     square are idempotent, and the numbers of distinct entries in its row
-    and in its column."""
+    and in its column, the sizes of its `_line_sets`."""
     m, ar = len(t), np.arange(len(t))
     sq = t[ar, ar]
-    rows, cols = (1 + (np.diff(np.sort(a, axis=1), axis=1) != 0).sum(axis=1) for a in (t, t.T))
+    rows, cols = (_set_sizes(_line_sets(t, axis)) for axis in (1, 0))
     return (((sq == ar) * 2 + (t[sq, sq] == sq)) * (m + 1) + rows) * (m + 1) + cols
 
 
@@ -869,7 +917,7 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
     cancelable = None
     if pool is not None:
         col = _gather_words(pool, _transforms(_preimage_bits(g), [f.bits]))[0]
-        cancelable = len(np.unique(col)) == len(col)
+        cancelable = len(_distinct(col)) == len(col)
     translates_distinct = len({left_shift(g, x, f) for x in range(g.n)}) == g.n
     img = _image_table(g)
     mins = (f & f.transversal()).minimal_sets()

@@ -275,6 +275,24 @@ def naive_minimal_row_ideals(table) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(s)) for s in sets if not any(o < s for o in sets))
 
 
+def naive_line_sets(table, axis: int) -> list[frozenset[int]]:
+    """The entries of each row (axis 1) or column (axis 0), one Python set per line."""
+    t = np.asarray(table)
+    return [frozenset(line) for line in (t if axis == 1 else t.T).tolist()]
+
+
+def sorted_invariants(table) -> np.ndarray:
+    """Per element, whether it and its square are idempotent and the
+    numbers of distinct entries in its row and column, counted by sorting
+    each line and counting the steps, packed into one int64 as
+    `structure._invariants` packs them."""
+    t = np.asarray(table)
+    m, ar = len(t), np.arange(len(t))
+    sq = t[ar, ar]
+    rows, cols = (1 + (np.diff(np.sort(a, axis=1), axis=1) != 0).sum(axis=1) for a in (t, t.T))
+    return (((sq == ar) * 2 + (t[sq, sq] == sq)) * (m + 1) + rows) * (m + 1) + cols
+
+
 def principal_two_sided_ideal(t, x: int) -> frozenset[int]:
     """Closure of {x} under multiplication by the table on either side."""
     seen = np.zeros(len(t), dtype=bool)

@@ -31,10 +31,10 @@ def run_cli(*args, **kwargs):
     return runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
 
 
-def run_proc(*args, flags=(), env=(), **kwargs):
+def run_proc(*args, flags=(), env=(), entry=("-m", "gspace"), **kwargs):
     # the child imports the same gspace as the tests, installed or not
     path = [str(Path(gspace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return subprocess.run([sys.executable, *flags, "-m", "gspace", *args],
+    return subprocess.run([sys.executable, *flags, *entry, *args],
                           capture_output=True, text=True,
                           env={**os.environ, **dict(env),
                                "PYTHONPATH": os.pathsep.join(filter(None, path))},
@@ -495,6 +495,21 @@ def test_dot_table_streams_under_an_address_space_limit():
                    preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert res.returncode == 0, res.stderr[-500:]
     assert res.stdout.count(" -> ") == 2646 ** 2 and res.stdout.endswith("}\n")
+
+
+def test_verbs_do_not_import_numpy_ma():
+    # plain np.unique, and np.isin or np.intersect1d through it, import
+    # numpy.ma on first use: 9-17 ms per process
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from gspace.cli import main",
+        "for verb in ('analyze', 'sections', 'table'):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        main(['--groupoid', 'cyclic:4', verb])",
+        "print('numpy.ma' in sys.modules)"])
+    res = run_proc(entry=("-c", script))
+    assert res.returncode == 0, res.stderr[-500:]
+    assert res.stdout == "False\n"
 
 
 def test_analyze_names_its_escape_as_table_does(capsys):

@@ -22,8 +22,9 @@ from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
 from gspace.products import _image_table, left_shift
-from gspace.structure import (_BATCH, _LINES, SemigroupView, _invariants, _lookup, _maps,
-                              _minimal_row_ideals, _plan, _preimage_bits, _shift_tables)
+from gspace.structure import (_BATCH, _LINES, SemigroupView, _first_escape, _invariants,
+                              _line_sets, _lookup, _maps, _minimal_ideals, _plan,
+                              _preimage_bits, _shift_tables)
 
 
 def masks(n, *sets):
@@ -257,6 +258,33 @@ def test_escape_witness_is_row_major_first(z6):
     assert p == product(z6, elems[i], elems[j])
     assert not view.closed and view.table[i, j] == -1
     assert (view.table[:i] >= 0).all() and (view.table[i, :j] >= 0).all()
+
+
+def test_first_escape_scans_blocks_of_rows(z4, z5, z6):
+    # the row-major first -1 of unclosed class views, against one flat scan
+    # of the whole table; on the last view it lies past the first block of rows
+    views = [subsemigroup_view(z6, maximal_linked_families(6)[:200])]
+    for g in (z4, z5):
+        lam = class_words(g, "maxlinked", 2)
+        views.append(subsemigroup_view(g, np.concatenate(
+            [lam, np.setdiff1d(class_words(g, "filters", None), lam)])))
+    # λ(Z5) and the right zeros of G(Z5) are closed; a filter added after
+    # them escapes first in the rows that do not take it into the view
+    lam = class_words(z5, "maxlinked", 2)
+    core = np.concatenate([lam, np.setdiff1d(class_words(z5, "shiftinv", None), lam)])
+    extra = np.setdiff1d(class_words(z5, "filters", None), core)[:1]
+    t = subsemigroup_view(z5, np.concatenate([core, extra])).table
+    full = (t[:-1] >= 0).all(axis=1)
+    views.append(subsemigroup_view(z5, np.concatenate([core[full], core[~full], extra])))
+    for view in views:
+        assert not view.closed
+        for table in (view.table, view.shift):
+            bad = np.flatnonzero(table < 0)
+            want = divmod(int(bad[0]), table.shape[1]) if bad.size else None
+            assert _first_escape(table) == want
+        assert view.escape[:2] == _first_escape(view.table)
+    assert _first_escape(views[-1].table)[0] == full.sum() > _LINES
+    assert _first_escape(lambda_view(z5).table) is None
 
 
 def test_orbit_shift_table_matches_product(z3, z5, z6, g3_all, monkeypatch):
@@ -624,6 +652,28 @@ def check_generators(view):
     while grown := {int(t[a, b]) for a in inside for b in inside} - inside:
         inside |= grown
     assert inside == set(range(view.size))
+
+
+# the greedy generating sets: the frontier order does not change them
+PINNED_GENERATORS = {
+    ("cyclic", 3, "all"): [4, 7, 1, 3, 10, 12],
+    ("cyclic", 4, "all"): [18, 32, 12, 16, 17, 52, 57, 77, 4, 15, 68, 82, 46, 7, 113],
+    ("klein-4", 4, "all"): [18, 32, 88, 17, 52, 12, 15, 16, 57, 68, 99, 46, 1, 146, 4, 7, 13,
+                            82, 113, 127],
+    ("cyclic", 5, "maxlinked"): [0, 1, 2, 3, 4, 5, 6, 10, 11, 12, 14, 15, 18],
+    ("cyclic", 6, "maxlinked"): [
+        0, 1, 3, 4, 5, 6, 7, 32, 39, 44, 45, 57, 58, 59, 111, 132, 142, 2, 8, 9, 11, 12, 15, 16,
+        19, 20, 38, 53, 54, 56, 63, 64, 65, 82, 83, 125, 129, 131, 134, 135, 136, 158, 163, 166,
+        10, 13, 14, 188, 191, 279, 306, 40, 43, 50, 107, 139, 140, 30, 205, 211, 220, 239, 261,
+        262, 269, 275, 291, 302, 192, 89, 117, 255, 280],
+}
+
+
+@pytest.mark.parametrize("name,n,token", list(PINNED_GENERATORS))
+def test_generators_are_pinned(name, n, token):
+    g = build_builtin(name, n)
+    view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
+    assert view.generators.tolist() == PINNED_GENERATORS[name, n, token]
 
 
 def carrier(name, n, magma3=None):
@@ -1109,16 +1159,33 @@ def test_table_analysis_on_bands_and_groups(z2):
         check_table_analysis(table_view(z2, t))
 
 
-def test_minimal_row_ideals_read_any_layout(z2):
-    rnd = random.Random(7)
-    for _ in range(20):
-        m = rnd.randint(1, 30)
-        t = planted_table(rnd, m) if m >= 3 else np.zeros((m, m), dtype=np.int32)
-        strided = np.zeros((2 * m, 2 * m), dtype=np.int32)[::2, ::2]
-        strided[...] = t
-        want = oracles.naive_minimal_row_ideals(t)
-        for layout in (np.ascontiguousarray(t), np.asfortranarray(t), strided):
-            assert _minimal_row_ideals(layout) == want
+@pytest.mark.parametrize("m", [1, _LINES - 1, _LINES, _LINES + 1, 2 * _LINES + 1])
+def test_line_sets_and_minimal_ideals_match_oracles(m):
+    # C, Fortran and strided tables in int16 and int32, against one Python
+    # set per line, the set-based minimal ideals and the sort-based invariants
+    rnd, rng = random.Random(m), np.random.default_rng(m)
+    palettes = rng.integers(0, m, (m, 3))
+    tables = [planted_table(rnd, m) if m >= 3 else np.zeros((m, m), dtype=int),
+              rng.choice(m, size=4)[rng.integers(0, 4, (m, m))],    # few distinct lines
+              palettes[np.arange(m)[:, None], rng.integers(0, 3, (m, m))]]  # <= 3 per row
+    for t in tables:
+        want_sets = [oracles.naive_line_sets(t, axis) for axis in (0, 1)]
+        want_ideals = [oracles.naive_minimal_row_ideals(t.T), oracles.naive_minimal_row_ideals(t)]
+        want_invariants = oracles.sorted_invariants(t)
+        for dtype in (np.int16, np.int32):
+            strided = np.zeros((2 * m, 2 * m), dtype=dtype)[::2, ::2]
+            strided[...] = t
+            for layout in (np.ascontiguousarray(t, dtype=dtype),
+                           np.asfortranarray(t, dtype=dtype), strided):
+                for axis in (0, 1):
+                    sets = _line_sets(layout, axis)
+                    assert sets.shape == (m, (m + 7) // 8) and sets.dtype == np.uint8
+                    bits = np.unpackbits(sets, axis=1)
+                    assert not bits[:, m:].any()
+                    assert [frozenset(np.flatnonzero(b).tolist()) for b in bits] \
+                        == want_sets[axis]
+                    assert _minimal_ideals(layout, axis) == want_ideals[axis]
+                assert np.array_equal(_invariants(layout), want_invariants)
 
 
 def test_minimal_ideals_of_a_large_left_zero_band(z2):
@@ -1591,6 +1658,30 @@ def test_certificate_family_translates_disjoint(z3):
 
 
 # -- z6 scale ------------------------------------------------------------------------------------------
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_analyses_allocate_blocks_of_lines(z6):
+    # above the built λ(Z6) view, an analysis holds the packed line sets and
+    # a few blocks of _LINES lines of intp indices: no m x m membership
+    # matrix, sorted table copy, or R x n x R orbit gather
+    view = lambda_view(z6)
+    m = view.size
+    bound = m * ((m + 7) // 8) + 4 * _LINES * m * 8
+    for run in (lambda: minimal_left_ideals(view), lambda: minimal_right_ideals(view),
+                lambda: _invariants(view.table), lambda: view.generators):
+        assert traced_peak(run) <= bound
+    # orbits builds its own view
+    assert traced_peak(lambda: orbits(z6, view.words)) <= view.table.nbytes + 8 * 2 ** 20
+
 
 def test_lambda_z6_view_and_ideals(z6):
     view = lambda_view(z6)
