@@ -22,9 +22,9 @@ survivors only. The minimal one-sided ideals and the isomorphism invariants
 read each row or column as the packed set of its entries (`_line_sets`);
 like the orbit and generator checks, they hold at most the m x m/8 bytes of
 those sets and a few blocks of _LINES lines beside the table.
-Associativity is Light's test on a greedy generating set, reduced to the
-orbit representatives of both sides when two point identities hold on the
-whole table. Sections of an orbit quotient and
+A closed view built over an associative carrier is associative by the
+source paper's theorem (G(X) is a semigroup); every other view takes Light's
+test on a greedy generating set. Sections of an orbit quotient and
 isomorphisms of views are one search, `_maps`, for table-preserving maps
 with forced propagation. The shift-invariant core (the right zeros of G(X))
 is the `shiftinv` class census of `classify.class_words`.
@@ -157,44 +157,25 @@ class SemigroupView:
 
     @functools.cached_property
     def _light(self) -> bool:
-        t, shift, lshift = self.table, self.shift, self.lshift
-        rows = cols = np.arange(self.size)
-        if lshift is not None and min(shift.min(), lshift.min()) >= 0 \
-                and _point_identities(t, shift, lshift):
-            rows, cols = _plan(lshift)[0], _plan(shift)[0]
-        return _light_holds(t, self.generators, rows, cols)
+        return _light_holds(self.table, self.generators)
 
     def is_associative(self) -> bool:
-        """Whether (x·y)·z = x·(y·z) for all elements of a closed view, by
-        Light's test (Clifford & Preston I); the verdict is kept on the
-        (immutable) view.
+        """Whether (x·y)·z = x·(y·z) for all elements of a closed view; the
+        verdict is kept on the (immutable) view.
 
-        The set M = {b : (x·b)·y = x·(b·y) for all x, y} is closed under the
+        A closed view that `subsemigroup_view` builds over an associative
+        carrier X is a sub-semigroup of G(X), which is a semigroup for every
+        semigroup X (the source paper's main theorem; `_compose` derives most
+        of its cells from that associativity). So the build stores the verdict
+        True, and no cell is read.
+
+        Every other view (quotients, views over non-associative carriers,
+        tables built by hand) takes Light's test (Clifford & Preston I). The
+        set M = {b : (x·b)·y = x·(b·y) for all x, y} is closed under the
         product: for b, c in M, (x·(b·c))·y = ((x·b)·c)·y = (x·b)·(c·y) =
         x·(b·(c·y)) = x·((b·c)·y). So the table is associative iff M holds
-        the `generators`, and Light's equation is checked for each generator
-        b only.
-
-        Reduced path, on a view with point-shift tables: write
-        s_h(y) = shift[y, h] and l_p(x) = lshift[x, p]. If no entry of
-        either is -1 and the point identities
-          (A) x·s_h(y) = s_h(x·y)  and  (B) l_p(x)·y = l_p(x·y)
-        hold on every cell of the table, each generator b is checked only at
-        the left-representative rows and right-representative columns of
-        `_plan` (447 x 447 of the 2,646^2 cells on λ(Z6)). Proof: write
-        E(x, y) for (x·b)·y = x·(b·y). By (A), E(x, y) gives
-        (x·b)·s_h(y) = s_h((x·b)·y) = s_h(x·(b·y)) = x·s_h(b·y) = x·(b·s_h(y)),
-        which is E(x, s_h(y)); by (B), E(x, y) gives E(l_p(x), y) alike. In
-        `_plan` every index is a representative or a kid, the shift of a
-        parent with a smaller index. So by induction on the index, E at the
-        representative rows and columns gives E(x, y) at every representative
-        row x and every column, then at every row. The proof uses only (A)
-        and (B) and that every kid has a smaller parent, so it holds for any
-        table on which they hold, not just those of G(X).
-
-        Fallback, on views without shift tables (quotients, non-associative
-        carriers), a -1 shift entry or a failed identity: Light's equation on
-        all m^2 cells per generator. The m^3 check lives in the tests as the
+        the `generators`, and Light's equation is checked on all m^2 cells
+        for each generator b only. The m^3 check lives in the tests as the
         reference.
         """
         _closed_table(self, "associativity needs a closed view")
@@ -383,10 +364,7 @@ def _compose(g: Groupoid, words: np.ndarray) \
             # `got` lives into the next batch, so malloc does not trim the heap
             # and fault it in again (G(5) on right-zero:5: 686k faults, not 7k)
             got = lookup(_gather_words(at_words, _transforms(pre, words[cols])))
-            if cols[-1] - cols[0] == len(cols) - 1:
-                t[at, cols[0]:cols[-1] + 1] = got.T
-            else:
-                t[np.ix_(at, cols)] = got.T
+            t[np.ix_(at, cols)] = got.T
             escaped.append(cols[got.min(axis=1) < 0])
         return np.concatenate(escaped)
 
@@ -420,27 +398,13 @@ def _compose(g: Groupoid, words: np.ndarray) \
     return (t, shift, lshift) if g.associative else (t, None, None)
 
 
-def _point_identities(t: np.ndarray, shift: np.ndarray, lshift: np.ndarray) -> bool:
-    """(A) t[x, shift[y, h]] == shift[t[x, y], h] and (B) t[lshift[x, p], y]
-    == lshift[t[x, y], p] for every cell and point, over blocks of _LINES
-    table rows, one point at a time."""
-    points = np.ascontiguousarray(shift.T), np.ascontiguousarray(lshift.T)
+def _light_holds(t: np.ndarray, gens: np.ndarray) -> bool:
+    """Light's equation (x·b)·y == x·(b·y) for every b in gens and every x
+    and y, over blocks of _LINES rows."""
     for lo in range(0, len(t), _LINES):
-        rows = t[lo:lo + _LINES]
-        for s, ls in zip(*points):              # s_h and l_h as index arrays
-            if not (np.array_equal(rows[:, s], s[rows])
-                    and np.array_equal(t[ls[lo:lo + _LINES]], ls[rows])):
-                return False
-    return True
-
-
-def _light_holds(t: np.ndarray, gens: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Light's equation (x·b)·y == x·(b·y) for every b in gens, x in rows and
-    y in cols, over blocks of _LINES rows."""
-    for lo in range(0, len(rows), _LINES):
-        tx = t[rows[lo:lo + _LINES]]            # x·z for the block's x and every z
+        tx = t[lo:lo + _LINES]                  # x·z for the block's x and every z
         for b in gens.tolist():
-            if not np.array_equal(t[np.ix_(tx[:, b], cols)], tx[:, t[b, cols]]):
+            if not np.array_equal(t[tx[:, b]], tx[:, t[b]]):
                 return False
     return True
 
@@ -479,6 +443,8 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     table, *shifts = _compose(g, words)
     view = SemigroupView(g, words, table)
     view.__dict__["_shifts"] = tuple(shifts)    # the build's own: not gathered again
+    if g.associative:                           # a sub-semigroup of G(X): see is_associative
+        view.__dict__["_light"] = True
     return view
 
 
@@ -892,8 +858,10 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
                                  within: SemigroupView | None = None) -> CancelCertificate:
     """Brute-force right cancelability plus the two classical conditions.
 
-    (a) injectivity of Y -> Y o F over all of G(X) (carrier <= 4) or over a
-    supplied sub-semigroup, as one gathered column of distinct words Y o F;
+    (a) injectivity of Y -> Y o F over all of G(X) (carrier <=
+    MAX_ENUM_CARRIER) or over a supplied sub-semigroup, as one column of
+    distinct words Y o F, gathered MAX_VIEW_ELEMENTS words at a time and
+    sorted in place (G(6): two word arrays of about 60 MB);
     (b) pairwise distinctness of the point translates <x> o F = x * F;
     (c) sets S_x in F n F^T with pairwise disjoint translates x * S_x: the
     first such tuple in ascending mask order, by backtracking over the
@@ -908,16 +876,20 @@ def right_cancelable_certificate(g: Groupoid, f: Hyperspace,
             raise InputError("the scope `within` needs a view of hyperspaces on the same carrier")
         pool = within.words
         scope = f"subsemigroup({len(pool)})"
-    elif g.n <= 4:
+    elif g.n <= MAX_ENUM_CARRIER:
         pool = upset_words(g.n)
         scope = "G(X)"
     else:
         pool = None
-        scope = "skipped (carrier > 4 and no sub-semigroup supplied)"
+        scope = f"skipped (carrier > {MAX_ENUM_CARRIER} and no sub-semigroup supplied)"
     cancelable = None
     if pool is not None:
-        col = _gather_words(pool, _transforms(_preimage_bits(g), [f.bits]))[0]
-        cancelable = len(_distinct(col)) == len(col)
+        index, col = _transforms(_preimage_bits(g), [f.bits]), np.empty_like(pool)
+        for lo in range(0, len(pool), MAX_VIEW_ELEMENTS):   # a gather holds 64 B per word
+            chunk = slice(lo, lo + MAX_VIEW_ELEMENTS)
+            col[chunk] = _gather_words(pool[chunk], index)[0]
+        col.sort()
+        cancelable = bool((col[1:] != col[:-1]).all())
     translates_distinct = len({left_shift(g, x, f) for x in range(g.n)}) == g.n
     img = _image_table(g)
     mins = (f & f.transversal()).minimal_sets()

@@ -3,7 +3,8 @@
 Criterion 4 asserts the published transversal-semigroup count 9 for G(Z3);
 exhaustive computation (cross-checked by an independent brute force in
 test_structure) finds 3, so that single assertion is expected to fail. See
-gspace.verify and the decisions ledger for the full analysis.
+gspace.verify and README.md ("Tests and the acceptance suite") for the full
+account.
 """
 
 import itertools
@@ -123,7 +124,7 @@ def test_criterion_4_sections(z2, z3, z5, g2_all, g3_all):
         f"to the quotient; the published count could not be reproduced "
         f"under any operand-order convention, and the published term list "
         f"is itself inconsistent with its own 7x7 table (criterion 3). "
-        f"See the decisions ledger.")
+        f"See README.md, \"Tests and the acceptance suite\".")
 
 
 # -- criterion 5: the maximal 3-linked witness -----------------------------------------------

@@ -15,7 +15,7 @@ DELETED = {
     "gspace.structure": ("full_view", "section_view", "shift_invariant_core",
                          "_principal_two_sided_ideal", "CENTER_SAMPLES", "CENTER_SEED",
                          "_refine_colors", "_REDUCED_MIN", "_transpose_in_place", "_TILE",
-                         "_minimal_row_ideals"),
+                         "_minimal_row_ideals", "_point_identities"),
     "gspace.products": ("image_shift",),
     "gspace.terms": ("all_term_strings",),
     "gspace.cli": ("_view_for", "_class_elements", "_report"),

@@ -10,25 +10,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import gspace
 import oracles
 from gspace import (Hyperspace, InputError, SemigroupView, build_builtin,
                     format_hyperspace, generate, lambda_view, minimal_left_ideals, orbits,
                     principal)
-from gspace.cli import _load_groupoid, _show, cli, main
+from gspace.cli import _load_groupoid, _show, main
 
 Z2_JSON = json.dumps({
     "name": "Z2-from-file",
     "elements": ["e", "a"],
     "table": [["e", "a"], ["a", "e"]],
 })
-
-
-def run_cli(*args, **kwargs):
-    runner = CliRunner()
-    return runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
 
 
 def run_proc(*args, flags=(), env=(), entry=("-m", "gspace"), **kwargs):
@@ -42,48 +36,51 @@ def run_proc(*args, flags=(), env=(), entry=("-m", "gspace"), **kwargs):
 
 
 def run_main(capsys, *argv):
-    """(exit code, stdout) of `main` on argv, in-process."""
+    """`main` on argv, in-process, with its global-flag hoisting and exit
+    codes: a CompletedProcess of the code (0, or that of the SystemExit
+    `main` raises), stdout and stderr, like `run_proc`'s."""
     try:
         main(list(argv))
         code = 0
     except SystemExit as exc:
         code = exc.code
-    return code, capsys.readouterr().out
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(list(argv), code, out, err)
 
 
-def test_enumerate_count_only():
-    res = run_cli("--groupoid", "cyclic:3", "enumerate", "--class", "all",
-                  "--count-only")
-    assert res.output.strip() == "18"
+def test_enumerate_count_only(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "enumerate", "--class", "all",
+                   "--count-only")
+    assert res.stdout.strip() == "18"
 
 
-def test_enumerate_listing_uses_terms():
-    res = run_cli("--groupoid", "cyclic:2", "enumerate")
-    lines = res.output.strip().splitlines()
+def test_enumerate_listing_uses_terms(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:2", "enumerate")
+    lines = res.stdout.strip().splitlines()
     assert len(lines) == 4
     assert lines[0].endswith("0∧1")
 
 
-def test_enumerate_class_filters():
-    res = run_cli("--groupoid", "cyclic:3", "enumerate", "--class",
-                  "ultrafilters", "--count-only")
-    assert res.output.strip() == "3"
+def test_enumerate_class_filters(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "enumerate", "--class",
+                   "ultrafilters", "--count-only")
+    assert res.stdout.strip() == "3"
 
 
-def test_json_format_payload():
-    res = run_cli("--groupoid", "cyclic:3", "--format", "json", "enumerate",
-                  "--class", "maxlinked:2")
-    report = json.loads(res.output)
+def test_json_format_payload(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", "enumerate",
+                   "--class", "maxlinked:2")
+    report = json.loads(res.stdout)
     assert report["payload"]["count"] == 4
     assert report["fingerprint"]["groupoid"] == "cyclic:3"
     assert "timing_ms" in report
 
 
-def test_json_payload_deterministic():
+def test_json_payload_deterministic(capsys):
     for verb in (("enumerate", "--class", "linked:2"), ("orbits",), ("sections",)):
         args = ("--groupoid", "cyclic:3", "--format", "json", *verb)
-        a, b = (json.dumps(json.loads(run_cli(*args).output)["payload"], sort_keys=True)
-                for _ in range(2))
+        a, b = (json.dumps(json.loads(run_main(capsys, *args).stdout)["payload"],
+                           sort_keys=True) for _ in range(2))
         assert a == b, verb
 
 
@@ -101,13 +98,15 @@ def test_payload_identical_across_hash_seeds():
         assert payloads[0] == payloads[1], args
 
 
-def test_parallel_flag_rejected():
-    assert run_proc("--groupoid", "cyclic:3", "--parallel", "2", "enumerate").returncode == 2
+def test_parallel_flag_rejected(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--parallel", "2", "enumerate")
+    assert res.returncode == 2
 
 
-def test_count_only_full_census_n6():
-    res = run_cli("--groupoid", "cyclic:6", "enumerate", "--class", "all", "--count-only")
-    assert res.output.strip() == "7828352"
+def test_count_only_full_census_n6(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:6", "enumerate", "--class", "all",
+                   "--count-only")
+    assert res.stdout.strip() == "7828352"
 
 
 def test_no_hyperspace_built_before_the_view_cap(monkeypatch, capsys):
@@ -188,67 +187,67 @@ def test_labels_build_no_view_elements(monkeypatch, capsys):
     assert payload["orbits"] == [["0", "1", "2"], ["(0∨1)∧(0∨2)∧(1∨2)"]]
 
 
-def test_classify_command():
-    res = run_cli("--groupoid", "cyclic:3", "--format", "json", "classify",
-                  "<[0,1],[0,2],[1,2]>")
-    payload = json.loads(res.output)["payload"]
+def test_classify_command(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", "classify",
+                   "<[0,1],[0,2],[1,2]>")
+    payload = json.loads(res.stdout)["payload"]
     assert payload["self_transversal"] is True
     assert payload["shift_invariant"] is True
     assert payload["maximal_k_linked"] == {"2": True, "3": False}
 
 
-def test_product_command_with_oracle():
-    res = run_cli("--groupoid", "cyclic:3", "--format", "json", "product",
-                  "<[1]>", "<[2]>", "--oracle")
-    report = json.loads(res.output)
+def test_product_command_with_oracle(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", "product",
+                   "<[1]>", "<[2]>", "--oracle")
+    report = json.loads(res.stdout)
     assert report["payload"]["result"] == "<[0]>"
     assert report["verdicts"]["oracle_agrees"] is True
 
 
-def test_product_command_at_n12():
+def test_product_command_at_n12(capsys):
     g = build_builtin("cyclic", 12)
     rnd = random.Random("cli-product-n12")
     u, v = (generate(12, [rnd.randrange(1, 1 << 12) for _ in range(3)]) for _ in range(2))
     t = oracles.naive_product_transform(g, v)
     want = Hyperspace(12, sum(1 << a for a in range(1 << 12) if (u.bits >> t[a]) & 1))
-    res = run_cli("--groupoid", "cyclic:12", "--format", "json", "product",
-                  format_hyperspace(u, g.names), format_hyperspace(v, g.names))
-    assert res.exit_code == 0
-    assert json.loads(res.output)["payload"]["result"] == format_hyperspace(want, g.names)
+    res = run_main(capsys, "--groupoid", "cyclic:12", "--format", "json", "product",
+                   format_hyperspace(u, g.names), format_hyperspace(v, g.names))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["payload"]["result"] == format_hyperspace(want, g.names)
 
 
-def test_literal_roundtrip_through_cli():
-    res = run_cli("--groupoid", "cyclic:3", "--format", "json", "enumerate")
-    payload = json.loads(res.output)["payload"]
+def test_literal_roundtrip_through_cli(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", "enumerate")
+    payload = json.loads(res.stdout)["payload"]
     for literal in payload["elements"]:
-        out = run_cli("--groupoid", "cyclic:3", "--format", "json", "classify",
-                      literal)
-        assert json.loads(out.output)["payload"]["hyperspace"] == literal
+        out = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", "classify",
+                       literal)
+        assert json.loads(out.stdout)["payload"]["hyperspace"] == literal
 
 
-def test_table_csv():
-    res = run_cli("--groupoid", "cyclic:2", "--format", "csv", "table",
-                  "--within", "maxlinked:2")
-    lines = res.output.strip().splitlines()
+def test_table_csv(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:2", "--format", "csv", "table",
+                   "--within", "maxlinked:2")
+    lines = res.stdout.strip().splitlines()
     assert lines[0].startswith("# legend:")
     assert lines[1] == ",0,1"
     assert len(lines) == 4
 
 
-def test_table_dot():
-    res = run_cli("--groupoid", "cyclic:2", "--format", "dot", "table")
-    assert res.output.startswith("digraph product")
-    assert '"o 0"' in res.output
+def test_table_dot(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:2", "--format", "dot", "table")
+    assert res.stdout.startswith("digraph product")
+    assert '"o 0"' in res.stdout
 
 
-def test_table_text_closed_flag():
-    res = run_cli("--groupoid", "cyclic:2", "table")
-    assert "closed: True" in res.output
+def test_table_text_closed_flag(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:2", "table")
+    assert "closed: True" in res.stdout
 
 
-def test_analyze_command():
-    res = run_cli("--groupoid", "cyclic:3", "--format", "json", "analyze")
-    payload = json.loads(res.output)["payload"]
+def test_analyze_command(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", "analyze")
+    payload = json.loads(res.stdout)["payload"]
     assert len(payload["idempotents"]) == 6
     assert len(payload["right_zeros"]) == 3
     assert payload["identity"] == "0"
@@ -257,7 +256,7 @@ def test_analyze_command():
     assert len(payload["shift_invariant_core"]) == 3
 
 
-def test_analyze_nonassociative_degrades():
+def test_analyze_nonassociative_degrades(tmp_path, capsys):
     # subtraction mod 4 is a quasigroup but not associative; the analysis
     # must fall back to one-sided ideal reports
     doc = json.dumps({
@@ -265,23 +264,22 @@ def test_analyze_nonassociative_degrades():
         "elements": ["0", "1", "2", "3"],
         "table": [[str((i - j) % 4) for j in range(4)] for i in range(4)],
     })
-    with CliRunner().isolated_filesystem():
-        with open("sub4.json", "w") as fh:
-            fh.write(doc)
-        res = run_cli("--groupoid", "file:sub4.json", "--format", "json",
-                      "analyze")
-    payload = json.loads(res.output)["payload"]
+    path = tmp_path / "sub4.json"
+    path.write_text(doc)
+    res = run_main(capsys, "--groupoid", f"file:{path}", "--format", "json", "analyze")
+    payload = json.loads(res.stdout)["payload"]
     assert payload["associative"] is False
     assert "minimal_ideal" not in payload
     assert payload["minimal_left_ideals"]
 
 
 @pytest.mark.parametrize("spec", ["cyclic:6", "symmetric-3"])
-def test_lambda_kernel_from_analyze(spec):
+def test_lambda_kernel_from_analyze(spec, capsys):
     # a computed result, pinned here and not replayed by verify-paper: the
     # kernel of λ(Z6) and of λ(S3) is the union of 9 minimal left ideals of
     # 2 elements each
-    res = run_proc("--groupoid", spec, "--format", "json", "analyze", "--within", "maxlinked:2")
+    res = run_main(capsys, "--groupoid", spec, "--format", "json", "analyze",
+                   "--within", "maxlinked:2")
     assert res.returncode == 0, res.stderr[-500:]
     payload = json.loads(res.stdout)["payload"]
     g = _load_groupoid(spec)
@@ -294,31 +292,31 @@ def test_lambda_kernel_from_analyze(spec):
     assert payload["minimal_ideal"] == [_show(g, view.elements[i]) for i in kernel]
 
 
-def test_orbits_command():
-    res = run_cli("--groupoid", "cyclic:3", "--format", "json", "orbits")
-    payload = json.loads(res.output)["payload"]
+def test_orbits_command(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", "orbits")
+    payload = json.loads(res.stdout)["payload"]
     assert payload["orbit_count"] == 8
 
 
-def test_sections_command():
-    res = run_cli("--groupoid", "cyclic:2", "--format", "json", "sections")
-    payload = json.loads(res.output)["payload"]
+def test_sections_command(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:2", "--format", "json", "sections")
+    payload = json.loads(res.stdout)["payload"]
     assert payload["section_count"] == 1
     assert payload["sections"][0] == ["0∧1", "0", "0∨1"]
 
 
-def test_sections_lambda_z5():
-    res = run_cli("--groupoid", "cyclic:5", "--format", "json", "sections",
-                  "--within", "maxlinked:2")
-    payload = json.loads(res.output)["payload"]
+def test_sections_lambda_z5(capsys):
+    res = run_main(capsys, "--groupoid", "cyclic:5", "--format", "json", "sections",
+                   "--within", "maxlinked:2")
+    payload = json.loads(res.stdout)["payload"]
     assert payload["section_count"] == 0
 
 
-def test_groupoid_from_file(tmp_path):
+def test_groupoid_from_file(tmp_path, capsys):
     path = tmp_path / "z2.json"
     path.write_text(Z2_JSON)
-    res = run_cli("--groupoid", f"file:{path}", "enumerate", "--count-only")
-    assert res.output.strip() == "4"
+    res = run_main(capsys, "--groupoid", f"file:{path}", "enumerate", "--count-only")
+    assert res.stdout.strip() == "4"
 
 
 def _assert_input_error(res):
@@ -327,46 +325,47 @@ def _assert_input_error(res):
     assert "Traceback" not in res.stderr
 
 
-def test_groupoid_file_is_directory(tmp_path):
-    _assert_input_error(run_proc("--groupoid", f"file:{tmp_path}", "enumerate"))
+def test_groupoid_file_is_directory(tmp_path, capsys):
+    _assert_input_error(run_main(capsys, "--groupoid", f"file:{tmp_path}", "enumerate"))
 
 
-def test_groupoid_file_invalid_utf8(tmp_path):
+def test_groupoid_file_invalid_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.yaml"
     path.write_bytes(b"name: Z\xe9\nelements: [e]\ntable: [[e]]\n")
-    _assert_input_error(run_proc("--groupoid", f"file:{path}", "enumerate"))
+    _assert_input_error(run_main(capsys, "--groupoid", f"file:{path}", "enumerate"))
 
 
-def test_exit_codes():
-    assert run_proc("--groupoid", "cyclic:2", "enumerate").returncode == 0
-    assert run_proc("--groupoid", "nonsense:2", "enumerate").returncode == 2
-    assert run_proc("--groupoid", "cyclic:3", "classify", "oops").returncode == 2
-    assert run_proc("enumerate").returncode == 2               # missing groupoid
-    assert run_proc("--groupoid", "cyclic:3", "--budget", "3",
-                    "sections").returncode == 3
-    assert run_proc("--groupoid", "cyclic:2", "--format", "csv",
-                    "enumerate").returncode == 2               # csv is table-only
-    assert run_proc("no-such-command").returncode == 2
-    res = run_proc("--groupoid", "cyclic:3", "--budget", "-5", "sections")
+def test_exit_codes(capsys):
+    def code(*argv):
+        return run_main(capsys, *argv).returncode
+    assert code("--groupoid", "cyclic:2", "enumerate") == 0
+    assert code("--groupoid", "nonsense:2", "enumerate") == 2
+    assert code("--groupoid", "cyclic:3", "classify", "oops") == 2
+    assert code("enumerate") == 2                               # missing groupoid
+    assert code("--groupoid", "cyclic:3", "--budget", "3", "sections") == 3
+    assert code("--groupoid", "cyclic:2", "--format", "csv", "enumerate") == 2  # table-only
+    assert code("no-such-command") == 2
+    res = run_main(capsys, "--groupoid", "cyclic:3", "--budget", "-5", "sections")
     assert res.returncode == 2 and "Traceback" not in res.stderr   # refused before any search
-    assert run_proc("--groupoid", "cyclic:3", "--budget", "0",
-                    "sections").returncode == 3
+    assert code("--groupoid", "cyclic:3", "--budget", "0", "sections") == 3
+    # `python -m gspace` exits with main's code
+    assert run_proc("--groupoid", "cyclic:3", "--budget", "3", "sections").returncode == 3
 
 
-def test_global_flags_after_subcommand():
+def test_global_flags_after_subcommand(capsys):
     # the documented grammar allows per-command placement of global flags
-    res = run_proc("enumerate", "--groupoid", "cyclic:3", "--class", "all",
+    res = run_main(capsys, "enumerate", "--groupoid", "cyclic:3", "--class", "all",
                    "--count-only")
     assert res.returncode == 0
     assert res.stdout.strip() == "18"
-    res = run_proc("sections", "--groupoid", "cyclic:5", "--within",
+    res = run_main(capsys, "sections", "--groupoid", "cyclic:5", "--within",
                    "maxlinked:2", "--format", "json")
     assert res.returncode == 0
     assert json.loads(res.stdout)["payload"]["section_count"] == 0
 
 
-def test_verify_paper_exit_and_summary():
-    res = run_proc("verify-paper")
+def test_verify_paper_exit_and_summary(capsys):
+    res = run_main(capsys, "verify-paper")
     # one published value (the Z3 transversal count) is a known mismatch,
     # so the suite reports a failure and exits 1
     assert res.returncode == 1
@@ -375,18 +374,18 @@ def test_verify_paper_exit_and_summary():
     assert "[PASS] lambda-z6-left-ideals" in res.stdout
 
 
-def _table_payloads(verb):
+def _table_payloads(capsys, verb):
     args = ("--groupoid", "cyclic:3", "--format", "json", verb)
-    return [json.loads(run_cli(*args).output)["payload"] for _ in range(2)]
+    return [json.loads(run_main(capsys, *args).stdout)["payload"] for _ in range(2)]
 
 
-def test_table_json_entries_are_product_indices():
+def test_table_json_entries_are_product_indices(capsys):
     from gspace import build_builtin, enumerate_all, product
     from gspace.cli import _show
     g = build_builtin("cyclic", 3)
     elems = sorted(enumerate_all(3))
     index = {h.bits: k for k, h in enumerate(elems)}
-    first, second = _table_payloads("table")
+    first, second = _table_payloads(capsys, "table")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     assert first["labels"] == [_show(g, h) for h in elems]
     for i, row in enumerate(first["table"]):
@@ -395,13 +394,13 @@ def test_table_json_entries_are_product_indices():
             assert k == index[product(g, elems[i], elems[j]).bits]
 
 
-def test_orbits_json_quotient_entries_are_orbit_indices():
+def test_orbits_json_quotient_entries_are_orbit_indices(capsys):
     from gspace import build_builtin, enumerate_all, product
     from gspace.cli import _show
     g = build_builtin("cyclic", 3)
     elems = sorted(enumerate_all(3))
     index = {h.bits: k for k, h in enumerate(elems)}
-    first, second = _table_payloads("orbits")
+    first, second = _table_payloads(capsys, "orbits")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     labels = [_show(g, h) for h in elems]
     orbit_of = {labels.index(lab): o for o, orb in enumerate(first["orbits"]) for lab in orb}
@@ -451,12 +450,12 @@ PINNED_OUTPUT = {
 
 def test_pinned_output_bytes(capsys):
     for (spec, fmt, *verb), digest in PINNED_OUTPUT.items():
-        code, out = run_main(capsys, "--groupoid", spec, "--format", fmt, *verb)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, fmt, verb)
+        res = run_main(capsys, "--groupoid", spec, "--format", fmt, *verb)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, (spec, fmt, verb)
     # the escaping view has no orbit partition: a refusal, and nothing on stdout
-    code, out = run_main(capsys, "--groupoid", "symmetric-3", "orbits", "--within", "maxlinked:3")
-    assert (code, out) == (2, "")
+    res = run_main(capsys, "--groupoid", "symmetric-3", "orbits", "--within", "maxlinked:3")
+    assert (res.returncode, res.stdout) == (2, "")
 
 
 def test_json_output_is_the_canonical_dump(capsys):
@@ -464,11 +463,12 @@ def test_json_output_is_the_canonical_dump(capsys):
                  ["classify", "<[0,1],[0,2],[1,2]>"], ["product", "<[1]>", "<[2]>", "--oracle"],
                  ["table"], ["table", "--within", "maxlinked:2"], ["analyze"], ["orbits"],
                  ["sections"], ["verify-paper"]):
-        code, out = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", *argv)
-        assert code in (0, 1), argv           # verify-paper exits 1 on criterion 4
+        res = run_main(capsys, "--groupoid", "cyclic:3", "--format", "json", *argv)
+        assert res.returncode in (0, 1), argv     # verify-paper exits 1 on criterion 4
+        out = res.stdout
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
-    code, out = run_main(capsys, "--groupoid", "symmetric-3", "--format", "json",
-                         "table", "--within", "maxlinked:3")
+    out = run_main(capsys, "--groupoid", "symmetric-3", "--format", "json",
+                   "table", "--within", "maxlinked:3").stdout
     report = json.loads(out)
     assert report["payload"]["closed"] is False
     assert any(-1 in row for row in report["payload"]["table"])
@@ -520,10 +520,10 @@ def test_analyze_names_its_escape_as_table_does(capsys):
              "[(01),(02),(12),(012)]>")
     prod = ("<[e,(01),(02),(012)],[e,(02),(12),(012)],[e,(01),(02),(021)],"
             "[e,(01),(12),(021)],[e,(01),(012),(021)],[(01),(02),(12),(012),(021)]>")
-    code, out = run_main(capsys, "--groupoid", "symmetric-3", "--format", "json", "table",
-                         "--within", "maxlinked:3")
-    escape = json.loads(out)["payload"]["first_escape"]
-    assert code == 0 and escape == {"left": left, "right": right, "product": prod}
+    res = run_main(capsys, "--groupoid", "symmetric-3", "--format", "json", "table",
+                   "--within", "maxlinked:3")
+    escape = json.loads(res.stdout)["payload"]["first_escape"]
+    assert res.returncode == 0 and escape == {"left": left, "right": right, "product": prod}
     with pytest.raises(SystemExit) as exc:
         main(["--groupoid", "symmetric-3", "analyze", "--within", "maxlinked:3"])
     assert exc.value.code == 2
@@ -544,29 +544,29 @@ def _odd_groupoid(tmp_path, names):
 
 def test_dot_escapes_labels(tmp_path, capsys):
     spec = _odd_groupoid(tmp_path, ODD_NAMES[:2])
-    labels = json.loads(run_main(capsys, "--groupoid", spec, "--format", "json", "table")[1])[
+    labels = json.loads(run_main(capsys, "--groupoid", spec, "--format", "json", "table").stdout)[
         "payload"]["labels"]
-    code, out = run_main(capsys, "--groupoid", spec, "--format", "dot", "table")
-    assert code == 0
-    found = re.findall(r'^  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', out, re.M)
+    res = run_main(capsys, "--groupoid", spec, "--format", "dot", "table")
+    assert res.returncode == 0
+    found = re.findall(r'^  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', res.stdout, re.M)
     assert [int(i) for i, _ in found] == list(range(len(labels)))
     assert [re.sub(r"\\(.)", r"\1", lab) for _, lab in found] == labels
 
 
 def test_enumerate_labels_read_back_through_classify(tmp_path, capsys):
     spec = _odd_groupoid(tmp_path, ODD_NAMES)
-    code, out = run_main(capsys, "--groupoid", spec, "enumerate")
-    assert code == 0
-    labels = [line.split(": ", 1)[1] for line in out.splitlines()]
+    res = run_main(capsys, "--groupoid", spec, "enumerate")
+    assert res.returncode == 0
+    labels = [line.split(": ", 1)[1] for line in res.stdout.splitlines()]
     assert len(labels) == 166
     for label in labels:
-        code, out = run_main(capsys, "--groupoid", spec, "--format", "json", "classify", label)
-        assert code == 0
-        assert json.loads(out)["payload"]["hyperspace"] == label
+        res = run_main(capsys, "--groupoid", spec, "--format", "json", "classify", label)
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["payload"]["hyperspace"] == label
 
 
-def test_unreadable_element_names_refused(tmp_path):
+def test_unreadable_element_names_refused(tmp_path, capsys):
     for bad in ("a,b", "[a", "a]", "<a", "a>", " a", "a\t"):
-        res = run_proc("--groupoid", _odd_groupoid(tmp_path, ["e", bad]), "enumerate")
+        res = run_main(capsys, "--groupoid", _odd_groupoid(tmp_path, ["e", bad]), "enumerate")
         _assert_input_error(res)
         assert repr(bad) in res.stderr
