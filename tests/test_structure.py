@@ -54,8 +54,19 @@ def _section_view(search, sec):
 
 def check_associativity(view):
     assert view.is_associative() == oracles.naive_is_associative(view.table.tolist())
-    if view.is_associative():
-        assert minimal_ideal(view) == oracles.descent_minimal_ideal(view.table)
+    check_ideals(view)
+
+
+def check_ideals(view):
+    """On a view that holds the verdict True, whose ideal reports read only
+    the kernel's lines: the one-sided reports against `_minimal_ideals` over
+    all lines, and the kernel against the descent oracle. Every other view
+    reads all lines already."""
+    if vars(view).get("_light"):
+        t = view.table
+        assert minimal_left_ideals(view) == _minimal_ideals(t, 0)
+        assert minimal_right_ideals(view) == _minimal_ideals(t, 1)
+        assert minimal_ideal(view) == oracles.descent_minimal_ideal(t)
 
 
 # -- views -------------------------------------------------------------------------
@@ -626,6 +637,19 @@ def light_paths(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def lines_read(monkeypatch):
+    """The number of lines each `_line_sets` call reads."""
+    seen, line_sets = [], structure._line_sets
+
+    def counted(*args):
+        sets = line_sets(*args)
+        seen.append(len(sets))
+        return sets
+    monkeypatch.setattr(structure, "_line_sets", counted)
+    return seen
+
+
 @pytest.mark.parametrize("name,n,token", [("cyclic", 4, "all"), ("cyclic", 5, "maxlinked"),
                                           ("cyclic", 6, "maxlinked")])
 def test_built_views_are_associative_by_the_theorem(name, n, token, monkeypatch, light_paths):
@@ -963,16 +987,51 @@ def test_minimal_ideal_equals_intersection_formula(z3, g3_view):
         assert kern == inter
 
 
-def test_minimal_ideal_needs_associativity(magma3):
-    elems = sorted(enumerate_all(3))
-    view = subsemigroup_view(magma3, elems)
+def test_minimal_ideal_needs_associativity(magma3, lines_read):
+    # a non-associative view reads all lines for its one-sided ideals, before
+    # its verdict and after it
+    view = subsemigroup_view(magma3, sorted(enumerate_all(3)))
     assert view.closed
-    if not view.is_associative():
-        with pytest.raises(InputError):
-            minimal_ideal(view)
-    lefts = minimal_left_ideals(view)
-    rights = minimal_right_ideals(view)
-    assert lefts and rights
+    lefts, rights = minimal_left_ideals(view), minimal_right_ideals(view)
+    assert lefts and rights and lines_read == [view.size] * 2
+    assert not view.is_associative()
+    assert (minimal_left_ideals(view), minimal_right_ideals(view)) == (lefts, rights)
+    assert lines_read == [view.size] * 4
+    with pytest.raises(InputError):
+        minimal_ideal(view)
+
+
+@pytest.mark.parametrize("name,n,token", [("cyclic", 4, "all"), ("cyclic", 5, "maxlinked")])
+def test_ideal_reports_read_kernel_lines_on_a_held_verdict(name, n, token, light_paths,
+                                                           lines_read):
+    # a built view holds the verdict True and reads the |K| lines of its
+    # kernel; a hand-built copy reads all m lines, with no Light's test and no
+    # generators, until its own is_associative() has returned True
+    g = build_builtin(name, n)
+    view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
+    copy = SemigroupView(g, None, view.table)
+    m, k = view.size, len(minimal_ideal(view))
+    want = [_minimal_ideals(view.table, axis) for axis in (0, 1)]
+
+    def reports(v):
+        """Both one-sided reports, and the lines each read."""
+        lines_read.clear()
+        return [minimal_left_ideals(v), minimal_right_ideals(v)], lines_read[:]
+    assert reports(view) == (want, [k, k]) and k < m
+    assert reports(copy) == (want, [m, m])
+    assert light_paths == [] and "generators" not in vars(view) | vars(copy)
+    assert copy.is_associative() and light_paths == [m]
+    assert reports(copy) == (want, [k, k])
+
+
+@pytest.mark.parametrize("name,n,token", [("cyclic", 5, "all"), ("symmetric-3", 6, "maxlinked")])
+def test_kernel_path_matches_all_lines_on_large_views(name, n, token, light_paths):
+    # all of G(Z5) (7,579 elements) and λ(S3) (2,646): λ(Z6) runs the same
+    # checks in check_table_analysis
+    g = build_builtin(name, n)
+    view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
+    check_ideals(view)
+    assert light_paths == [] and "generators" not in vars(view)
 
 
 def test_minimal_left_ideals_lambda_z3(z3):
@@ -1030,6 +1089,7 @@ def check_table_analysis(view):
     assert center(view) == oracles.naive_center(t)
     assert minimal_left_ideals(view) == oracles.naive_minimal_row_ideals(t.T)
     assert minimal_right_ideals(view) == oracles.naive_minimal_row_ideals(t)
+    check_ideals(view)
 
 
 def table_view(g, table):
@@ -1195,13 +1255,15 @@ def test_line_sets_and_minimal_ideals_match_oracles(m):
                 assert np.array_equal(_invariants(layout), want_invariants)
 
 
-def test_minimal_ideals_of_a_large_left_zero_band(z2):
+def test_minimal_ideals_of_a_large_left_zero_band(z2, light_paths, lines_read):
     # xs = x: every right ideal is a singleton, every left ideal the whole band,
-    # so no minimal set contains another of its size
+    # so no minimal set contains another of its size; a hand-built view with
+    # no verdict reads all lines, and no Light's test or generators run
     m = 4000
     band = table_view(z2, np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1))
     assert minimal_right_ideals(band) == [(x,) for x in range(m)]
     assert minimal_left_ideals(band) == [tuple(range(m))]
+    assert lines_read == [m, m] and light_paths == [] and "generators" not in vars(band)
 
 
 # -- orbits and quotients --------------------------------------------------------------------
@@ -1704,13 +1766,15 @@ def traced_peak(run) -> int:
 def test_table_analyses_allocate_blocks_of_lines(z6):
     # above the built λ(Z6) view, an analysis holds the packed line sets and
     # a few blocks of _LINES lines of intp indices: no m x m membership
-    # matrix, sorted table copy, or R x n x R orbit gather
+    # matrix, sorted table copy, or R x n x R orbit gather; the ideal reports
+    # hold the sets of the |K| kernel lines and one block of intp indices
     view = lambda_view(z6)
-    m = view.size
-    bound = m * ((m + 7) // 8) + 4 * _LINES * m * 8
-    for run in (lambda: minimal_left_ideals(view), lambda: minimal_right_ideals(view),
-                lambda: _invariants(view.table), lambda: view.generators):
-        assert traced_peak(run) <= bound
+    m, k = view.size, len(minimal_ideal(view))
+    width = (m + 7) // 8
+    for run in (lambda: minimal_left_ideals(view), lambda: minimal_right_ideals(view)):
+        assert traced_peak(run) <= k * width + _LINES * m * 8
+    for run in (lambda: _invariants(view.table), lambda: view.generators):
+        assert traced_peak(run) <= m * width + 4 * _LINES * m * 8
     # orbits builds its own view
     assert traced_peak(lambda: orbits(z6, view.words)) <= view.table.nbytes + 8 * 2 ** 20
 
