@@ -2,17 +2,19 @@
 
 Everything here works on an explicit SemigroupView: the elements' 64-bit
 membership words and their composition table, one read-only 2-D int16
-array with entries in [-1, m), as are the point-shift tables read off its
-words; arithmetic on entries runs in intp. Views take a uint64 word array
-(a class census) or Hyperspaces, need carriers up to 6 points and hold at
-most MAX_VIEW_ELEMENTS elements, checked before any Hyperspace is built; a view reads whether it is closed, and its
-first escape, off its own table. One builder, `_compose`, fills every table
-in row order by byte-table gathers of blocks of columns; over an associative
-carrier it gathers one column per right orbit {V o <h>} at one row per left
-orbit {<x> o U}, both found by one numpy reduction over a point-shift table,
-and derives the other cells through the point-shift tables (λ(Z6): 231,561
+array with entries in [-1, m), as are the builder's point-shift tables;
+arithmetic on entries runs in intp. Views take a uint64 word array (a class
+census) or Hyperspaces, need carriers up to 6 points and hold at most
+MAX_VIEW_ELEMENTS elements, checked before any Hyperspace is built; a view
+reads whether it is closed, and its first escape, off its own table. One
+builder, `_compose`, fills every table in row order by byte-table gathers of
+blocks of columns; over an associative carrier, when the elements are closed
+under point shifts on both sides, it gathers one column per right orbit
+{V o <h>} at one row per left orbit {<x> o U}, both found by one numpy
+reduction over a point-shift table, and if none of those cells escapes it
+derives the other cells through the point-shift tables (λ(Z6): 231,561
 gathered words for 7.0M cells, about 35 ms; all of G(Z5), 57M cells, about
-0.3 s).
+0.3 s). Every other table is gathered whole.
 
 Cancelability, zeros, the center and the minimal one-sided ideals are
 decided on the table, not by the classical characterizations, which stay
@@ -67,14 +69,12 @@ class SemigroupView:
     `words` holds the elements' membership words in element order, and
     `elements` the same elements as Hyperspaces, built on first use.
     table[i, j] indexes the product of elements i and j, -1 marking one that
-    escaped; `closed` (no -1) and `escape` are read off it. shift[i, h]
-    indexes element i o <h> and lshift[i, x] <x> o element i, or is -1: read
-    off the words (a built view keeps its build's), None without words or
-    over a non-associative carrier. Views compare by identity. A view holds
-    only what `__post_init__` accepts (`_index_array`, `_word_array`): one to
-    MAX_VIEW_ELEMENTS rows and one word per row. All three tables are
-    read-only int16. A caller's int16 table and uint64 words are kept and
-    frozen, not copied; another integer table, or nested rows, is copied.
+    escaped; `closed` (no -1) and `escape` are read off it. Views compare
+    by identity. A view holds only what `__post_init__` accepts
+    (`_index_array`, `_word_array`): one to MAX_VIEW_ELEMENTS rows and one
+    word per row. The table is read-only int16. A caller's int16 table and
+    uint64 words are kept and frozen, not copied; another integer table, or
+    nested rows, is copied.
     """
     groupoid: Groupoid
     words: np.ndarray | None
@@ -89,15 +89,6 @@ class SemigroupView:
         if words is not None and len(words) != m:
             raise InputError(f"words need one entry per element, {m}")
         self.__dict__.update(table=table, closed=lo >= 0, words=words)
-
-    @functools.cached_property
-    def _shifts(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        if self.words is None or not self.groupoid.associative:
-            return None, None
-        return _shift_tables(_preimage_bits(self.groupoid), self.words, _lookup(self.words))
-
-    shift = property(lambda self: self._shifts[0])
-    lshift = property(lambda self: self._shifts[1])
 
     @functools.cached_property
     def escape(self) -> tuple[int, int, Hyperspace] | None:
@@ -321,12 +312,11 @@ def _by_point(kid: np.ndarray, parent: np.ndarray, points: np.ndarray, n: int) \
             for x, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
 
 
-def _compose(g: Groupoid, words: np.ndarray) \
-        -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(table, shift, lshift): the composition table over `words` and, over
-    an associative carrier (else None), both point-shift tables; table[i, j]
-    is the index in `words` of words[i] o words[j], shift[i, h] that of
-    words[i] o <h> and lshift[i, x] that of <x> o words[i], -1 if absent.
+def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(table, shift): the composition table over `words` and, over an
+    associative carrier (else None), the point-shift table; table[i, j] is
+    the index in `words` of words[i] o words[j] and shift[i, h] that of
+    words[i] o <h>, -1 if absent.
 
     A gathered column j sends element words' bits through the right
     translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
@@ -341,66 +331,56 @@ def _compose(g: Groupoid, words: np.ndarray) \
     - left: (<x> o U) o V = <x> o (U o V), and the row of <x> o U is the
       row of U sent through the left shift table lshift.
     `_plan` picks the representatives of each side from its shift table,
-    and every parent is a representative. The table is filled at the
-    representative rows first: the representative columns are gathered,
-    and so is each kid column whose parent column holds a -1 there; the
-    other kid columns are derived, _LINES rows at a time, one point h at a
-    time. Then every left-kid row is derived from its parent row, _BATCH
-    rows at a time, one point x at a time, and the columns that hold a -1
-    at a left-parent row are gathered again at the left-kid rows. Entries
-    serve only as `take` indices, and no temporary exceeds a block of rows.
-    Over other carriers every column is gathered at every row.
+    and every parent is a representative. When neither shift table holds a
+    -1, the representative columns are gathered at the representative rows;
+    if that block holds no -1 either, every input of a derivation is in the
+    view, and so the table is closed: the kid columns are derived at the
+    representative rows, _LINES rows at a time, one point h at a time, then
+    every left-kid row from its parent row, _BATCH rows at a time, one point
+    x at a time. No temporary exceeds a block of rows. Every other table
+    (an escape, or a non-associative carrier) gathers every column at every
+    row.
     """
     m = len(words)
     lookup = _lookup(words)
     pre = _preimage_bits(g)
     t = np.empty((m, m), dtype=_INDEX)
-    if g.associative:
-        shift, lshift = _shift_tables(pre, words, lookup)
-    else:                                       # no shifts: nothing is derived
-        shift = lshift = np.empty((m, 0), dtype=_INDEX)
 
-    def gather(at, js) -> np.ndarray:
-        """Fill the cells (at, js), _BATCH columns at a time; the columns of
-        js that hold a -1 there."""
-        at_words, escaped = words[at], [js[:0]]
+    def gather(at, js) -> bool:
+        """Fill the cells (at, js), _BATCH columns at a time; whether none holds a -1."""
+        at_words, closed = words[at], True
         for lo in range(0, len(js), _BATCH):
             cols = js[lo:lo + _BATCH]
             # `got` lives into the next batch, so malloc does not trim the heap
             # and fault it in again (G(5) on right-zero:5: 686k faults, not 7k)
             got = lookup(_gather_words(at_words, _transforms(pre, words[cols])))
             t[np.ix_(at, cols)] = got.T
-            escaped.append(cols[got.min(axis=1) < 0])
-        return np.concatenate(escaped)
+            closed &= bool(got.min() >= 0)
+        return closed
 
-    rows, lkid, lpar, xs = _plan(lshift)
-    reps, kid, parent, hs = _plan(shift)
-    escaped, hit = gather(rows, reps), np.zeros(m, dtype=bool)
-    hit[escaped] = True
-    lost = hit[parent]
-    escaped = np.concatenate([escaped, gather(rows, kid[lost])])
-    n = shift.shape[1]
+    if g.associative:
+        shift, lshift = _shift_tables(pre, words, lookup)
+        rows, lkid, lpar, xs = _plan(lshift)
+        reps, kid, parent, hs = _plan(shift)
+        derive = min(shift.min(), lshift.min()) >= 0 and gather(rows, reps)
+    else:
+        shift, derive = None, False
+    if not derive:
+        everything = np.arange(m)
+        gather(everything, everything)
+        return t, shift
     shift_t, lshift_t = np.ascontiguousarray(shift.T), np.ascontiguousarray(lshift.T)
-    by_point = _by_point(kid[~lost], parent[~lost], hs[~lost], n)
+    by_point = _by_point(kid, parent, hs, g.n)
     for lo in range(0, len(rows) if by_point else 0, _LINES):
         at = rows[lo:lo + _LINES]
         block = t[at]
         for h, k, p in by_point:
             block[:, k] = shift_t[h].take(block[:, p])
         t[at] = block
-    # a -1 parent cell reads some in-range entry here (take wraps it), but
-    # its column is gathered again at the left-kid rows just below
-    for x, k, p in _by_point(lkid, lpar, xs, n):
+    for x, k, p in _by_point(lkid, lpar, xs, g.n):
         for lo in range(0, len(k), _BATCH):
             t[k[lo:lo + _BATCH]] = lshift_t[x].take(t[p[lo:lo + _BATCH]])
-    # a representative row holds a -1 only in an escaped gathered column or
-    # where the shift table holds one
-    if len(lkid) and (len(escaped) or shift.min() < 0):
-        left_parents, bad = _distinct(lpar), np.zeros(m, dtype=bool)
-        for lo in range(0, len(left_parents), _LINES):
-            bad |= (t[left_parents[lo:lo + _LINES]] < 0).any(axis=0)
-        gather(lkid, np.flatnonzero(bad))
-    return (t, shift, lshift) if g.associative else (t, None, None)
+    return t, shift
 
 
 def _light_holds(t: np.ndarray, gens: np.ndarray) -> bool:
@@ -432,6 +412,12 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
     """Composition table over the given elements, a uint64 word array or
     Hyperspaces, in their order. The input checks all run before any
     Hyperspace is built."""
+    return _build(g, elements)[0]
+
+
+def _build(g: Groupoid, elements) -> tuple[SemigroupView, np.ndarray | None]:
+    """(view, shift): `subsemigroup_view`'s view and its build's point-shift
+    table (see `_compose`)."""
     if g.n > MAX_ENUM_CARRIER:
         raise InputError(f"views need carrier <= {MAX_ENUM_CARRIER}")
     raw = isinstance(elements, np.ndarray)
@@ -445,12 +431,11 @@ def subsemigroup_view(g: Groupoid, elements) -> SemigroupView:
         raise InputError("carrier mismatch in view elements")
     words = _word_array(g, elements.copy() if raw else
                         np.array([h.bits for h in elements], dtype=np.uint64))
-    table, *shifts = _compose(g, words)
+    table, shift = _compose(g, words)
     view = SemigroupView(g, words, table)
-    view.__dict__["_shifts"] = tuple(shifts)    # the build's own: not gathered again
     if g.associative:                           # a sub-semigroup of G(X): see is_associative
         view.__dict__["_light"] = True
-    return view
+    return view, shift
 
 
 # -- special elements --------------------------------------------------------
@@ -696,27 +681,28 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
     Requires a group carrier, a product-closed element set that is closed
     under right shifts by points, and verifies quotient well-definedness
     (representatives shifted on the left land in the expected orbit), one
-    point at a time, instead of assuming it. Over a group, row i of the view's shift table is the
-    whole orbit of element i, so its minimum is the orbit's representative.
+    point at a time, instead of assuming it. Over a group, row i of the
+    build's point-shift table is the whole orbit of element i, so its
+    minimum is the orbit's representative.
     """
     if not g.is_group():
         raise InputError("orbit decomposition needs a group carrier")
-    view = subsemigroup_view(g, elements)
+    view, shift = _build(g, elements)
     if not view.closed:
         i, j, p = view.escape
         raise InputError(f"element set not closed under the product: "
                          f"{view.label(i)} o {view.label(j)} = {p!r}")
-    if (escape := _first_escape(view.shift)) is not None:
+    if (escape := _first_escape(shift)) is not None:
         i, h = escape
         p = product(g, Hyperspace._raw(g.n, int(view.words[i])), principal(g.n, h))
         raise InputError(f"element set not closed under right shifts: "
                          f"{view.label(i)} o point -> {p!r}")
-    reps, orbit_of = np.unique(view.shift.min(axis=1), return_inverse=True)
+    reps, orbit_of = np.unique(shift.min(axis=1), return_inverse=True)
     t, orbit_of = view.table, orbit_of.astype(_INDEX)
     qtab = orbit_of[t[np.ix_(reps, reps)]]
     # well-definedness: shifting the left factor by any point must not move
     # the product's orbit; one R x R gather per point
-    if not all(np.array_equal(orbit_of[t[np.ix_(view.shift[reps, h], reps)]], qtab)
+    if not all(np.array_equal(orbit_of[t[np.ix_(shift[reps, h], reps)]], qtab)
                for h in range(g.n)):
         raise InputError(
             "quotient multiplication ill-defined: the orbit "
@@ -725,7 +711,7 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
             "the left factor)")
     return OrbitDecomposition(
         view=view,
-        orbits=tuple(tuple(sorted(set(row))) for row in view.shift[reps].tolist()),
+        orbits=tuple(tuple(sorted(set(row))) for row in shift[reps].tolist()),
         orbit_of=tuple(orbit_of.tolist()),
         representatives=tuple(reps.tolist()),
         quotient=SemigroupView(g, None, qtab))

@@ -22,7 +22,8 @@ DELETED = {
 }
 DELETED_METHODS = ((Hyperspace, "support"), (Hyperspace, "member_count"),
                    (Groupoid, "mul"), (Groupoid, "element_index"),
-                   (SemigroupView, "_associative"))
+                   (SemigroupView, "_associative"), (SemigroupView, "shift"),
+                   (SemigroupView, "lshift"), (SemigroupView, "_shifts"))
 
 
 def test_public_surface():

@@ -18,6 +18,7 @@ from gspace import (BudgetExceeded, Groupoid, Hyperspace, InputError, build_buil
                     principal, product, right_cancelable_certificate,
                     smallest, special_elements, subset_mask,
                     subsemigroup_view, are_isomorphic)
+from gspace import verify
 from gspace.classify import class_words
 from gspace.groupoids import MAX_VIEW_ELEMENTS
 from gspace.hyperspaces import _gather_words, upset_words
@@ -171,31 +172,6 @@ def test_hand_built_view_checks_its_table(z2):
     assert [SemigroupView(z2, None, ((0, 1), (1, 0))).label(i) for i in (0, 1)] == ["0", "1"]
 
 
-def test_hand_built_view_reads_its_shift_tables_off_the_words(z4, z5, magma3, monkeypatch):
-    # G(Z4) and λ(Z5): a view over the same words and table has the built
-    # view's point-shift tables, gathered once, on first use
-    gathered = []
-    monkeypatch.setattr("gspace.structure._gather_words",
-                        lambda ws, index: gathered.append(len(index)) or _gather_words(ws, index))
-    for g, words in ((z4, class_words(z4, "all")), (z5, class_words(z5, "maxlinked", 2))):
-        view = subsemigroup_view(g, words)
-        gathered.clear()
-        built = SemigroupView(g, view.words, view.table)
-        assert not gathered
-        assert np.array_equal(built.shift, view.shift) and gathered == [2 * g.n]
-        assert np.array_equal(built.lshift, view.lshift) and gathered == [2 * g.n]
-        for v in (view, built):
-            assert all(s.dtype == np.int16 and not s.flags.writeable
-                       and s.shape == (v.size, g.n) for s in (v.shift, v.lshift))
-            with pytest.raises(AttributeError):
-                v.shift = None
-        bare = SemigroupView(g, None, view.table)
-        assert bare.shift is None and bare.lshift is None
-    view = subsemigroup_view(magma3, upset_words(3))        # not associative
-    for v in (view, SemigroupView(magma3, view.words, view.table)):
-        assert v.shift is None and v.lshift is None
-
-
 def test_hand_built_view_size_cap(z2):
     assert MAX_VIEW_ELEMENTS <= np.iinfo(structure._INDEX).max
     # zero strides: no memory behind either table; the cap reads the shape
@@ -289,7 +265,7 @@ def test_first_escape_scans_blocks_of_rows(z4, z5, z6):
     views.append(subsemigroup_view(z5, np.concatenate([core[full], core[~full], extra])))
     for view in views:
         assert not view.closed
-        for table in (view.table, view.shift):
+        for table in (view.table, shift_tables(view.groupoid, view.words)[0]):
             bad = np.flatnonzero(table < 0)
             want = divmod(int(bad[0]), table.shape[1]) if bad.size else None
             assert _first_escape(table) == want
@@ -304,8 +280,7 @@ def test_orbit_shift_table_matches_product(z3, z5, z6, g3_all, monkeypatch):
         words = np.array([h.bits for h in elems], dtype=np.uint64)
         dec = orbits(g, words)
         assert "elements" not in dec.view.__dict__
-        shift = dec.view.shift
-        assert not shift.flags.writeable and dec.quotient.shift is None
+        shift = shift_tables(g, words)[0]
         assert np.array_equal(shift, oracles.gather_table(g, words, [p.bits for p in points]))
         lookup = reference_index(g, elems)
         for i, u in enumerate(elems):
@@ -329,66 +304,69 @@ TABLE_CASES = [("lambda", "cyclic", 6), ("lambda", "symmetric-3", 6), ("lambda",
                ("principal0", "cyclic", 3), ("G", "magma3", 3)]
 
 
+def count_gathers(monkeypatch) -> list[int]:
+    """The words each `_gather_words` call of the builder gathers: gathers x words."""
+    gathered = []
+    monkeypatch.setattr("gspace.structure._gather_words",
+                        lambda ws, index: gathered.append(len(index) * len(ws))
+                        or _gather_words(ws, index))
+    return gathered
+
+
 @pytest.mark.parametrize("kind,name,n", TABLE_CASES)
-def test_compressed_table_matches_gather(kind, name, n, magma3):
+def test_compressed_table_matches_gather(kind, name, n, magma3, monkeypatch):
     g = magma3 if name == "magma3" else build_builtin(name, n)
     words = {"G": lambda: upset_words(n),
              "lambda": lambda: class_words(g, "maxlinked", 2),
              "lambda200": lambda: class_words(g, "maxlinked", 2)[:200],
              "principal0": lambda: np.array([principal(n, 0).bits], dtype=np.uint64)}[kind]()
+    gathered = count_gathers(monkeypatch)
     view = subsemigroup_view(g, words)
+    built = sum(gathered)
     assert np.array_equal(view.table, oracles.gather_table(g, words, words))
     assert view.table.flags.c_contiguous
+    # cells are derived, and fewer words gathered than every cell (and both
+    # shift tables over an associative carrier), only on a closed table over
+    # elements closed under point shifts on both sides
+    m = len(words)
+    derivable = g.associative and view.closed and min(
+        s.min() for s in shift_tables(g, words)) >= 0
+    assert (built < 2 * n * m * g.associative + m * m) == derivable
     if kind == "lambda200":
         assert view.escape[:2] == (1, 2)
     if kind == "principal0":     # product-closed, not closed under shifts
-        assert view.closed
+        assert view.closed and not derivable
         with pytest.raises(InputError, match="right shifts"):
             orbits(g, words)
 
 
-def planned_gathers(g, words) -> int:
-    """The words the builder gathers by its plan: both shift tables, the
-    representative rows at the representative and lost columns (kid columns
-    whose parent holds a -1 at a representative row), and the left-kid rows
-    at the escaped columns (those holding a -1 at a left-parent row)."""
-    want = oracles.gather_table(g, words, words)
-    shift, lshift = shift_tables(g, words)
-    rows, lkid, lpar, _ = oracles.naive_plan(lshift)
-    reps, kid, parent, _ = oracles.naive_plan(shift)
-    lost = (want[np.ix_(rows, parent)] < 0).any(axis=0).sum()
-    escaped = (want[lpar] < 0).any(axis=0).sum()
-    return 2 * g.n * len(words) + len(rows) * (len(reps) + lost) + len(lkid) * escaped
-
-
-def test_compressed_table_skips_derived_gathers(z6, s3, magma3, monkeypatch):
+def test_compressed_table_skips_derived_gathers(z3, z6, s3, magma3, monkeypatch):
     words = class_words(z6, "maxlinked", 2)
     m, n = len(words), z6.n
     reps = len(orbits(z6, words).orbits)
     bound = 2 * n * m + reps ** 2     # both shift tables, then reps x reps cells
     assert bound == 231_561
-    # unclosed: λ(Z6)'s first 200 words and 300 seeded words of λ(S3)
+    # unclosed, λ(Z6)'s first 200 words and 300 seeded words of λ(S3), and
+    # closed but not closed under point shifts, the Z3 chain: both shift
+    # tables, then every cell
     lambda_s3 = class_words(s3, "maxlinked", 2)
     pick = np.random.default_rng(1).choice(len(lambda_s3), size=300, replace=False)
-    unclosed = [(z6, words[:200], 40_928), (s3, lambda_s3[pick], 93_600)]
-    plans = [planned_gathers(g, w) for g, w, _ in unclosed]
-    gathered = []                   # gathered words: gathers x words, per call
-    monkeypatch.setattr("gspace.structure._gather_words",
-                        lambda ws, index: gathered.append(len(index) * len(ws))
-                        or _gather_words(ws, index))
+    chain = np.array([h.bits for h in verify._z3_chain(True)], dtype=np.uint64)
+    whole = [(z6, words[:200], 42_400), (s3, lambda_s3[pick], 93_600), (z3, chain, 91)]
+    gathered = count_gathers(monkeypatch)
     subsemigroup_view(z6, words)
     assert sum(gathered) == bound
     gathered.clear()
-    orbits(z6, words)               # reads the view's own shift table
+    orbits(z6, words)               # reads the build's own shift table
     assert sum(gathered) == bound
-    for (g, w, count), plan in zip(unclosed, plans):
+    for g, w, count in whole:
         gathered.clear()
-        assert not subsemigroup_view(g, w).closed
-        assert sum(gathered) == plan == count, g.name
+        assert subsemigroup_view(g, w).closed == (g is z3)
+        assert sum(gathered) == 2 * g.n * len(w) + len(w) ** 2 == count, g.name
     gathered.clear()
-    view = subsemigroup_view(magma3, upset_words(3))   # not associative
+    view, shift = structure._build(magma3, upset_words(3))     # not associative
     assert sum(gathered) == view.size ** 2 == 18 * 18
-    assert view.shift is None
+    assert shift is None
 
 
 def test_full_g5_view_matches_gather_on_sampled_columns(z5):
@@ -406,16 +384,14 @@ def test_full_g5_view_matches_gather_on_sampled_columns(z5):
     cols = np.random.default_rng(5).choice(view.size, size=64, replace=False)
     assert np.array_equal(view.table[:, cols], oracles.gather_table(z5, words, words[cols]))
     points = [principal(5, h).bits for h in range(5)]
-    assert np.array_equal(view.shift, oracles.gather_table(z5, words, points))
+    assert np.array_equal(shift_tables(z5, words)[0], oracles.gather_table(z5, words, points))
 
 
 @pytest.mark.parametrize("name,n", [("cyclic", 5), ("left-zero", 4), ("right-zero", 4)])
 @pytest.mark.parametrize("size", [_BATCH - 1, _BATCH, _BATCH + 1,
                                   _LINES - 1, _LINES, _LINES + 1, 2 * _LINES + 44])
 def test_table_across_batch_and_line_boundaries_matches_gather(name, n, size):
-    # census prefixes: on cyclic:5 most batches of gathered columns are
-    # scattered (an np.ix_ write), on the band carriers consecutive (a
-    # column-slice write);
+    # census prefixes, cut at and around the batch and block sizes;
     # G(4) has 166 elements, so the last prefix of a band carrier is all of it
     g = build_builtin(name, n)
     words = upset_words(n)[:size]
@@ -426,7 +402,8 @@ def test_table_across_batch_and_line_boundaries_matches_gather(name, n, size):
 
 def test_escaped_representative_with_complete_shifted_column(z4):
     # words[0] o <1> = words[1]; column 0 escapes, column 1 does not, so
-    # column 1 is gathered rather than derived from column 0
+    # column 1 is gathered rather than derived from column 0 (as is every
+    # column of a table with an escape)
     words = np.array([generate(4, masks(4, *sets)).bits for sets in (
         [(0, 1)], [(1, 2)], [(0, 2, 3)], [(1, 2, 3)], [(0, 1, 2, 3)])], dtype=np.uint64)
     want = oracles.gather_table(z4, words, words)
@@ -496,8 +473,8 @@ def test_unclosed_lambda_s3_subsets_match_gather(s3, seed):
 def test_escaped_left_representative_with_existing_kid_products(z3):
     # words[1] = <1> o words[0], and words[0] o words[2] escapes while
     # words[1] o words[2] = <1> o (words[0] o words[2]) = words[3] exists;
-    # that cell cannot be derived from its parent, so column 2 is gathered
-    # again at the left-kid rows
+    # that cell cannot be derived from its parent, so it is gathered (as is
+    # every cell of a table with an escape)
     words = np.array([generate(3, masks(3, *sets)).bits for sets in (
         [(0,), (2,)], [(0,), (1,)], [(0, 1)], [(0, 1), (1, 2)])], dtype=np.uint64)
     _, lshift = shift_tables(z3, words)
@@ -510,8 +487,9 @@ def test_escaped_left_representative_with_existing_kid_products(z3):
 
 
 def test_escape_only_in_a_derived_column(z3):
-    # column 1, <0> o <1>, is derived from the complete column 0 through the
-    # shift table, which holds the table's only -1: <1> o <1> = <2>
+    # column 1, <0> o <1>, is the complete column 0 shifted by <1>, but the
+    # shift table holds a -1 (<1> o <1> = <2>), the table's only one: every
+    # cell is gathered
     view = subsemigroup_view(z3, [principal(3, 0), principal(3, 1)])
     assert view.table.tolist() == [[0, 1], [1, -1]]
     assert not view.closed and view.escape == (1, 1, principal(3, 2))
@@ -744,7 +722,7 @@ def test_associativity_matches_oracle_on_class_views(name, n, magma3, light_path
         check_associativity(view)
         if g.associative:
             assert light_paths == [] and "generators" not in view.__dict__
-            if g.is_group() and (view.shift >= 0).all() and (view.lshift >= 0).all():
+            if g.is_group() and min(s.min() for s in shift_tables(g, words)) >= 0:
                 quotient = orbits(g, words).quotient
                 check_associativity(quotient)
                 assert light_paths == [quotient.size]
@@ -759,7 +737,8 @@ def one_cell_changes(view, rng, count):
     one cell: `count` at representative cells (a left-representative row and
     a right-representative column), then `count` at derived cells."""
     size = view.size
-    rows, cols = _plan(view.lshift)[0], _plan(view.shift)[0]
+    shift, lshift = shift_tables(view.groupoid, view.words)
+    rows, cols = _plan(lshift)[0], _plan(shift)[0]
     rep = np.isin(np.arange(size), rows)[:, None] & np.isin(np.arange(size), cols)
     cells = [(int(rng.choice(rows)), int(rng.choice(cols))) for _ in range(count)]
     cells += [divmod(int(c), size) for c in rng.choice(np.flatnonzero(~rep.ravel()),
@@ -804,7 +783,7 @@ def equivariant_table(view, rng):
     the point identities hold: each orbit of cells takes, at its first cell,
     the first value in a random order that forces no conflict (the view's
     own entry forces none)."""
-    shift, lshift = view.shift.tolist(), view.lshift.tolist()
+    shift, lshift = (s.tolist() for s in shift_tables(view.groupoid, view.words))
     table = np.full((view.size, view.size), -1)
     for cell in itertools.product(range(view.size), repeat=2):
         if table[cell] < 0:
@@ -837,20 +816,18 @@ def test_reduced_light_test_on_tables_with_the_point_identities(name, n, token, 
 def test_associativity_fallback_on_failed_identities(z3, g3_all, light_paths):
     # the left-zero table t[i, j] = i over G(Z3)'s words, whose shift tables
     # have no -1, is associative, but x·s_h(y) = x is not s_h(x): Light's
-    # test runs on every cell; so it does on a view without words and so
-    # without shift tables
+    # test runs on every cell; so it does on a view without words
     words = np.array([h.bits for h in g3_all], dtype=np.uint64)
-    m, tables = len(words), shift_tables(z3, words)
-    assert min(s.min() for s in tables) >= 0
+    m = len(words)
+    assert min(s.min() for s in shift_tables(z3, words)) >= 0
     left_zero = np.repeat(np.arange(m)[:, None], m, axis=1)
     for table in (left_zero, left_zero.T):                     # right zero: also a band
         light_paths.clear()
         view = SemigroupView(z3, words, table)
         assert view.is_associative() and light_paths == [m]
-        assert all(np.array_equal(s, t) for s, t in zip((view.shift, view.lshift), tables))
         light_paths.clear()
         bare = SemigroupView(z3, None, table)
-        assert bare.shift is None and bare.is_associative() and light_paths == [m]
+        assert bare.is_associative() and light_paths == [m]
 
 
 # -- special elements ------------------------------------------------------------------
