@@ -18,10 +18,14 @@ words (`upset_words`), maximality too; the tests hold each filter equal to
 its predicate.
 The maximal linked families are the self-transversal ones, F = F^T, and are
 read off the up-sets on one point fewer by half-cube self-duality (see
-`_maxlinked_words`); the shift-invariant ones are the right zeros of G(X),
-its shift-invariant core. `class_words` returns a census as that ascending
-uint64 array, which views take directly; `enumerate_class` and
-`maximal_linked_families` wrap its entries as Hyperspaces.
+`_maxlinked_words`). The shift-invariant ones are the right zeros of G(X),
+its shift-invariant core, for any groupoid X: <x> o F = {A : x^-1 A in F},
+so F is a right zero iff every <x> fixes it (then {x : x^-1 A in F} is X or
+empty, and U o F = F for every U), iff F holds all or none of each class of
+the equivalence on subsets generated by A ~ x^-1 A. `class_words` returns a
+census as that ascending uint64 array, which views take directly;
+`enumerate_class` and `maximal_linked_families` wrap its entries as
+Hyperspaces.
 """
 
 from __future__ import annotations
@@ -200,34 +204,6 @@ def parse_class_token(spec: str) -> tuple[str, int | None]:
     return name, None
 
 
-def shift_closures(g: Groupoid) -> dict[int, int | None]:
-    """For each non-empty seed A, the word of its closure under supersets,
-    x * A and x^-1 A, or None when the closure reaches the empty set.
-
-    A family is shift-invariant iff it contains the closure of each of its
-    members, and no member has a closure reaching the empty set.
-    """
-    n = g.n
-    img, pre = _image_table(g), _preimage_table(g)
-    out: dict[int, int | None] = {}
-    for seed in range(1, 1 << n):
-        seen = 1 << seed
-        stack = [seed]
-        while stack:
-            a = stack.pop()
-            nxt = [img[x][a] for x in range(n)] + [pre[x][a] for x in range(n)]
-            nxt += [a | (1 << i) for i in range(n) if not (a >> i) & 1]
-            if 0 in nxt:
-                seen = None
-                break
-            for b in nxt:
-                if not (seen >> b) & 1:
-                    seen |= 1 << b
-                    stack.append(b)
-        out[seed] = seen
-    return out
-
-
 @functools.cache
 def _partitions(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Set partitions of the n points into exactly t blocks, as block masks."""
@@ -278,23 +254,38 @@ def _partition_mask(n: int, parts: tuple[tuple[int, ...], ...],
     return keep
 
 
-def _shift_invariant_mask(g: Groupoid, words: np.ndarray) -> np.ndarray:
-    """Keep F iff every seed class it meets has its closure inside F.
+def _shift_classes(g: Groupoid) -> list[int]:
+    """The classes of the equivalence on subsets generated by A ~ x^-1 A,
+    as words (bit A set for each subset A in the class)."""
+    pre = _preimage_table(g)
+    root = list(range(1 << g.n))
 
-    Seeds sharing a closure are tested together; the poisoned seeds (closure
-    None) must all stay outside F.
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    for a in range(1 << g.n):
+        for row in pre:
+            root[find(row[a])] = find(a)
+    classes: dict[int, int] = {}
+    for a in range(1 << g.n):
+        r = find(a)
+        classes[r] = classes.get(r, 0) | (1 << a)
+    return list(classes.values())
+
+
+def _shift_invariant_mask(g: Groupoid, words: np.ndarray) -> np.ndarray:
+    """Keep F iff it holds all or none of each class of `_shift_classes`.
+
+    A class of one subset always passes, so it is not tested. No census word
+    holds the empty set, so the class holding it must be absent altogether.
     """
-    seeds: dict[int | None, int] = {}
-    for a, c in shift_closures(g).items():
-        seeds[c] = seeds.get(c, 0) | (1 << a)
     keep = np.ones(len(words), dtype=bool)
-    for c, s in seeds.items():
-        meets = (words & np.uint64(s)) != 0
-        if c is None:
-            keep &= ~meets
-        else:
-            c = np.uint64(c)
-            keep &= ~meets | ((words & c) == c)
+    for c in _shift_classes(g):
+        if c & (c - 1):
+            meet = words & np.uint64(c)
+            keep &= (meet == 0) if c & 1 else (meet == 0) | (meet == np.uint64(c))
     return keep
 
 
@@ -307,7 +298,9 @@ def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     everything else by masking the census words with the bit filters above,
     centered as n-linked (the single partition into points). Maximal
     k-linked with k >= 3 then keeps the k-linked survivors F for which
-    F | up(A) is not k-linked for any A outside F.
+    F | up(A) is not k-linked for any A outside F. The shift-invariant core
+    (the right zeros of G(X): fixed by every <x>) keeps the words that hold
+    all or none of each class of subsets under A ~ x^-1 A.
     """
     n = g.n
     if n > MAX_ENUM_CARRIER:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .classify import classify as classify_fn
-from .classify import class_words, enumerate_class, parse_class_token
+from .classify import class_words, parse_class_token
 from .errors import BudgetExceeded, InputError
 from .groupoids import (MAX_VIEW_ELEMENTS, Groupoid, build_builtin, groupoid_properties,
                         parse_groupoid)
@@ -297,9 +297,8 @@ def analyze_cmd(ctx, within):
         payload["associative"] = False
         payload["minimal_left_ideals"] = [labels(ideal) for ideal in minimal_left_ideals(view)]
         payload["minimal_right_ideals"] = [labels(ideal) for ideal in minimal_right_ideals(view)]
-    if within == "all":
-        core = enumerate_class(g, "shiftinv")
-        payload["shift_invariant_core"] = [_show(g, f) for f in core]
+    if within == "all":     # the right zeros of G(X) are its shift-invariant core
+        payload["shift_invariant_core"] = payload["right_zeros"]
     _emit(ctx, payload, (f"{k}: {v}" for k, v in payload.items() if k != "groupoid"))
 
 

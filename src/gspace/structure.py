@@ -33,8 +33,10 @@ K only (λ(Z6): 18 of 2,646). The ideal reports read the lines of K on a view
 that already holds the verdict True, and all lines on every other view; they
 never run Light's test themselves. Sections of an orbit quotient and
 isomorphisms of views are one search, `_maps`, for table-preserving maps
-with forced propagation. The shift-invariant core (the right zeros of G(X))
-is the `shiftinv` class census of `classify.class_words`.
+with forced propagation. The shift-invariant core is the `shiftinv` class
+census of `classify.class_words`: the right zeros of G(X), the families fixed
+by every <x>, which hold all or none of each class of subsets under
+A ~ x^-1 A.
 """
 
 from __future__ import annotations

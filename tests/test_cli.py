@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -14,9 +15,10 @@ import pytest
 import gspace
 import oracles
 from gspace import (Hyperspace, InputError, SemigroupView, build_builtin,
-                    format_hyperspace, generate, lambda_view, minimal_left_ideals, orbits,
-                    principal)
+                    enumerate_class, format_hyperspace, generate, lambda_view,
+                    minimal_left_ideals, orbits, principal)
 from gspace.cli import _load_groupoid, _show, main
+from gspace.hyperspaces import upset_words
 
 Z2_JSON = json.dumps({
     "name": "Z2-from-file",
@@ -254,6 +256,22 @@ def test_analyze_command(capsys):
     assert len(payload["center"]) == 3
     assert sorted(payload["minimal_ideal"]) == sorted(payload["right_zeros"])
     assert len(payload["shift_invariant_core"]) == 3
+
+
+def test_analyze_reads_the_core_off_its_right_zeros(monkeypatch, capsys):
+    # G(X)'s right zeros are its shift-invariant core: one census, no shiftinv mask
+    z4 = build_builtin("cyclic", 4)
+    core = [_show(z4, f) for f in enumerate_class(z4, "shiftinv")]
+    classify_mod, calls = importlib.import_module("gspace.classify"), []
+    monkeypatch.setattr(classify_mod, "upset_words", lambda n: calls.append(n) or upset_words(n))
+
+    def refuse(*args):
+        raise AssertionError("the shiftinv mask ran")
+
+    monkeypatch.setattr(classify_mod, "_shift_invariant_mask", refuse)
+    res = run_main(capsys, "--groupoid", "cyclic:4", "--format", "json", "analyze")
+    assert res.returncode == 0 and calls == [4]
+    assert json.loads(res.stdout)["payload"]["shift_invariant_core"] == core
 
 
 def test_analyze_nonassociative_degrades(tmp_path, capsys):

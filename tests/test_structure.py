@@ -539,9 +539,11 @@ def test_plan_matches_walk_on_class_views(name, n):
 NONGROUP_OPS = {"max": lambda i, j, n: max(i, j), "min": lambda i, j, n: min(i, j),
                 "truncated-add": lambda i, j, n: min(i + j, n - 1),
                 "mul": lambda i, j, n: i * j % n,
-                "z2-left-zero": lambda i, j, n: i - i % 2 + (i + j) % 2}   # i is (i % 2, i // 2)
+                "z2-left-zero": lambda i, j, n: i - i % 2 + (i + j) % 2,   # i is (i % 2, i // 2)
+                "sub": lambda i, j, n: (i - j) % n, "2x+y": lambda i, j, n: (2 * i + j) % n}
 NONGROUP_CARRIERS = ([(name, n) for n in range(2, 6) for name in ("max", "min", "truncated-add", "mul")]
                      + [("z2-left-zero", 2), ("z2-left-zero", 4)])
+MAGMA_CARRIERS = [(name, n) for name in ("sub", "2x+y") for n in (4, 5)]   # not associative
 
 
 @pytest.mark.parametrize("name,n", NONGROUP_CARRIERS)
@@ -885,16 +887,35 @@ def test_core_size_limit():
 
 
 def test_core_matches_predicate_filter(z2, z3, z4, magma3):
+    # the class rule holds over any groupoid, the non-associative ones too
     for g in (z2, z3, z4, magma3, build_builtin("left-zero", 3),
-              build_builtin("right-zero", 3), build_builtin("klein-4", 4)):
+              build_builtin("right-zero", 3), build_builtin("klein-4", 4),
+              *(carrier(name, n) for name, n in NONGROUP_CARRIERS + MAGMA_CARRIERS)):
         fast = enumerate_class(g, "shiftinv")
         slow = [f for f in enumerate_all(g.n) if is_shift_invariant(g, f)]
         assert fast == slow, g.name
 
 
+def test_core_census_n6():
+    # every kept word is shift-invariant, and a seeded sample of the
+    # rejected census words is not
+    words = upset_words(6)
+    rng = np.random.default_rng(6)
+    for name, count in (("cyclic", 42), ("symmetric-3", 74), ("left-zero", 0)):
+        g = build_builtin(name, 6)
+        core = class_words(g, "shiftinv")
+        assert len(core) == count, name
+        rejected = np.setdiff1d(words[rng.integers(len(words), size=2000)], core)
+        for ws, invariant in ((core, True), (rejected, False)):
+            assert all(is_shift_invariant(g, Hyperspace._raw(6, w)) == invariant
+                       for w in ws.tolist()), name
+
+
 def test_right_zeros_are_exactly_shift_invariant(z2, z3, magma3):
     # over the full view, x is a right zero iff the family is shift-invariant
-    for g in (z2, z3, magma3):
+    for g in (z2, z3, magma3, build_builtin("cyclic", 4), build_builtin("klein-4", 4),
+              *(carrier(name, n) for name, n in NONGROUP_CARRIERS + MAGMA_CARRIERS
+                if n <= 4)):
         elems = sorted(enumerate_all(g.n))
         view = subsemigroup_view(g, elems)
         rz = set(special_elements(view).right_zeros)
