@@ -171,13 +171,18 @@ class Hyperspace:
 
 # -- constructors -------------------------------------------------------------
 
-def generate(n: int, base) -> Hyperspace:
-    """Upward closure of a base: A is a member iff some base set is a subset of A.
+def _up(n: int, bits: int) -> int:
+    """The upward closure of a word: for each point i in turn, the members
+    without i shifted by 2^i (adding i) join it. A word closed under adding
+    points 0..i-1 stays closed under them after the pass for i, so one pass
+    per point suffices."""
+    for i, c in enumerate(_point_words(n)):
+        bits |= (bits & ~c) << (1 << i)
+    return bits
 
-    For each point i in turn, the members without i shifted by 2^i (adding i)
-    join the family. A family closed under adding points 0..i-1 stays closed
-    under them after the pass for i, so one pass per point suffices.
-    """
+
+def generate(n: int, base) -> Hyperspace:
+    """Upward closure of a base: A is a member iff some base set is a subset of A."""
     _check_carrier(n)
     base = list(base)
     if not base:
@@ -189,9 +194,7 @@ def generate(n: int, base) -> Hyperspace:
         if not 0 < b < 1 << n:
             raise InputError(f"base mask {b} out of range")
         bits |= 1 << b
-    for i, c in enumerate(_point_words(n)):
-        bits |= (bits & ~c) << (1 << i)
-    return Hyperspace._raw(n, bits)
+    return Hyperspace._raw(n, _up(n, bits))
 
 
 def principal(n: int, x: int) -> Hyperspace:

@@ -1,13 +1,10 @@
 """The extended product on hyperspaces, shifts, and maps induced by carrier maps.
 
 For a groupoid (X, *) the product of hyperspaces U and V contains A exactly
-when {x : x^-1 A in V} belongs to U, where x^-1 A = {y : x * y in A}. The
-mask map t_V[A] = {x : x^-1 A in V}, the right translation by V, is built
-from n whole-vector gathers: V's membership string gathered through the
-preimage row of each point x is the column "x in t_V[A]" for every A at
-once, and the n columns are packed as bit x of 16-bit lanes of one int
-(n <= 16) and read back as the 2^n masks. U o V is then U's membership
-string gathered through t_V. All of it stays on strings and Python ints.
+when T(A) = {x : x^-1 A in V} belongs to U, where x^-1 A = {y : x * y in A}.
+`product` reads it as a union of meets of left shifts, one Python int
+(bit A for mask A) per point, with no associativity used (proof at
+`product`): U o V = union over u in min U of the meet over x in u of <x> o V.
 
 The equivalent base form (upward closure of all unions of x * V_x over x in
 a member of U) is implemented separately and kept exponential on purpose: it
@@ -18,12 +15,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import struct
-from operator import itemgetter
 
 from .errors import BudgetExceeded, InputError
 from .groupoids import Groupoid, is_homomorphism
-from .hyperspaces import Hyperspace, _membership, generate
+from .hyperspaces import Hyperspace, _up, generate
 
 VIA_BASE_BUDGET = 10 ** 6
 
@@ -67,45 +62,46 @@ def _require_carrier(g: Groupoid, *hs: Hyperspace) -> None:
             raise InputError(f"carrier mismatch: groupoid has {g.n}, hyperspace {h.n}")
 
 
+def _shift_word(n: int, row: tuple[int, ...], mins) -> int:
+    """The word of <x> o V = up{x * M : M in mins}, for row = img[x] and
+    mins = min V. The base bits are set in a byte buffer: OR-ing 1 << (x * M)
+    into a 2^n-bit int would cost Theta(2^n) per minimal set."""
+    base = bytearray((1 << n) // 8 + 1)
+    for m in mins:
+        k = row[m]
+        base[k >> 3] |= 1 << (k & 7)
+    return _up(n, int.from_bytes(base, "little"))
+
+
 def left_shift(g: Groupoid, a: int, f: Hyperspace) -> Hyperspace:
-    """a * F, generated by the images a * M of the minimal sets of F."""
+    """a * F = <a> o F, generated by the images a * M of the minimal sets of F."""
     _require_carrier(g, f)
-    img = _image_table(g)
     if not 0 <= a < g.n:
         raise InputError(f"element index {a} out of range [0, {g.n})")
-    return generate(g.n, [img[a][m] for m in f.minimal_sets()])
+    return Hyperspace._raw(g.n, _shift_word(g.n, _image_table(g)[a], f.minimal_sets()))
 
 
 def product(g: Groupoid, u: Hyperspace, v: Hyperspace) -> Hyperspace:
-    """U o V = {A : {x : x^-1 A in V} in U}, U's membership gathered through V's transform."""
-    _require_carrier(g, u)
-    t = product_transform(g, v)
-    gathered = "".join(itemgetter(*t)(_membership(g.n, u.bits)))  # [A]: t[A] in U
-    return Hyperspace._raw(g.n, int(gathered[::-1], 2))
-
-
-def product_transform(g: Groupoid, v: Hyperspace) -> tuple[int, ...]:
-    """t[A] = mask {x : x^-1 A in V}, so that (U o V).bits gathers U.bits at t.
-
-    Column x, the characters "bit pre[x][A] of V" for every A, is one C-level
-    gather of V's membership string through pre[x]. Encoded as UTF-16-LE,
-    character A of the column is the 16-bit lane A of a little-endian int,
-    "0" or "1" in its low bit; the columns are masked to that bit, shifted to
-    bit x and OR-ed, and the lanes are unpacked as explicit little-endian
-    uint16 (n <= 16 points fit a lane on every host byte order).
-
-    The right translation by V is the same subset-gather for every U; the
-    composition-table builder gathers whole columns through it.
-    """
-    _require_carrier(g, v)
-    nsub = 1 << g.n
-    member = _membership(g.n, v.bits)
-    low = int.from_bytes(b"\x01\x00" * nsub, "little")     # bit 0 of every lane
-    lanes = 0
-    for x, row in enumerate(_preimage_table(g)):
-        col = "".join(itemgetter(*row)(member))
-        lanes |= (int.from_bytes(col.encode("utf-16-le"), "little") & low) << x
-    return struct.unpack(f"<{nsub}H", lanes.to_bytes(2 * nsub, "little"))
+    """U o V = {A : T(A) in U}, T(A) = {x : x^-1 A in V}, is the union over
+    u in min U of the meet over x in u of <x> o V:
+      * U is an up-set, so T(A) is in U iff some u in min U lies in T(A);
+      * u lies in T(A) iff A is in <x> o V = {A : x^-1 A in V} for all x in u;
+      * <x> o V = up{x * M : M in min V}: M <= x^-1 A iff x * M <= A.
+    One shift word per point of a minimal set of U, then word ANDs and ORs."""
+    _require_carrier(g, u, v)
+    img, vmins = _image_table(g), v.minimal_sets()
+    shift = {}      # the bit of x -> the word of <x> o V
+    bits = 0
+    for um in u.minimal_sets():
+        acc = -1
+        while um:
+            low = um & -um
+            if low not in shift:
+                shift[low] = _shift_word(g.n, img[low.bit_length() - 1], vmins)
+            acc &= shift[low]
+            um ^= low
+        bits |= acc
+    return Hyperspace._raw(g.n, bits)
 
 
 def product_via_base(g: Groupoid, u: Hyperspace, v: Hyperspace,

@@ -244,9 +244,9 @@ def _preimage_bits(g: Groupoid) -> np.ndarray:
 
 
 def _transforms(pre: np.ndarray, rights) -> np.ndarray:
-    """Row j, column A: product_transform(g, rights[j])[A] for the 64 masks
+    """Row j, column A: the mask {x : x^-1 A in rights[j]} for the 64 masks
     A (0 past 2^n), as uint8, where pre = _preimage_bits(g): subset masks of
-    n <= 6 points fit a byte."""
+    n <= 6 points fit a byte. Bit A of U o V is bit t[A] of U, t the row of V."""
     right_rows = _bit_rows(rights)
     return sum(right_rows[:, p] << x for x, p in enumerate(pre))
 

@@ -16,7 +16,7 @@ DELETED = {
                          "_principal_two_sided_ideal", "CENTER_SAMPLES", "CENTER_SEED",
                          "_refine_colors", "_REDUCED_MIN", "_transpose_in_place", "_TILE",
                          "_minimal_row_ideals", "_point_identities"),
-    "gspace.products": ("image_shift",),
+    "gspace.products": ("image_shift", "product_transform"),
     "gspace.terms": ("all_term_strings",),
     "gspace.cli": ("_view_for", "_class_elements", "_report"),
 }

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gspace import (BudgetExceeded, Groupoid, InputError, build_builtin,
+from gspace import (BudgetExceeded, Groupoid, Hyperspace, InputError, build_builtin,
                     enumerate_all, generate, induced_map, largest, left_shift,
                     preimage_shift, principal, product, product_via_base,
                     smallest, subset_mask)
-from gspace.products import _image_table, _preimage_table, product_transform
+from gspace.products import _image_table, _preimage_table
 
 
 def masks(n, *sets):
@@ -78,8 +78,6 @@ def test_left_shift_consistency_random(a, f):
     assert product(z5, principal(5, a), f) == left_shift(z5, a, f)
 
 
-# -- the right-translation transform --------------------------------------------------
-
 def seeded_magma(n, seed):
     """A random operation table on n points that is not associative."""
     rnd = random.Random(f"magma-{n}-{seed}")
@@ -96,29 +94,80 @@ def seeded_families(n, count, seed):
             for _ in range(count)]
 
 
+def level_family(n, k):
+    """The family generated by every k-subset: a dense antichain of minimal sets."""
+    return generate(n, [sum(1 << i for i in c) for c in itertools.combinations(range(n), k)])
+
+
+@pytest.mark.parametrize("n, count", [(8, 4), (12, 3), (16, 2)])
+def test_left_shift_matches_preimage_definition(n, count):
+    # bit A of <x> o V is bit pre[x][A] of V, for every point x, read by one
+    # string gather of V's membership per point; on left-zero carriers and
+    # the magma x * (-) is not a bijection
+    carriers = [build_builtin(name, n) for name in ("cyclic", "left-zero", "right-zero")]
+    for g in carriers + [seeded_magma(n, 2)]:
+        for v in seeded_families(n, count, f"shift-{g.name}"):
+            member = format(v.bits, f"0{1 << n}b")[::-1]     # member[A]: A in V
+            for x, row in enumerate(_preimage_table(g)):
+                want = int("".join(member[p] for p in row)[::-1], 2)
+                assert left_shift(g, x, v).bits == want, (g.name, x, v)
+
+
+# -- the product against the scalar right translation ---------------------------------
+
+def gathered(t_v, u):
+    """U's bits gathered through t_V = oracles.naive_product_transform(g, V):
+    bit A of U o V is bit t_V[A] of U."""
+    return sum(1 << a for a, t in enumerate(t_v) if (u.bits >> t) & 1)
+
+
 def test_transform_matches_oracle_exhaustive_small(magma3):
-    # every V of G(n), n <= 3, over every builtin of that size: at n = 1 and
-    # n = 2 the per-point gathers have only 2 and 4 entries
+    # every pair of G(n), n <= 3, over every builtin of that size
     carriers = [build_builtin(name, n) for name in ("cyclic", "left-zero", "right-zero")
                 for n in (1, 2, 3)] + [magma3]
     for g in carriers:
-        for v in enumerate_all(g.n):
-            assert list(product_transform(g, v)) == oracles.naive_product_transform(g, v)
+        pool = list(enumerate_all(g.n))
+        for v in pool:
+            t_v = oracles.naive_product_transform(g, v)
+            for u in pool:
+                assert product(g, u, v).bits == gathered(t_v, u), (g.name, u, v)
 
 
 @pytest.mark.parametrize("n, count", [(7, 24), (10, 8), (12, 3)])
 def test_transform_matches_oracle_seeded(n, count):
     carriers = [build_builtin(name, n) for name in ("cyclic", "left-zero", "right-zero")]
     for g in carriers + [seeded_magma(n, 1)]:
-        for v in seeded_families(n, count, g.name):
-            assert list(product_transform(g, v)) == oracles.naive_product_transform(g, v)
+        pool = seeded_families(n, count, g.name)
+        for v in pool:
+            t_v = oracles.naive_product_transform(g, v)
+            for u in pool:
+                assert product(g, u, v).bits == gathered(t_v, u), (g.name, u, v)
 
 
 def test_transform_matches_oracle_at_the_carrier_cap():
-    # all 16 lanes in use; the scalar oracle takes about 2 s for this one V
+    # the scalar oracle takes about 2 s for this one V
     g = build_builtin("cyclic", 16)
     v = generate(16, [0b1011_0000_0000_0001, 0b0000_0110_1100_0000, 0b0100_0000_0011_1010])
-    assert list(product_transform(g, v)) == oracles.naive_product_transform(g, v)
+    t_v = oracles.naive_product_transform(g, v)
+    for u in [v, largest(16), smallest(16), principal(16, 3)] + seeded_families(16, 3, "cap"):
+        assert product(g, u, v).bits == gathered(t_v, u), u
+
+
+def test_product_on_dense_antichains():
+    # U = V = all 6-subsets of 12 points (924 minimal sets), the slow case of
+    # the union of meets of left shifts, and against a seeded family
+    g = build_builtin("cyclic", 12)
+    mid, other = level_family(12, 6), seeded_families(12, 1, "dense")[0]
+    for v in (mid, other):
+        t_v = oracles.naive_product_transform(g, v)
+        for u in (mid, other):
+            assert product(g, u, v).bits == gathered(t_v, u), (u, v)
+    # the 12,870 8-subsets of 16 points: (U o V)^T = U^T o V^T, where the
+    # transversal is the family of the 9-subsets
+    g16, big = build_builtin("cyclic", 16), level_family(16, 8)
+    assert big.transversal() == level_family(16, 9)
+    assert product(g16, big, big).transversal() == \
+        product(g16, big.transversal(), big.transversal())
 
 
 def test_product_matches_via_base_seeded_n7_n8():
@@ -172,7 +221,6 @@ def test_product_result_is_valid_even_without_structure():
     v = generate(3, masks(3, (2,)))
     w = product(lz, u, v)
     # validating constructor accepts the raw result
-    from gspace import Hyperspace
     assert Hyperspace(3, w.bits) == w
 
 
@@ -238,6 +286,8 @@ def test_carrier_mismatch(z2, z3):
         product(z3, principal(2, 0), principal(3, 0))
     with pytest.raises(InputError):
         product(z2, principal(3, 0), principal(3, 0))
+    with pytest.raises(InputError):
+        product(z3, principal(3, 0), principal(2, 0))
 
 
 # -- algebraic laws --------------------------------------------------------------------
@@ -369,8 +419,6 @@ def test_functoriality_exhaustive_two_minset(z3, z6):
     # exhaustive over every pair of hyperspaces with at most two minimal
     # sets, phrased by columns: for fixed V both sides are bit gathers of U,
     # so comparing the gathered column bitsets checks all U at once
-    from gspace.products import product_transform
-
     singles = [generate(6, [a]) for a in range(1, 64)]
     pairs = [generate(6, [a, b])
              for a in range(1, 64) for b in range(a + 1, 64)
@@ -387,14 +435,13 @@ def test_functoriality_exhaustive_two_minset(z3, z6):
     hinv = [subset_mask(6, [x for x in range(6) if (b >> (x % 3)) & 1])
             for b in range(8)]
     for v in pool:
-        t_v = product_transform(z6, v)
+        t_v = oracles.naive_product_transform(z6, v)
         lhs_gather = [t_v[hinv[b]] for b in range(8)]
         w_bits = 0
         for b in range(8):
             if (v.bits >> hinv[b]) & 1:
                 w_bits |= 1 << b
-        from gspace import Hyperspace
-        t_w = product_transform(z3, Hyperspace(3, w_bits))
+        t_w = oracles.naive_product_transform(z3, Hyperspace(3, w_bits))
         rhs_gather = [hinv[t_w[b]] for b in range(8)]
         for b in range(8):
             if lhs_gather[b] != rhs_gather[b]:
