@@ -12,32 +12,34 @@ closed under unions of chains, so a family is maximal iff no one
 additional set keeps the property (asserted against the brute-force
 definition in the tests).
 
-The predicates above take one family. Class censuses instead filter the
-whole census at once, as bit operations on its array of 64-bit membership
-words (`upset_words`), maximality too; the tests hold each filter equal to
-its predicate.
-The maximal linked families are the self-transversal ones, F = F^T, and are
-read off the up-sets on one point fewer by half-cube self-duality (see
-`_maxlinked_words`). The shift-invariant ones are the right zeros of G(X),
-its shift-invariant core, for any groupoid X: <x> o F = {A : x^-1 A in F},
-so F is a right zero iff every <x> fixes it (then {x : x^-1 A in F} is X or
-empty, and U o F = F for every U), iff F holds all or none of each class of
-the equivalence on subsets generated by A ~ x^-1 A. `class_words` returns a
-census as that ascending uint64 array, which views take directly;
+The predicates above take one family. Class censuses instead work on arrays
+of 64-bit membership words (n <= 6); the tests hold each census equal to its
+predicate. The linked classes are read off the half-cube split
+F = f1 << 2^(n-1) | f0 of the census (`upset_words`) with tau_k(w), the
+up-set of sets meeting every intersection of at most k - 1 members of w: F
+is k-linked iff f0 <= f1 & tau_k(f1), and maximal k-linked iff F = tau_k(F),
+which makes f0 = tau_k(f1) (see `_linked_words`); tau_2 is the transversal,
+so the maximal linked families are the self-transversal ones, F = F^T. Only
+the up-sets on n - 1 points are built for them, never the census itself. The
+shift-invariant ones are the right zeros of G(X), its shift-invariant core,
+for any groupoid X: <x> o F = {A : x^-1 A in F}, so F is a right zero iff
+every <x> fixes it (then {x : x^-1 A in F} is X or empty, and U o F = F for
+every U), iff F holds all or none of each class of the equivalence on
+subsets generated by A ~ x^-1 A, a mask over the census. `class_words`
+returns a census as an ascending uint64 array, which views take directly;
 `enumerate_class` and `maximal_linked_families` wrap its entries as
 Hyperspaces.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
-from .hyperspaces import (Hyperspace, _gather_words, _membership,
+from .hyperspaces import (Hyperspace, _bit_rows, _half_cube, _membership,
                           _point_words, _upsets, generate, mask_elements,
                           upset_words)
 from .products import _image_table, _preimage_table
@@ -159,30 +161,67 @@ def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
 
 # -- class censuses --------------------------------------------------------------
 
-def _maxlinked_words(n: int) -> np.ndarray:
-    """The words of all maximal 2-linked hyperspaces, ascending.
+def _meet_transversal(words: np.ndarray, m: int, k: int) -> np.ndarray:
+    """tau_k of each up-set word w on m points: the sets meeting every
+    intersection of at most k - 1 members of w, an up-set.
 
-    A family F is maximal linked iff F = F^T. Split F on the last point as
-    f1 << 2^(n-1) | f0, like the census words: then F^T splits as
-    f1^T << 2^(n-1) | f0^T (transversals on n - 1 points), so F = F^T iff
-    f0 = f1^T, and F is an up-set iff f1^T <= f1. The families are read off
-    the up-sets w on n - 1 points with w^T <= w, ascending with w.
+    With J_1 = w and J_(j+1) = up(J_j ^ w) (the up-set of the meets a & b,
+    a in J_j, b in w), tau_k(w) is the transversal of J_(k-1): E misses a
+    meet iff its complement contains one. For one set b, up(J ^ b) = {c :
+    c | (X - b) in J}, read for every S = X - b at once: the word of
+    {c : c | S in J} is J with the points of S forced in, one point word
+    shift each (bit c of (J & p_i) >> 2^i is bit c + {i} of J). A round
+    ORs those of the b in w; the rounds stop at k - 1 or once J holds,
+    which is by m rounds.
     """
-    if not 1 <= n <= MAX_ENUM_CARRIER:
-        raise InputError(
-            f"maximal linked enumeration supports carrier sizes 1..{MAX_ENUM_CARRIER}")
-    half = 1 << (n - 1)
-    w = _upsets(n - 1)
-    flip = np.zeros(64, dtype=np.intp)      # bit E of w^T is bit (Y - E) of ~w
-    flip[:half] = (half - 1) ^ np.arange(half)
-    wt = ~_gather_words(w, flip[None])[0] & np.uint64((1 << half) - 1)
-    keep = (wt & ~w) == 0
-    return (w[keep] << np.uint64(half)) | wt[keep]
+    size, full = 1 << m, (1 << m) - 1
+    meets, points = words, [np.uint64(c) for c in _point_words(m)]
+    if k > 2:
+        holds = _bit_rows(words)[:, full ^ np.arange(size)].T.astype(bool)  # [S, j]: X - S in w_j
+    for _ in range(k - 2):
+        forced = np.empty((size, len(words)), dtype=np.uint64)
+        forced[0] = meets
+        for i, c in enumerate(points):
+            part = forced[:1 << i] & c
+            np.bitwise_or(part, part >> np.uint64(1 << i), out=forced[1 << i:2 << i])
+        grown = np.bitwise_or.reduce(np.where(holds, forced, np.uint64(0)), axis=0)
+        if np.array_equal(grown, meets):
+            break
+        meets = grown
+    for i, c in enumerate(points):     # bit E of J^T is bit X - E of ~J
+        meets = ((meets & c) >> np.uint64(1 << i)) | ((meets << np.uint64(1 << i)) & c)
+    return ~meets & np.uint64((1 << size) - 1)
+
+
+def _linked_words(n: int, k: int, maximal: bool) -> np.ndarray:
+    """The words of the k-linked hyperspaces on n points, or of the maximal
+    ones, ascending.
+
+    Split F on the last point as f1 << 2^(n-1) | f0, like the census.
+    Members holding the last point share it; at most k members with some A
+    of f0 among them share a point iff A meets the meet of the others, a
+    meet of at most k - 1 members of f1 (f0 <= f1). So F is k-linked iff
+    f0 lies in f1 & tau_k(f1), read by the half-cube step with that bound.
+    F is maximal k-linked iff F = tau_k(F) (a set can join F iff it meets
+    every meet of at most k - 1 members); then f0 = tau_k(f1), so the
+    candidates are the f1 with tau_k(f1) <= f1.
+    """
+    m = n - 1
+    f1 = _upsets(m)
+    t = _meet_transversal(f1, m, k)
+    if maximal:
+        keep = (t & ~f1) == 0
+        words = (f1[keep] << np.uint64(1 << m)) | t[keep]
+        return words[_meet_transversal(words, n, k) == words]
+    return np.concatenate(list(_half_cube(f1, f1 & t, m)))[1:]      # drop the empty family
 
 
 def maximal_linked_families(n: int) -> list[Hyperspace]:
     """All maximal 2-linked hyperspaces on n points, ascending."""
-    return [Hyperspace._raw(n, b) for b in _maxlinked_words(n).tolist()]
+    if not 1 <= n <= MAX_ENUM_CARRIER:
+        raise InputError(
+            f"maximal linked enumeration supports carrier sizes 1..{MAX_ENUM_CARRIER}")
+    return [Hyperspace._raw(n, b) for b in _linked_words(n, 2, True).tolist()]
 
 
 def parse_class_token(spec: str) -> tuple[str, int | None]:
@@ -202,56 +241,6 @@ def parse_class_token(spec: str) -> tuple[str, int | None]:
     if karg:
         raise InputError(f"class {name} takes no bound")
     return name, None
-
-
-@functools.cache
-def _partitions(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Set partitions of the n points into exactly t blocks, as block masks."""
-    parts: list[list[int]] = [[]]
-    for i in range(n):
-        nxt = []
-        for blocks in parts:
-            for j in range(len(blocks)):
-                nxt.append(blocks[:j] + [blocks[j] | (1 << i)] + blocks[j + 1:])
-            if len(blocks) < t:
-                nxt.append(blocks + [1 << i])
-        parts = nxt
-    return tuple(tuple(p) for p in parts if len(p) == t)
-
-
-def _linked_mask(n: int, k: int, words: np.ndarray) -> np.ndarray:
-    """F fails to be k-linked iff, for some partition of the carrier into
-    min(k, n) blocks, the complement of every block is a member.
-
-    Members A_1..A_j (j <= k) with no common point have complements covering
-    the carrier; refine that cover into min(k, n) disjoint blocks, each inside
-    some complement, and upward closure puts every block's complement in F.
-    A k-linked family is 2-linked, so the 2-block partitions may mask first
-    and the others test the survivors only. With P partitions of the bound
-    and Q two-block ones, that sweeps Q + s*P passes' worth of words instead
-    of P, where s is the input's 2-linked share; it is done where P > 2Q
-    (k = 3, 4 at n = 6), which pays whenever s < 1/2. The n = 6 census has
-    s = 0.18; at n = 5 (P = 25 or 10 against Q = 15) and at k >= 5 on n = 6
-    (15 against 31) the single pass is the faster one.
-    """
-    parts, pairs = _partitions(n, min(k, n)), _partitions(n, 2)
-    if len(parts) <= 2 * len(pairs):
-        return _partition_mask(n, parts, words)
-    keep = _partition_mask(n, pairs, words)
-    keep[keep] = _partition_mask(n, parts, words[keep])
-    return keep
-
-
-def _partition_mask(n: int, parts: tuple[tuple[int, ...], ...],
-                    words: np.ndarray) -> np.ndarray:
-    """Keep the words that, for every partition in `parts`, miss the
-    complement of some block."""
-    full = (1 << n) - 1
-    keep = np.ones(len(words), dtype=bool)
-    for blocks in parts:
-        m = np.uint64(sum(1 << (full ^ b) for b in blocks))
-        keep &= (words & m) != m
-    return keep
 
 
 def _shift_classes(g: Groupoid) -> list[int]:
@@ -294,37 +283,29 @@ def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
 
     Filters and ultrafilters are produced directly (up(A), the filter
     generated by a set A, is the intersection of the principal ultrafilters
-    of its points); maximal 2-linked by half-cube self-duality above;
-    everything else by masking the census words with the bit filters above,
-    centered as n-linked (the single partition into points). Maximal
-    k-linked with k >= 3 then keeps the k-linked survivors F for which
-    F | up(A) is not k-linked for any A outside F. The shift-invariant core
-    (the right zeros of G(X): fixed by every <x>) keeps the words that hold
-    all or none of each class of subsets under A ~ x^-1 A.
+    of its points). The k-linked, centered (n-linked on n points, taken
+    2-linked on one point, where both hold every family) and maximal
+    k-linked classes come off the up-sets on n - 1 points by `_linked_words`.
+    The others filter the census: the shift-invariant core (the right zeros
+    of G(X): fixed by every <x>) keeps the words that hold all or none of
+    each class of subsets under A ~ x^-1 A.
     """
     n = g.n
     if n > MAX_ENUM_CARRIER:
         raise InputError(f"class enumeration needs carrier <= {MAX_ENUM_CARRIER}")
     if token in ("linked", "maxlinked") and (k is None or k < 2):
         raise InputError(f"{token}:k needs k >= 2")
-    points = _point_words(n)    # up({x}), the principal ultrafilter of x
-    ups = [_intersect(points[i] for i in mask_elements(a)) for a in range(1, 1 << n)]
     if token in ("filters", "ultrafilters"):
-        return np.sort(np.array(ups if token == "filters" else points, dtype=np.uint64))
-    if token == "maxlinked" and k == 2:
-        return _maxlinked_words(n)
-    words = upset_words(n)
-    if token in ("centered", "linked", "maxlinked"):
-        words = words[_linked_mask(n, n if token == "centered" else k, words)]
-    elif token == "shiftinv":
-        words = words[_shift_invariant_mask(g, words)]
-    elif token != "all":
+        points = _point_words(n)    # up({x}), the principal ultrafilter of x
+        ups = points if token == "ultrafilters" else [
+            _intersect(points[i] for i in mask_elements(a)) for a in range(1, 1 << n)]
+        return np.sort(np.array(ups, dtype=np.uint64))
+    if token in ("linked", "centered", "maxlinked"):
+        return _linked_words(n, max(n, 2) if token == "centered" else k, token == "maxlinked")
+    if token not in ("all", "shiftinv"):
         raise InputError(f"unknown class token {token!r}")
-    if token == "maxlinked":
-        for up in ups:      # A in F iff up(A) <= F; else F | up(A) must fail
-            grown = words | np.uint64(up)
-            words = words[(grown == words) | ~_linked_mask(n, k, grown)]
-    return words
+    words = upset_words(n)
+    return words[_shift_invariant_mask(g, words)] if token == "shiftinv" else words
 
 
 def enumerate_class(g: Groupoid, token: str, k: int | None = None) -> list[Hyperspace]:

@@ -278,24 +278,41 @@ def _hyperspace_mask(n: int, words: np.ndarray) -> np.ndarray:
 _DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)   # up-sets on m = 0..6 points
 
 
+def _half_cube(words: np.ndarray, bounds: np.ndarray, i: int) -> Iterator[np.ndarray]:
+    """The half-cube step: the words f1 << 2^i | f0 of up-sets on i + 1
+    points, for f1 in `words` and f0 in `words` inside f1's bound (bounds[j]
+    for f1 = words[j]), ascending, a block of f1 rows at a time.
+
+    `words` are up-sets on i points, ascending. A block of D(i - 1) rows (as
+    many as there are up-sets on one point fewer) is tested as one outer AND
+    against the words up to the block's largest bound (a subset's word is
+    never above its superset's): at most 20 x 168 words on 4 points and
+    168 x 7,581 (10 MB) on 5.
+    """
+    step, high = _DEDEKIND[max(i - 1, 0)], words << np.uint64(1 << i)
+    for s in range(0, len(words), step):
+        b = bounds[s:s + step]
+        cand = words[:np.searchsorted(words, b.max(), "right")]
+        inside = (cand & ~b[:, None]) == 0
+        yield (high[s:s + step, None] | cand)[inside]
+
+
 def _upsets(m: int) -> np.ndarray:
     """Every up-set of subsets of m points, ascending, as uint64 words.
 
     Half-cube decomposition: an up-set on m + 1 points is a pair f0 <= f1 of
     up-sets on m points (f0 on the masks without point m, f1 on those with
-    it), with word f1 << 2^m | f0. Looping f1 in ascending order and keeping
-    the f0 inside it builds the up-sets of every size in ascending order,
-    written into one array of the known size (a Dedekind number). The first
-    and last words are the empty family and the family holding the empty set.
+    it), with word f1 << 2^m | f0: `_half_cube` with each f1 its own bound.
+    That builds the up-sets of every size in ascending order, written into
+    one array of the known size (a Dedekind number). The first and last
+    words are the empty family and the family holding the empty set.
     """
     words = np.array([0, 1], dtype=np.uint64)
     for i in range(m):
-        half = np.uint64(1 << i)
         out, pos = np.empty(_DEDEKIND[i + 1], dtype=np.uint64), 0
-        for f1 in words:
-            inside = words[(words & ~f1) == 0]
-            np.bitwise_or(f1 << half, inside, out=out[pos:pos + len(inside)])
-            pos += len(inside)
+        for block in _half_cube(words, words, i):
+            out[pos:pos + len(block)] = block
+            pos += len(block)
         words = out
     return words
 

@@ -334,6 +334,71 @@ def naive_shift_invariant(table, fam) -> bool:
     return True
 
 
+
+def naive_meet_transversal(m: int, fam, k: int) -> frozenset[frozenset[int]]:
+    """The subsets of m points, the empty one included, that meet every
+    intersection of 1..k-1 members of fam (fam may hold the empty set)."""
+    meets = {frozenset.intersection(*c) for j in range(1, k)
+             for c in itertools.combinations(fam, j)}
+    subsets = [frozenset(c) for j in range(m + 1) for c in itertools.combinations(range(m), j)]
+    return frozenset(e for e in subsets if all(e & a for a in meets))
+
+
+# -- linked class censuses by set partitions -----------------------------------------
+
+def set_partitions(n: int, t: int) -> list[list[int]]:
+    """Set partitions of the n points into exactly t blocks, as block masks."""
+    parts: list[list[int]] = [[]]
+    for i in range(n):
+        nxt = []
+        for blocks in parts:
+            for j in range(len(blocks)):
+                nxt.append(blocks[:j] + [blocks[j] | (1 << i)] + blocks[j + 1:])
+            if len(blocks) < t:
+                nxt.append(blocks + [1 << i])
+        parts = nxt
+    return [p for p in parts if len(p) == t]
+
+
+def partition_mask(n: int, parts, words: np.ndarray) -> np.ndarray:
+    """Keep the words that, for every partition in `parts`, miss the
+    complement of some block."""
+    full = (1 << n) - 1
+    keep = np.ones(len(words), dtype=bool)
+    for blocks in parts:
+        m = np.uint64(sum(1 << (full ^ b) for b in blocks))
+        keep &= (words & m) != m
+    return keep
+
+
+def linked_mask(n: int, k: int, words: np.ndarray) -> np.ndarray:
+    """F fails to be k-linked iff, for some partition of the carrier into
+    min(k, n) blocks, the complement of every block is a member.
+
+    Members A_1..A_j (j <= k) with no common point have complements covering
+    the carrier; refine that cover into min(k, n) disjoint blocks, each inside
+    some complement, and upward closure puts every block's complement in F.
+    A k-linked family is 2-linked, so where there are more than twice as
+    many partitions as 2-block ones, the 2-block ones mask first and the
+    others test the survivors only.
+    """
+    parts, pairs = set_partitions(n, min(k, n)), set_partitions(n, 2)
+    if len(parts) <= 2 * len(pairs):
+        return partition_mask(n, parts, words)
+    keep = partition_mask(n, pairs, words)
+    keep[keep] = partition_mask(n, parts, words[keep])
+    return keep
+
+
+def maximal_linked_words(n: int, k: int, linked: np.ndarray) -> np.ndarray:
+    """The maximal ones among k-linked words: for each nonempty set A in
+    turn, keep F iff A is in F or F | up(A) is not k-linked."""
+    for a in range(1, 1 << n):
+        up = np.uint64(sum(1 << s for s in range(1 << n) if s & a == a))
+        grown = linked | up
+        linked = linked[(grown == linked) | ~linked_mask(n, k, grown)]
+    return linked
+
 # -- composition tables ------------------------------------------------------------
 
 def bit_gather_words(words, index) -> np.ndarray:

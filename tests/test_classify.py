@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from gspace import (Hyperspace, InputError, build_builtin, classify, enumerate_a
                     is_shift_invariant, is_ultrafilter, largest,
                     maximal_linked_families, principal, product, smallest,
                     subset_mask)
-from gspace.classify import class_words, parse_class_token
-from gspace.hyperspaces import upset_words
+from gspace.classify import _meet_transversal, class_words, parse_class_token
+from gspace.hyperspaces import _upsets, upset_words
 
 
 def masks(n, *sets):
@@ -218,6 +220,9 @@ def test_centered_census_value(z3):
 def test_maximal_linked_counts():
     for n, want in [(1, 1), (2, 2), (3, 4), (4, 12), (5, 81), (6, 2646)]:
         assert len(maximal_linked_families(n)) == want
+    for n in (0, 7):
+        with pytest.raises(InputError):
+            maximal_linked_families(n)
 
 
 def test_maximal_linked_n6_self_transversal():
@@ -296,8 +301,8 @@ def test_enumerate_class_limits():
         enumerate_class(g7, "all")
 
 
-def test_linked_prefilter_counts_n6(z6):
-    # k-linked for k = 3, 4 tests only the 1,422,563 2-linked words of the census
+def test_linked_census_counts_n6(z6):
+    # the 3- and 4-linked families on 6 points, among 1,422,563 2-linked ones
     assert len(class_words(z6, "linked", 3)) == 59296
     assert len(class_words(z6, "linked", 4)) == 43483
 
@@ -311,6 +316,63 @@ def test_maximal_3_linked_census_n6(z6):
     rejected = np.setdiff1d(linked, words).tolist()
     for b in random.Random(3).sample(rejected, 300):
         assert not is_maximal_k_linked(Hyperspace._raw(6, b), 3)
+
+
+def test_meet_transversal_matches_set_model():
+    # tau_k(w): the sets meeting every intersection of at most k - 1 members,
+    # on every up-set (the empty one and the one holding the empty set too)
+    for m, ks in [(0, (2,)), (1, (2, 3)), (2, (2, 3, 4)), (3, (2, 3, 4, 5)),
+                  (4, (2, 3, 4, 5, 6)), (5, (2, 3))]:
+        words = _upsets(m)
+        fams = [frozenset(frozenset(i for i in range(m) if (a >> i) & 1)
+                          for a in range(1 << m) if (w >> a) & 1) for w in words.tolist()]
+        for k in ks:
+            got = _meet_transversal(words, m, k).tolist()
+            assert got == [oracles.family_bits(m, oracles.naive_meet_transversal(m, f, k))
+                           for f in fams], (m, k)
+
+
+def linked_oracle(n, token, k, census):
+    """The partition-mask census of a linked token, from the census words."""
+    linked = census[oracles.linked_mask(n, n if token == "centered" else k, census)]
+    return oracles.maximal_linked_words(n, k, linked) if token == "maxlinked" else linked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_linked_censuses_match_partition_masks(n):
+    # these classes do not read the groupoid: one carrier per n
+    g, census = build_builtin("cyclic", n), upset_words(n)
+    cases = [("centered", None)] + [(token, k) for k in range(2, n + 2)
+                                    for token in ("linked", "maxlinked")]
+    for token, k in cases:
+        got = class_words(g, token, k)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == linked_oracle(n, token, k, census).tobytes(), (token, k)
+
+
+def test_linked_censuses_match_partition_masks_n6(z6):
+    census = upset_words(6)
+    for token, k in [("linked", 2), ("linked", 3), ("centered", None), ("maxlinked", 3)]:
+        assert class_words(z6, token, k).tobytes() == \
+            linked_oracle(6, token, k, census).tobytes(), (token, k)
+
+
+def test_linked_censuses_skip_the_census_n6(z6, monkeypatch):
+    # read off the up-sets on 5 points: no census, and a traced peak under a
+    # third of the census's 63 MB
+    def refuse(n):
+        raise AssertionError("the census was built")
+
+    monkeypatch.setattr(importlib.import_module("gspace.classify"), "upset_words", refuse)
+    for token, k in [("linked", 3), ("centered", None), ("maxlinked", 3)]:
+        tracemalloc.start()
+        try:
+            assert len(class_words(z6, token, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7828352 * 8 // 3, (token, peak)
+    assert len(maximal_linked_families(6)) == 2646
 
 
 def test_parse_class_token():

@@ -798,7 +798,7 @@ def equivariant_table(view, rng):
 
 @pytest.mark.parametrize("name,n,token", [("cyclic", 2, "all"), ("cyclic", 3, "all"),
                                           ("klein-4", 4, "all"), ("cyclic", 5, "maxlinked")])
-def test_reduced_light_test_on_tables_with_the_point_identities(name, n, token, light_paths):
+def test_full_light_test_on_equivariant_tables(name, n, token, light_paths):
     # random tables on which the point identities x·s_h(y) = s_h(x·y) and
     # l_p(x)·y = l_p(x·y) hold, mostly not associative, over a view's words:
     # the full Light's test must get the m^3 verdict
