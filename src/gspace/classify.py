@@ -2,24 +2,33 @@
 
 k-linked: every at most k members share a point; centered: all members
 share a point, which is n-linked on n points (if no point is shared, the
-n members missing one point each meet in nothing). Both are read off the
-distinct intersections of minimal sets: I_0 = {X} and I_(j+1) adds a & m
-for a in I_j and m minimal, so F is k-linked iff the empty set is not in
-I_k. filter: closed under intersection, which on a finite carrier means a
-single minimal set; ultrafilters are the principal hyperspaces.
-Maximality is decided by single-set extensions: the classes here are
-closed under unions of chains, so a family is maximal iff no one
-additional set keeps the property (asserted against the brute-force
-definition in the tests).
+n members missing one point each meet in nothing). filter: closed under
+intersection, which on a finite carrier means a single minimal set;
+ultrafilters are the principal hyperspaces. Maximality is decided by
+single-set extensions: the classes here are closed under unions of chains,
+so a family is maximal iff no one additional set keeps the property
+(asserted against the brute-force definition in the tests).
 
-The predicates above take one family. Class censuses instead work on arrays
-of 64-bit membership words (n <= 6); the tests hold each census equal to its
-predicate. The linked classes are read off the half-cube split
-F = f1 << 2^(n-1) | f0 of the census (`upset_words`) with tau_k(w), the
-up-set of sets meeting every intersection of at most k - 1 members of w: F
-is k-linked iff f0 <= f1 & tau_k(f1), and maximal k-linked iff F = tau_k(F),
-which makes f0 = tau_k(f1) (see `_linked_words`); tau_2 is the transversal,
-so the maximal linked families are the self-transversal ones, F = F^T. Only
+Both linked properties are read off tau_k(F), the up-set of the sets meeting
+every intersection of at most k - 1 members of F: F is k-linked iff
+F <= tau_k(F), and maximal k-linked iff F = tau_k(F) (a set can join F iff
+it meets each of those intersections). tau_k(F) is the transversal of
+J_(k-1), where J_1 = F and J_(j+1) = up(J_j ^ F), the up-set of the meets
+of at most j + 1 members, one round of point word shifts per step; so F is
+k-linked iff J_(k-1) lies inside F^T, and maximal k-linked iff
+J_(k-1) = F^T. `is_k_linked`, `is_maximal_k_linked`, and `classify` above
+n = 5, run that chain on one Python int (`_meet_chain`). `classify` on
+n <= 5 points reads a table of the whole census instead, built once per n
+by the same chain over its uint64 words (`_census_flags`, 7,579 words at
+n = 5): the census on 6 points has 7.8M words, so no single-family call
+builds it.
+
+Class censuses work on arrays of 64-bit membership words too (n <= 6); the
+tests hold each census equal to its predicate. The linked classes are read
+off the half-cube split F = f1 << 2^(n-1) | f0 of the census (`upset_words`)
+with tau_k: F is k-linked iff f0 <= f1 & tau_k(f1), and F = tau_k(F) makes
+f0 = tau_k(f1) (see `_linked_words`); tau_2 is the transversal, so the
+maximal linked families are the self-transversal ones, F = F^T. Only
 the up-sets on n - 1 points are built for them, never the census itself. The
 shift-invariant ones are the right zeros of G(X), its shift-invariant core,
 for any groupoid X: <x> o F = {A : x^-1 A in F}, so F is a right zero iff
@@ -33,6 +42,7 @@ Hyperspaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +50,8 @@ import numpy as np
 from .errors import InputError
 from .groupoids import MAX_ENUM_CARRIER, Groupoid
 from .hyperspaces import (Hyperspace, _bit_rows, _half_cube, _membership,
-                          _point_words, _upsets, generate, mask_elements,
-                          upset_words)
-from .products import _image_table, _preimage_table
+                          _point_words, _upsets, mask_elements, upset_words)
+from .products import _image_table, _preimage_table, _require_carrier
 
 CLASS_TOKENS = ("all", "filters", "ultrafilters", "linked", "centered",
                 "maxlinked", "shiftinv")
@@ -55,31 +64,53 @@ def _intersect(masks) -> int:
     return acc
 
 
-def _intersections(f: Hyperspace, depth: int) -> list[set[int]]:
-    """Levels 0..depth of the chain of distinct intersections of minimal sets.
+def _meet_chain(f: Hyperspace, t: int, depth: int) -> list[int]:
+    """J_0 = {X}, J_1 = F, .., J_j of the chain J_(i+1) = up(J_i ^ F), the
+    up-set of the meets a & b (a in J_i, b in F): J_i is the up-set of the
+    meets of at most i members, and t = F^T.
 
-    Level j holds those first reached by j minimal sets (level 0 is {X}), so
-    levels 0..j make up I_j, at most 2^n masks. The levels stop early once
-    one adds nothing (by level n), or with {0}: a member a of I_j misses
-    some minimal set iff X - a is a member.
+    For one set b, up(J ^ b) = {c : c | (X - b) in J}: J with the points
+    outside b forced in, one point word shift each, the single-int form of
+    `_meet_round`; J_(i+1) ORs these over b in min F. The chain stops
+    at J_depth, at a fixed point (reached by J_n: a meet of members is a
+    meet of at most n of them), or at the first J_j not inside t: a member
+    a of J_j has X - a in F, so F is j-linked but not (j + 1)-linked.
     """
-    if depth < 1:
+    n = f.n
+    points = _point_words(n)
+    forced = [[(points[i], 1 << i) for i in range(n) if not (b >> i) & 1]
+              for b in f.minimal_sets()]
+    chain = [1 << ((1 << n) - 1), f.bits]
+    while len(chain) <= depth and not chain[-1] & ~t:
+        meets = chain[-1]
+        grown = 0
+        for steps in forced:
+            w = meets
+            for c, s in steps:
+                w &= c
+                w |= w >> s
+            grown |= w
+        if grown == meets:
+            break
+        chain.append(grown)
+    return chain
+
+
+def _meets_and_transversal(f: Hyperspace, k: int) -> tuple[int, int]:
+    """J_(k-1) of `_meet_chain` (or the J_j it stopped at, which decides
+    the same) and F^T."""
+    if k < 1:
         raise InputError("k must be at least 1")
-    full, bits, mins = (1 << f.n) - 1, f.bits, f.minimal_sets()
-    levels, seen = [{full}], {full}
-    while len(levels) <= depth and levels[-1] and 0 not in levels[-1]:
-        if any((bits >> (full ^ a)) & 1 for a in levels[-1]):
-            levels.append({0})
-        else:
-            levels.append({a & m for a in levels[-1] for m in mins} - seen)
-            seen |= levels[-1]
-    return levels
+    t = f.transversal().bits
+    chain = _meet_chain(f, t, k - 1)
+    return chain[min(k - 1, len(chain) - 1)], t
 
 
 def is_k_linked(f: Hyperspace, k: int) -> bool:
-    """Every subfamily of at most k members has a common point: the empty
-    set is not in I_k, the intersections of at most k minimal sets."""
-    return 0 not in _intersections(f, k)[-1]
+    """Every subfamily of at most k members has a common point: no meet of
+    at most k - 1 members misses a member, J_(k-1) lies inside F^T."""
+    meets, t = _meets_and_transversal(f, k)
+    return not meets & ~t
 
 
 def is_centered(f: Hyperspace) -> bool:
@@ -100,27 +131,21 @@ def is_self_transversal(f: Hyperspace) -> bool:
 
 
 def is_maximal_k_linked(f: Hyperspace, k: int) -> bool:
-    """k-linked with no single-set extension staying k-linked.
+    """k-linked with no single-set extension staying k-linked: F = tau_k(F),
+    the sets meeting every meet of at most k - 1 members, so J_(k-1) = F^T.
 
-    Adding A keeps the family k-linked iff A meets every member of I_(k-1),
-    the intersections of at most k-1 minimal sets; subfamilies avoiding A
-    were k-linked already. A misses a member of I_(k-1) iff its complement
-    contains one, and the complements of the A outside F are the members
-    of F^T: F is maximal iff F^T lies in the up-set generated by I_(k-1).
+    A set can join F iff it meets every member of J_(k-1), and the sets
+    outside F that miss one are the complements of the members of J_(k-1)
+    outside F^T; with F k-linked (J_(k-1) inside F^T) no set can join iff
+    every member of F^T is in J_(k-1).
     """
-    levels = _intersections(f, k)
-    return 0 not in levels[-1] and _in_upset(f.transversal().bits, f.n, levels[:k])
-
-
-def _in_upset(t: int, n: int, levels: list[set[int]]) -> bool:
-    """Whether word t (F^T) lies in the up-set generated by the levels' masks."""
-    return not (t & ~generate(n, set().union(*levels)).bits)
+    meets, t = _meets_and_transversal(f, k)
+    return meets == t
 
 
 def is_shift_invariant(g: Groupoid, f: Hyperspace) -> bool:
     """x * A and x^-1 A stay in the family for every member A and every x."""
-    if f.n != g.n:
-        raise InputError(f"carrier mismatch: groupoid has {g.n}, hyperspace {f.n}")
+    _require_carrier(g, f)
     img, pre = _image_table(g), _preimage_table(g)
     member = _membership(f.n, f.bits)      # member[A] == "1" iff A is a member
     for m in f.minimal_sets():
@@ -142,55 +167,140 @@ class ClassFlags:
     shift_invariant: bool | None = field(default=None)
 
 
+_TABLE_MAX_N = 5    # the census has 7,579 words at n = 5 and 7.8M at n = 6
+
+
+@functools.cache
+def _census_flags(n: int) -> dict[int, tuple]:
+    """classify's flags (without shift invariance) of every hyperspace on
+    n <= 5 points, keyed by its word, each one of a few shared tuples
+    (linked_up_to, filter, ultrafilter, maximal_k_linked pairs,
+    self_transversal).
+
+    One chain of meet words J_1 = F, J_2, .. over the census gives every k:
+    F is k-linked iff J_(k-1) lies inside F^T, and maximal k-linked iff
+    J_(k-1) = F^T (tau_k(F) = F). A family that is not k-linked is neither
+    for any larger k, so each round runs on the k-linked words only. F is a
+    filter iff its word of minimal sets has one bit.
+    """
+    words = upset_words(n)
+    t = _transversal_words(words, n)
+    code = np.ones(len(words), dtype=np.int64)  # linked_up_to in bits 0..2
+    alive, meets = np.arange(len(words)), words     # meets: J_(k-1) of the alive words
+    for k in range(2, n + 1):
+        inside = (meets & ~t[alive]) == 0
+        alive, meets = alive[inside], meets[inside]
+        code[alive] += 1
+        code[alive] |= (meets == t[alive]).astype(np.int64) << (3 + k)    # maximal k-linked
+        if k < n:
+            meets = _meet_round(meets, _holds(words[alive], n), n)
+    non = np.zeros_like(words)      # bit A: A minus some point is a member
+    for i, c in enumerate(_point_words(n)):
+        non |= (words << np.uint64(1 << i)) & np.uint64(c)
+    mins = words & ~non
+    filt = (mins & (mins - np.uint64(1))) == 0
+    singletons = np.uint64(sum(1 << (1 << i) for i in range(n)))
+    for bit, column in ((3, filt), (4, filt & ((mins & singletons) != 0)), (n + 4, words == t)):
+        code |= column.astype(np.int64) << bit
+    codes = code.tolist()
+    rows = {c: (c & 7, bool(c & 8), bool(c & 16),
+                tuple((k, bool((c >> (3 + k)) & 1)) for k in range(2, n + 1)),
+                bool((c >> (n + 4)) & 1)) for c in set(codes)}
+    return dict(zip(words.tolist(), map(rows.__getitem__, codes)))
+
+
+def _chain_flags(f: Hyperspace) -> tuple:
+    """The same flags as `_census_flags`, from one meet chain of f."""
+    n, t = f.n, f.transversal().bits
+    chain = _meet_chain(f, t, n - 1)
+    last = len(chain) - 1
+    return (last if chain[-1] & ~t else n, is_filter(f), is_ultrafilter(f),
+            tuple((k, chain[min(k - 1, last)] == t) for k in range(2, n + 1)),
+            t == f.bits)
+
+
+@functools.lru_cache(maxsize=32)
+def _shift_invariant_words(g: Groupoid) -> frozenset[int]:
+    """The words of the shift-invariant hyperspaces on g's n <= 5 points."""
+    words = upset_words(g.n)
+    return frozenset(words[_shift_invariant_mask(g, words)].tolist())
+
+
 def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
+    """The flags of f, read off a table of the census on n <= 5 points and
+    off one meet chain of f above (see `_census_flags`, `_meet_chain`)."""
     n = f.n
-    levels = _intersections(f, n)
-    linked_up_to = len(levels) - 2 if 0 in levels[-1] else n
-    t = f.transversal().bits
+    if g is not None:
+        _require_carrier(g, f)
+    small = n <= _TABLE_MAX_N
+    linked_up_to, filt, ultra, maximal, self_t = \
+        _census_flags(n)[f.bits] if small else _chain_flags(f)
+    if g is None:
+        shift_invariant = None
+    else:
+        shift_invariant = f.bits in _shift_invariant_words(g) if small else is_shift_invariant(g, f)
     return ClassFlags(
         linked_up_to=linked_up_to,
         centered=linked_up_to == n,     # n-linked on n points
-        filter=is_filter(f),
-        ultrafilter=is_ultrafilter(f),
-        maximal_k_linked={k: k <= linked_up_to and _in_upset(t, n, levels[:k])
-                          for k in range(2, n + 1)},
-        self_transversal=t == f.bits,
-        shift_invariant=None if g is None else is_shift_invariant(g, f),
+        filter=filt,
+        ultrafilter=ultra,
+        maximal_k_linked=dict(maximal),
+        self_transversal=self_t,
+        shift_invariant=shift_invariant,
     )
 
 
 # -- class censuses --------------------------------------------------------------
 
+def _holds(words: np.ndarray, m: int) -> np.ndarray:
+    """[S, j]: all ones iff X - S is a member of words[j], on m points."""
+    full = (1 << m) - 1
+    return _bit_rows(words)[:, full ^ np.arange(1 << m)].T * np.uint64((1 << 64) - 1)
+
+
+def _meet_round(meets: np.ndarray, holds: np.ndarray, m: int) -> np.ndarray:
+    """up(J ^ w) for each up-set word J = meets[j] and w = words[j] on m
+    points (holds = `_holds(words, m)`): the up-set of the meets a & b, a in
+    J and b in w.
+
+    For one set b, up(J ^ b) = {c : c | (X - b) in J}, read for every
+    S = X - b at once: the word of {c : c | S in J} is J with the points of
+    S forced in, one point word shift each (bit c of (J & p_i) >> 2^i is
+    bit c + {i} of J). The round ORs those of the b in w.
+    """
+    forced = np.empty((1 << m, len(meets)), dtype=np.uint64)
+    forced[0] = meets
+    for i, c in enumerate(_point_words(m)):
+        part = forced[:1 << i] & np.uint64(c)
+        np.bitwise_or(part, part >> np.uint64(1 << i), out=forced[1 << i:2 << i])
+    return np.bitwise_or.reduce(np.bitwise_and(forced, holds, out=forced), axis=0)
+
+
+def _transversal_words(words: np.ndarray, m: int) -> np.ndarray:
+    """The transversal of each word on m points: bit E of J^T is bit X - E of ~J."""
+    for i, c in enumerate(_point_words(m)):
+        c, s = np.uint64(c), np.uint64(1 << i)
+        words = ((words & c) >> s) | ((words << s) & c)
+    return ~words & np.uint64((1 << (1 << m)) - 1)
+
+
 def _meet_transversal(words: np.ndarray, m: int, k: int) -> np.ndarray:
     """tau_k of each up-set word w on m points: the sets meeting every
     intersection of at most k - 1 members of w, an up-set.
 
-    With J_1 = w and J_(j+1) = up(J_j ^ w) (the up-set of the meets a & b,
-    a in J_j, b in w), tau_k(w) is the transversal of J_(k-1): E misses a
-    meet iff its complement contains one. For one set b, up(J ^ b) = {c :
-    c | (X - b) in J}, read for every S = X - b at once: the word of
-    {c : c | S in J} is J with the points of S forced in, one point word
-    shift each (bit c of (J & p_i) >> 2^i is bit c + {i} of J). A round
-    ORs those of the b in w; the rounds stop at k - 1 or once J holds,
-    which is by m rounds.
+    With J_1 = w and J_(j+1) = up(J_j ^ w) (`_meet_round`), tau_k(w) is the
+    transversal of J_(k-1): E misses a meet iff its complement contains
+    one. The rounds stop at k - 1 or once J holds, which is by m rounds.
     """
-    size, full = 1 << m, (1 << m) - 1
-    meets, points = words, [np.uint64(c) for c in _point_words(m)]
+    meets = words
     if k > 2:
-        holds = _bit_rows(words)[:, full ^ np.arange(size)].T.astype(bool)  # [S, j]: X - S in w_j
+        holds = _holds(words, m)
     for _ in range(k - 2):
-        forced = np.empty((size, len(words)), dtype=np.uint64)
-        forced[0] = meets
-        for i, c in enumerate(points):
-            part = forced[:1 << i] & c
-            np.bitwise_or(part, part >> np.uint64(1 << i), out=forced[1 << i:2 << i])
-        grown = np.bitwise_or.reduce(np.where(holds, forced, np.uint64(0)), axis=0)
+        grown = _meet_round(meets, holds, m)
         if np.array_equal(grown, meets):
             break
         meets = grown
-    for i, c in enumerate(points):     # bit E of J^T is bit X - E of ~J
-        meets = ((meets & c) >> np.uint64(1 << i)) | ((meets << np.uint64(1 << i)) & c)
-    return ~meets & np.uint64((1 << size) - 1)
+    return _transversal_words(meets, m)
 
 
 def _linked_words(n: int, k: int, maximal: bool) -> np.ndarray:

@@ -54,6 +54,9 @@ def _point_words(n: int) -> tuple[int, ...]:
                  * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n))
 
 
+_BYTE_BITS = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
+
+
 def _membership(n: int, bits: int) -> str:
     """The membership vector as a string of 2^n "0"/"1" characters, indexed by
     mask: character A is "1" iff bit A is set. These are the binary digits
@@ -118,19 +121,17 @@ class Hyperspace:
         A member is minimal iff no member is one point smaller. Shifting the
         word left by 2^i moves bit A - 2^i onto bit A; masking with the word
         of the sets containing point i keeps the A for which A - {i} is in.
+        The set bits are read byte by byte: peeling them one at a time off
+        a 2^n-bit int would cost Theta(2^n) per minimal set.
         """
         if self._mins is None:
             bits = self.bits
             non = 0
             for i, c in enumerate(_point_words(self.n)):
                 non |= (bits << (1 << i)) & c
-            rest = bits & ~non
-            mins = []
-            while rest:
-                low = rest & -rest
-                mins.append(low.bit_length() - 1)
-                rest ^= low
-            self._mins = tuple(mins)
+            rest = (bits & ~non).to_bytes(((1 << self.n) + 7) // 8, "little")
+            self._mins = tuple(8 * pos + b for pos, v in enumerate(rest) if v
+                               for b in _BYTE_BITS[v])
         return self._mins
 
     # -- lattice and transversality -----------------------------------------

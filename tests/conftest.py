@@ -1,6 +1,7 @@
 import pytest
 
 from gspace import Groupoid, build_builtin, enumerate_all, subsemigroup_view
+from gspace.hyperspaces import upset_words
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +27,14 @@ def z5():
 @pytest.fixture(scope="session")
 def z6():
     return build_builtin("cyclic", 6)
+
+
+@pytest.fixture(scope="session")
+def census6():
+    # the 7,828,352 census words on 6 points (63 MB), built once for the session
+    words = upset_words(6)
+    words.setflags(write=False)
+    return words
 
 
 @pytest.fixture(scope="session")

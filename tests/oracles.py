@@ -152,6 +152,69 @@ def naive_k_linked(fam, k: int) -> bool:
                for c in itertools.combinations(members, min(k, len(members))))
 
 
+def minimal_masks(n: int, bits: int) -> list[int]:
+    """The minimal members of a membership vector: no member one point smaller."""
+    return [a for a in range(1, 1 << n) if (bits >> a) & 1
+            and not any((bits >> (a ^ (1 << i))) & 1 for i in range(n) if (a >> i) & 1)]
+
+
+def intersection_levels(f, depth: int) -> list[set[int]]:
+    """Levels 0..depth of the chain of distinct intersections of minimal sets.
+
+    Level j holds those first reached by j minimal sets (level 0 is {X}), so
+    levels 0..j make up I_j, at most 2^n masks. The levels stop early once
+    one adds nothing (by level n), or with {0}: a member a of I_j misses
+    some minimal set iff X - a is a member. F is k-linked iff 0 is not in
+    I_k.
+    """
+    full, bits = (1 << f.n) - 1, f.bits
+    mins = minimal_masks(f.n, bits)
+    levels, seen = [{full}], {full}
+    while len(levels) <= depth and levels[-1] and 0 not in levels[-1]:
+        if any((bits >> (full ^ a)) & 1 for a in levels[-1]):
+            levels.append({0})
+        else:
+            levels.append({a & m for a in levels[-1] for m in mins} - seen)
+            seen |= levels[-1]
+    return levels
+
+
+def intersection_maximal(f, k: int) -> bool:
+    """F is maximal k-linked iff it is k-linked and every member of F^T
+    contains a member of I_(k-1): adding A keeps F k-linked iff A meets
+    every member of I_(k-1), and the complements of the sets outside F are
+    the members of F^T."""
+    levels = intersection_levels(f, k)
+    return 0 not in levels[-1] and transversal_in_upset(f, levels[:k])
+
+
+def transversal_in_upset(f, levels: list[set[int]]) -> bool:
+    """Whether every member of F^T contains a mask of the levels."""
+    full, base = (1 << f.n) - 1, set().union(*levels)
+    return all(any(a & e == a for a in base)
+               for e in range(1, full + 1) if not (f.bits >> (full ^ e)) & 1)
+
+
+def intersection_flags(f, table=None) -> dict:
+    """classify's flags as a dict in ClassFlags field order, read off the
+    intersection levels; shift_invariant by the set model over `table`."""
+    n, bits, full = f.n, f.bits, (1 << f.n) - 1
+    levels = intersection_levels(f, n)
+    linked_up_to = len(levels) - 2 if 0 in levels[-1] else n
+    mins = minimal_masks(n, bits)
+    transversal = sum(1 << e for e in range(1, full + 1) if not (bits >> (full ^ e)) & 1)
+    return {
+        "linked_up_to": linked_up_to,
+        "centered": linked_up_to == n,
+        "filter": len(mins) == 1,
+        "ultrafilter": len(mins) == 1 and bin(mins[0]).count("1") == 1,
+        "maximal_k_linked": {k: k <= linked_up_to and transversal_in_upset(f, levels[:k])
+                             for k in range(2, n + 1)},
+        "self_transversal": transversal == bits,
+        "shift_invariant": None if table is None else naive_shift_invariant(table, family_of(f)),
+    }
+
+
 def first_disjoint_translates(table, fam) -> tuple[int, ...] | None:
     """The first tuple (S_0, .., S_{n-1}) of members of F n F^T, in ascending
     mask order, whose translates x * S_x are pairwise disjoint; None if none.

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -178,10 +179,106 @@ def test_classify_wide_centered_family_n12():
     assert flags.maximal_k_linked == {k: False for k in range(2, 13)}
 
 
-def test_centered_census_n6_is_inside_a_point_word(z6):
+def test_classify_matches_intersection_levels_n_le_5(magma3):
+    # the census table against the set-based levels on every family, the
+    # dump with no default=: plain bools, ints and dicts in field order
+    groupoids = [build_builtin(spec.split(":")[0], int(spec.split(":")[1]))
+                 for spec in FILTER_GROUPOIDS] + [magma3]
+    for n in (1, 2, 3, 4, 5):
+        fams = list(enumerate_all(n))
+        refs = [oracles.intersection_flags(f) for f in fams]
+        for g in [None] + [g for g in groupoids if g.n == n]:
+            for f, ref in zip(fams, refs):
+                if g is not None:
+                    ref = {**ref, "shift_invariant":
+                           oracles.naive_shift_invariant(g.table, oracles.family_of(f))}
+                assert json.dumps(vars(classify(f, g))) == json.dumps(ref), (g, f)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 10, 12])
+def test_meet_chain_matches_intersection_levels_seeded(n):
+    g, rnd = build_builtin("cyclic", n), random.Random(f"meet-chain-{n}")
+    fams = [principal(n, 0), largest(n), smallest(n)]
+    for _ in range(16):     # a few small sets, or many sets of about n/2 points
+        size = rnd.choice([1, 2, 3, 2 * n])
+        fams.append(generate(n, [rnd.getrandbits(n) & rnd.getrandbits(n) | 1 << rnd.randrange(n)
+                                 if size > 3 else rnd.randrange(1, 1 << n)
+                                 for _ in range(size)]))
+    for f in fams:
+        assert json.dumps(vars(classify(f, g))) == \
+            json.dumps(oracles.intersection_flags(f, g.table)), f
+        for k in range(1, n + 2):
+            assert is_k_linked(f, k) == (0 not in oracles.intersection_levels(f, k)[-1]), (f, k)
+            assert is_maximal_k_linked(f, k) == oracles.intersection_maximal(f, k), (f, k)
+
+
+def test_classify_dense_families_n16():
+    # the 9-sets meet pairwise (9 + 9 > 16) but three of them need not, and
+    # F^T is the sets of at least 8 points, larger than F = J_1: no k is maximal
+    nine = generate(16, [sum(1 << i for i in c) for c in itertools.combinations(range(16), 9)])
+    flags = classify(nine)
+    assert (flags.linked_up_to, flags.centered) == (2, False)
+    assert flags.maximal_k_linked == {k: False for k in range(2, 17)}
+    assert nine.transversal().minimal_sets() == tuple(sorted(
+        sum(1 << i for i in c) for c in itertools.combinations(range(16), 8)))
+    # the sets holding point 0 with at least 8 points: centered, strictly
+    # inside the principal ultrafilter of 0, so no k is maximal
+    zero = generate(16, [1 | sum(1 << i for i in c)
+                         for c in itertools.combinations(range(1, 16), 7)])
+    flags = classify(zero)
+    assert (flags.linked_up_to, flags.centered) == (16, True)
+    assert flags.maximal_k_linked == {k: False for k in range(2, 17)}
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (5, 6), (6, 5), (8, 5)])
+def test_classify_checks_the_carrier(n, m):
+    # on the census table (n <= 5) as on the meet chain
+    with pytest.raises(InputError, match="carrier mismatch"):
+        classify(principal(n, 0), build_builtin("cyclic", m))
+
+
+def test_classify_and_predicates_at_n6_build_no_census(z6, monkeypatch):
+    classify_mod = importlib.import_module("gspace.classify")
+    built = []
+    for name in ("upset_words", "_upsets"):
+        real = getattr(classify_mod, name)
+        monkeypatch.setattr(classify_mod, name, lambda n, real=real: built.append(n) or real(n))
+    rnd = random.Random("n6-guard")
+    fams = [principal(6, 0), largest(6), smallest(6), triangle(6)]
+    fams += [generate(6, [rnd.randrange(1, 64) for _ in range(rnd.randint(1, 5))])
+             for _ in range(20)]
+    for f in fams:
+        classify(f, z6)
+        for k in range(1, 8):
+            is_k_linked(f, k)
+            is_maximal_k_linked(f, k)
+    assert 6 not in built
+    # the predicates stay on the chain at n = 5 too: no census table
+    classify_mod._census_flags.cache_clear()
+    for f in enumerate_class(build_builtin("cyclic", 5), "maxlinked", 3):
+        assert is_k_linked(f, 3) and is_maximal_k_linked(f, 3)
+    assert classify_mod._census_flags.cache_info().currsize == 0
+
+
+def test_census_table_holds_under_a_megabyte(z5):
+    classify_mod = importlib.import_module("gspace.classify")
+    classify_mod._census_flags.cache_clear()
+    classify_mod._shift_invariant_words.cache_clear()
+    tracemalloc.start()
+    try:
+        flags = classify(principal(5, 0), z5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert flags.ultrafilter and flags.shift_invariant is False
+    assert classify_mod._census_flags.cache_info().currsize == 1
+    assert held < 1 << 20, held
+
+
+def test_centered_census_n6_is_inside_a_point_word(z6, census6):
     # the definition: F lies inside the word of some point (its principal
     # ultrafilter), with the point words built here bit by bit
-    words = upset_words(6)
+    words = census6
     inside = np.zeros(len(words), dtype=bool)
     for x in range(6):
         point = np.uint64(sum(1 << a for a in range(64) if (a >> x) & 1))
@@ -350,8 +447,8 @@ def test_linked_censuses_match_partition_masks(n):
         assert got.tobytes() == linked_oracle(n, token, k, census).tobytes(), (token, k)
 
 
-def test_linked_censuses_match_partition_masks_n6(z6):
-    census = upset_words(6)
+def test_linked_censuses_match_partition_masks_n6(z6, census6):
+    census = census6
     for token, k in [("linked", 2), ("linked", 3), ("centered", None), ("maxlinked", 3)]:
         assert class_words(z6, token, k).tobytes() == \
             linked_oracle(6, token, k, census).tobytes(), (token, k)

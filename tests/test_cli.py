@@ -521,9 +521,9 @@ def test_verbs_do_not_import_numpy_ma():
     script = "\n".join([
         "import contextlib, io, sys",
         "from gspace.cli import main",
-        "for verb in ('analyze', 'sections', 'table'):",
+        "for args in (['analyze'], ['sections'], ['table'], ['classify', '<[0,1],[2]>']):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        main(['--groupoid', 'cyclic:4', verb])",
+        "        main(['--groupoid', 'cyclic:4', *args])",
         "print('numpy.ma' in sys.modules)"])
     res = run_proc(entry=("-c", script))
     assert res.returncode == 0, res.stderr[-500:]

@@ -253,14 +253,22 @@ def test_minimal_sets_match_oracle_exhaustive():
             _check_minimal_sets(h)
 
 
-@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("n", [8, 10, 12, 14, 16])
 def test_minimal_sets_match_oracle_seeded(n):
     rnd = random.Random(f"minimal-sets-{n}")
-    for _ in range(20):
+    for _ in range(20 if n < 16 else 4):    # the oracle walks all 2^n masks
         # unions of two random masks are large, so each closure stays small
         base = [rnd.getrandbits(n) | rnd.getrandbits(n) | 1 << rnd.randrange(n)
                 for _ in range(rnd.randint(1, 4))]
         _check_minimal_sets(generate(n, base))
+
+
+@pytest.mark.parametrize("n,k", [(12, 6), (16, 8), (16, 15)])
+def test_minimal_sets_of_dense_antichains(n, k):
+    # the k-subsets, among them the 12,870 8-subsets of 16 points, set bits
+    # in most bytes of the word
+    base = sorted(_mask_of(c) for c in itertools.combinations(range(n), k))
+    assert Hyperspace._raw(n, generate(n, base).bits).minimal_sets() == tuple(base)
 
 
 # -- enumeration -----------------------------------------------------------------------
@@ -299,8 +307,8 @@ def test_upset_words_match_scalar_reference():
         assert len(words) == oracles.monotone_count(n) - 2
 
 
-def test_upset_words_n6_strictly_ascending():
-    words = upset_words(6)
+def test_upset_words_n6_strictly_ascending(census6):
+    words = census6
     assert words.dtype == np.uint64
     assert len(words) == 7828352
     assert bool(np.all(words[1:] > words[:-1]))

@@ -85,12 +85,12 @@ def test_full_view_helper(z2, g2_view):
     assert not view.words.flags.writeable
 
 
-def test_view_element_cap(z6):
-    assert len(upset_words(5)) <= MAX_VIEW_ELEMENTS < len(upset_words(6))
-    elems = itertools.islice(enumerate_all(6), MAX_VIEW_ELEMENTS + 1)
+def test_view_element_cap(z6, census6):
+    assert len(upset_words(5)) <= MAX_VIEW_ELEMENTS < len(census6)
+    elems = (Hyperspace._raw(6, b) for b in census6[:MAX_VIEW_ELEMENTS + 1].tolist())
     with pytest.raises(InputError, match="at most"):
         subsemigroup_view(z6, elems)
-    for words in (upset_words(6)[:MAX_VIEW_ELEMENTS + 1], upset_words(6)):
+    for words in (census6[:MAX_VIEW_ELEMENTS + 1], census6):
         with pytest.raises(InputError, match=f"at most {MAX_VIEW_ELEMENTS} elements, "
                                              f"got {len(words)}"):
             subsemigroup_view(z6, words)
@@ -896,10 +896,10 @@ def test_core_matches_predicate_filter(z2, z3, z4, magma3):
         assert fast == slow, g.name
 
 
-def test_core_census_n6():
+def test_core_census_n6(census6):
     # every kept word is shift-invariant, and a seeded sample of the
     # rejected census words is not
-    words = upset_words(6)
+    words = census6
     rng = np.random.default_rng(6)
     for name, count in (("cyclic", 42), ("symmetric-3", 74), ("left-zero", 0)):
         g = build_builtin(name, 6)
@@ -1647,10 +1647,10 @@ def test_certificate_over_g5_matches_the_view(z5):
         assert cert.right_cancelable == (view.index_of(f) in cancelable), f
 
 
-def test_certificate_over_g6_gathers_in_chunks(z6):
+def test_certificate_over_g6_gathers_in_chunks(z6, census6):
     # 7,828,352 words: the census and its column, and no census-sized gather
     # (an unchunked one holds 64 B a word, about 500 MB)
-    census, certs = 8 * len(upset_words(6)), []
+    census, certs = 8 * len(census6), []
     peak = traced_peak(lambda: certs.append(right_cancelable_certificate(z6, principal(6, 1))))
     assert peak <= 2 * census + (16 << 20)
     assert (certs[0].scope, certs[0].right_cancelable) == ("G(X)", True)
