@@ -19,8 +19,8 @@ k-linked iff J_(k-1) lies inside F^T, and maximal k-linked iff
 J_(k-1) = F^T. `is_k_linked`, `is_maximal_k_linked`, and `classify` above
 n = 5, run that chain on one Python int (`_meet_chain`). `classify` on
 n <= 5 points reads a table of the whole census instead, built once per n
-by the same chain over its uint64 words (`_census_flags`, 7,579 words at
-n = 5): the census on 6 points has 7.8M words, so no single-family call
+from the class censuses below (`_census_flags`: 7,579 words at n = 5, about
+4 ms): the census on 6 points has 7.8M words, so no single-family call
 builds it.
 
 Class censuses work on arrays of 64-bit membership words too (n <= 6); the
@@ -71,10 +71,11 @@ def _meet_chain(f: Hyperspace, t: int, depth: int) -> list[int]:
 
     For one set b, up(J ^ b) = {c : c | (X - b) in J}: J with the points
     outside b forced in, one point word shift each, the single-int form of
-    `_meet_round`; J_(i+1) ORs these over b in min F. The chain stops
-    at J_depth, at a fixed point (reached by J_n: a meet of members is a
-    meet of at most n of them), or at the first J_j not inside t: a member
-    a of J_j has X - a in F, so F is j-linked but not (j + 1)-linked.
+    a round of `_meet_transversal`; J_(i+1) ORs these over b in min F. The
+    chain stops at J_depth, at a fixed point (reached by J_n: a meet of
+    members is a meet of at most n of them), or at the first J_j not inside
+    t: a member a of J_j has X - a in F, so F is j-linked but not
+    (j + 1)-linked.
     """
     n = f.n
     points = _point_words(n)
@@ -177,36 +178,26 @@ def _census_flags(n: int) -> dict[int, tuple]:
     (linked_up_to, filter, ultrafilter, maximal_k_linked pairs,
     self_transversal).
 
-    One chain of meet words J_1 = F, J_2, .. over the census gives every k:
-    F is k-linked iff J_(k-1) lies inside F^T, and maximal k-linked iff
-    J_(k-1) = F^T (tau_k(F) = F). A family that is not k-linked is neither
-    for any larger k, so each round runs on the k-linked words only. F is a
-    filter iff its word of minimal sets has one bit.
+    Each flag is membership in a class census, an ascending part of the
+    census whose rows `np.searchsorted` finds. A k-linked family is j-linked
+    for every j < k, so linked_up_to is 1 plus the number of k-linked
+    censuses, k = 2..n, that hold F. F is self-transversal iff it is
+    maximal linked, F = F^T = tau_2(F): bit 5, set at n = 1 too.
     """
     words = upset_words(n)
-    t = _transversal_words(words, n)
-    code = np.ones(len(words), dtype=np.int64)  # linked_up_to in bits 0..2
-    alive, meets = np.arange(len(words)), words     # meets: J_(k-1) of the alive words
+    rows = functools.partial(np.searchsorted, words)
+    code = np.ones(len(words), dtype=np.int64)      # linked_up_to in bits 0..2
     for k in range(2, n + 1):
-        inside = (meets & ~t[alive]) == 0
-        alive, meets = alive[inside], meets[inside]
-        code[alive] += 1
-        code[alive] |= (meets == t[alive]).astype(np.int64) << (3 + k)    # maximal k-linked
-        if k < n:
-            meets = _meet_round(meets, _holds(words[alive], n), n)
-    non = np.zeros_like(words)      # bit A: A minus some point is a member
-    for i, c in enumerate(_point_words(n)):
-        non |= (words << np.uint64(1 << i)) & np.uint64(c)
-    mins = words & ~non
-    filt = (mins & (mins - np.uint64(1))) == 0
-    singletons = np.uint64(sum(1 << (1 << i) for i in range(n)))
-    for bit, column in ((3, filt), (4, filt & ((mins & singletons) != 0)), (n + 4, words == t)):
-        code |= column.astype(np.int64) << bit
+        code[rows(_linked_words(n, k, False))] += 1
+    columns = [(3, _filter_words(n, False)), (4, _filter_words(n, True))]
+    columns += [(3 + k, _linked_words(n, k, True)) for k in range(2, max(n, 2) + 1)]
+    for bit, census in columns:
+        code[rows(census)] |= 1 << bit
     codes = code.tolist()
-    rows = {c: (c & 7, bool(c & 8), bool(c & 16),
-                tuple((k, bool((c >> (3 + k)) & 1)) for k in range(2, n + 1)),
-                bool((c >> (n + 4)) & 1)) for c in set(codes)}
-    return dict(zip(words.tolist(), map(rows.__getitem__, codes)))
+    flags = {c: (c & 7, bool(c & 8), bool(c & 16),
+                 tuple((k, bool((c >> (3 + k)) & 1)) for k in range(2, n + 1)),
+                 bool(c & 32)) for c in set(codes)}
+    return dict(zip(words.tolist(), map(flags.__getitem__, codes)))
 
 
 def _chain_flags(f: Hyperspace) -> tuple:
@@ -222,8 +213,7 @@ def _chain_flags(f: Hyperspace) -> tuple:
 @functools.lru_cache(maxsize=32)
 def _shift_invariant_words(g: Groupoid) -> frozenset[int]:
     """The words of the shift-invariant hyperspaces on g's n <= 5 points."""
-    words = upset_words(g.n)
-    return frozenset(words[_shift_invariant_mask(g, words)].tolist())
+    return frozenset(class_words(g, "shiftinv").tolist())
 
 
 def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
@@ -252,55 +242,38 @@ def classify(f: Hyperspace, g: Groupoid | None = None) -> ClassFlags:
 
 # -- class censuses --------------------------------------------------------------
 
-def _holds(words: np.ndarray, m: int) -> np.ndarray:
-    """[S, j]: all ones iff X - S is a member of words[j], on m points."""
-    full = (1 << m) - 1
-    return _bit_rows(words)[:, full ^ np.arange(1 << m)].T * np.uint64((1 << 64) - 1)
-
-
-def _meet_round(meets: np.ndarray, holds: np.ndarray, m: int) -> np.ndarray:
-    """up(J ^ w) for each up-set word J = meets[j] and w = words[j] on m
-    points (holds = `_holds(words, m)`): the up-set of the meets a & b, a in
-    J and b in w.
-
-    For one set b, up(J ^ b) = {c : c | (X - b) in J}, read for every
-    S = X - b at once: the word of {c : c | S in J} is J with the points of
-    S forced in, one point word shift each (bit c of (J & p_i) >> 2^i is
-    bit c + {i} of J). The round ORs those of the b in w.
-    """
-    forced = np.empty((1 << m, len(meets)), dtype=np.uint64)
-    forced[0] = meets
-    for i, c in enumerate(_point_words(m)):
-        part = forced[:1 << i] & np.uint64(c)
-        np.bitwise_or(part, part >> np.uint64(1 << i), out=forced[1 << i:2 << i])
-    return np.bitwise_or.reduce(np.bitwise_and(forced, holds, out=forced), axis=0)
-
-
-def _transversal_words(words: np.ndarray, m: int) -> np.ndarray:
-    """The transversal of each word on m points: bit E of J^T is bit X - E of ~J."""
-    for i, c in enumerate(_point_words(m)):
-        c, s = np.uint64(c), np.uint64(1 << i)
-        words = ((words & c) >> s) | ((words << s) & c)
-    return ~words & np.uint64((1 << (1 << m)) - 1)
-
-
 def _meet_transversal(words: np.ndarray, m: int, k: int) -> np.ndarray:
     """tau_k of each up-set word w on m points: the sets meeting every
     intersection of at most k - 1 members of w, an up-set.
 
-    With J_1 = w and J_(j+1) = up(J_j ^ w) (`_meet_round`), tau_k(w) is the
-    transversal of J_(k-1): E misses a meet iff its complement contains
-    one. The rounds stop at k - 1 or once J holds, which is by m rounds.
+    tau_k(w) is the transversal of J_(k-1), where J_1 = w and J_(j+1) =
+    up(J_j ^ w), the up-set of the meets a & b (a in J_j, b in w): E misses
+    a meet iff its complement contains one, and bit E of J^T is bit X - E
+    of ~J. For one set b, up(J ^ b) = {c : c | (X - b) in J}, J with the
+    points of X - b forced in, one point word shift each (bit c of
+    (J & p_i) >> 2^i is bit c + {i} of J). A round forces every S at once
+    and ORs those whose X - S is in w (holds[S] all ones). The rounds stop
+    at k - 1 or once J holds, which is by m rounds.
     """
+    points = _point_words(m)
     meets = words
     if k > 2:
-        holds = _holds(words, m)
+        full = (1 << m) - 1
+        holds = _bit_rows(words)[:, full ^ np.arange(1 << m)].T * np.uint64((1 << 64) - 1)
     for _ in range(k - 2):
-        grown = _meet_round(meets, holds, m)
+        forced = np.empty((1 << m, len(words)), dtype=np.uint64)
+        forced[0] = meets
+        for i, c in enumerate(points):
+            part = forced[:1 << i] & np.uint64(c)
+            np.bitwise_or(part, part >> np.uint64(1 << i), out=forced[1 << i:2 << i])
+        grown = np.bitwise_or.reduce(np.bitwise_and(forced, holds, out=forced), axis=0)
         if np.array_equal(grown, meets):
             break
         meets = grown
-    return _transversal_words(meets, m)
+    for i, c in enumerate(points):
+        c, s = np.uint64(c), np.uint64(1 << i)
+        meets = ((meets & c) >> s) | ((meets << s) & c)
+    return ~meets & np.uint64((1 << (1 << m)) - 1)
 
 
 def _linked_words(n: int, k: int, maximal: bool) -> np.ndarray:
@@ -353,6 +326,16 @@ def parse_class_token(spec: str) -> tuple[str, int | None]:
     return name, None
 
 
+def _filter_words(n: int, ultra: bool) -> np.ndarray:
+    """The words of the filters on n points, or of the ultrafilters,
+    ascending: up(A), the filter generated by a set A, is the intersection
+    of the principal ultrafilters of its points."""
+    points = _point_words(n)    # up({x}), the principal ultrafilter of x
+    ups = points if ultra else [
+        _intersect(points[i] for i in mask_elements(a)) for a in range(1, 1 << n)]
+    return np.sort(np.array(ups, dtype=np.uint64))
+
+
 def _shift_classes(g: Groupoid) -> list[int]:
     """The classes of the equivalence on subsets generated by A ~ x^-1 A,
     as words (bit A set for each subset A in the class)."""
@@ -391,11 +374,10 @@ def _shift_invariant_mask(g: Groupoid, words: np.ndarray) -> np.ndarray:
 def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     """The membership words of a distinguished class, ascending, as uint64.
 
-    Filters and ultrafilters are produced directly (up(A), the filter
-    generated by a set A, is the intersection of the principal ultrafilters
-    of its points). The k-linked, centered (n-linked on n points, taken
-    2-linked on one point, where both hold every family) and maximal
-    k-linked classes come off the up-sets on n - 1 points by `_linked_words`.
+    Filters and ultrafilters are produced directly (`_filter_words`). The
+    k-linked, centered (n-linked on n points, taken 2-linked on one point,
+    where both hold every family) and maximal k-linked classes come off the
+    up-sets on n - 1 points by `_linked_words`.
     The others filter the census: the shift-invariant core (the right zeros
     of G(X): fixed by every <x>) keeps the words that hold all or none of
     each class of subsets under A ~ x^-1 A.
@@ -406,10 +388,7 @@ def class_words(g: Groupoid, token: str, k: int | None = None) -> np.ndarray:
     if token in ("linked", "maxlinked") and (k is None or k < 2):
         raise InputError(f"{token}:k needs k >= 2")
     if token in ("filters", "ultrafilters"):
-        points = _point_words(n)    # up({x}), the principal ultrafilter of x
-        ups = points if token == "ultrafilters" else [
-            _intersect(points[i] for i in mask_elements(a)) for a in range(1, 1 << n)]
-        return np.sort(np.array(ups, dtype=np.uint64))
+        return _filter_words(n, token == "ultrafilters")
     if token in ("linked", "centered", "maxlinked"):
         return _linked_words(n, max(n, 2) if token == "centered" else k, token == "maxlinked")
     if token not in ("all", "shiftinv"):

@@ -12,8 +12,6 @@ import hashlib
 import json
 import operator
 
-import yaml
-
 from .errors import InputError
 
 # Carrier caps. Single-hyperspace operations carry 2^n-bit membership
@@ -154,6 +152,7 @@ def parse_groupoid(document: str) -> Groupoid:
     Expected fields: `name` (optional string), `elements` (distinct strings),
     `table` (list of rows of element names, row-major: table[i][j] = i * j).
     """
+    import yaml     # only `file:` carriers need it: about 20 ms of `import gspace`
     try:
         data = yaml.safe_load(document)
     except yaml.YAMLError as exc:

@@ -9,7 +9,8 @@ from gspace.structure import SemigroupView
 DELETED = {
     "gspace": ("full_view", "shift_invariant_core", "lattice_combine", "meet",
                "join", "transversal", "minimal_sets", "support", "census_count"),
-    "gspace.classify": ("census_count", "_centered_mask", "shift_closures"),
+    "gspace.classify": ("census_count", "_centered_mask", "shift_closures", "_holds",
+                        "_meet_round", "_transversal_words"),
     "gspace.hyperspaces": ("lattice_combine", "meet", "join", "transversal",
                            "minimal_sets", "support"),
     "gspace.structure": ("full_view", "section_view", "shift_invariant_core",

@@ -530,6 +530,13 @@ def test_verbs_do_not_import_numpy_ma():
     assert res.stdout == "False\n"
 
 
+def test_import_leaves_yaml_out():
+    # yaml is imported by `file:` carriers only; `import gspace` skips it
+    res = run_proc(entry=("-c", "import sys, gspace; print('yaml' in sys.modules)"))
+    assert res.returncode == 0, res.stderr[-500:]
+    assert res.stdout == "False\n"
+
+
 def test_analyze_names_its_escape_as_table_does(capsys):
     # symmetric-3 maxlinked:3 is not product-closed: analyze refuses it with
     # the cell that table reports as its first escape, in literal syntax

@@ -898,9 +898,12 @@ def test_core_matches_predicate_filter(z2, z3, z4, magma3):
 
 def test_core_census_n6(census6):
     # every kept word is shift-invariant, and a seeded sample of the
-    # rejected census words is not
+    # rejected census words is not; each kept F is a right zero, U o F = F
+    # for seeded U, so over cyclic:6 the 42 of them are the kernel of G(Z6)
+    # (see test_kernel_path_matches_all_lines_on_large_views)
     words = census6
     rng = np.random.default_rng(6)
+    us = [Hyperspace._raw(6, w) for w in words[rng.integers(len(words), size=200)].tolist()]
     for name, count in (("cyclic", 42), ("symmetric-3", 74), ("left-zero", 0)):
         g = build_builtin(name, 6)
         core = class_words(g, "shiftinv")
@@ -909,6 +912,8 @@ def test_core_census_n6(census6):
         for ws, invariant in ((core, True), (rejected, False)):
             assert all(is_shift_invariant(g, Hyperspace._raw(6, w)) == invariant
                        for w in ws.tolist()), name
+        fams = [Hyperspace._raw(6, w) for w in core.tolist()]
+        assert all(product(g, u, f) == f for f in fams for u in us), name
 
 
 def test_right_zeros_are_exactly_shift_invariant(z2, z3, magma3):
@@ -1030,6 +1035,13 @@ def test_kernel_path_matches_all_lines_on_large_views(name, n, token, light_path
     view = subsemigroup_view(g, class_words(g, token, 2 if token == "maxlinked" else None))
     check_ideals(view)
     assert light_paths == [] and "generators" not in vars(view)
+    if token == "all":
+        # K(G(Z5)) is its set of right zeros, the shiftinv census: right zeros,
+        # when there are any, form an ideal (x(zy) = (xz)y = zy) that lies
+        # inside every ideal I (z = iz for any i in I), so they are the kernel
+        core = np.searchsorted(view.words, class_words(g, "shiftinv")).tolist()
+        assert list(minimal_ideal(view)) == list(special_elements(view).right_zeros) == core
+        assert len(core) == 9
 
 
 def test_minimal_left_ideals_lambda_z3(z3):
@@ -1077,6 +1089,23 @@ def test_center_of_gx_symmetric_group(s3):
 def test_center_of_gx_needs_quasigroup():
     with pytest.raises(InputError):
         center_of_gx(build_builtin("left-zero", 2))
+
+
+def test_g5_over_semigroups_that_are_not_groups():
+    # all of G(5) over multiplication mod 5 (a monoid with a zero)
+    view = subsemigroup_view(carrier("mul", 5), upset_words(5))
+    special = special_elements(view)
+    assert (len(special.idempotents), len(center(view))) == (276, 13)
+    assert len(special.left_cancelable) == len(special.right_cancelable) == 4
+    # over max:5, G(5) is a semilattice, checked by products without the
+    # 5-8 s table build: every element idempotent, and seeded pairs commute
+    g = carrier("max", 5)
+    fams = [Hyperspace._raw(5, w) for w in upset_words(5).tolist()]
+    assert all(product(g, f, f) == f for f in fams)
+    rng = random.Random(55)
+    for _ in range(2000):
+        u, v = rng.choice(fams), rng.choice(fams)
+        assert product(g, u, v) == product(g, v, u)
 
 
 # -- table-level analysis against the set-based oracles ------------------------------------
