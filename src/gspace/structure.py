@@ -13,8 +13,9 @@ under point shifts on both sides, it gathers one column per right orbit
 {V o <h>} at one row per left orbit {<x> o U}, both found by one numpy
 reduction over a point-shift table, and if none of those cells escapes it
 derives the other cells through the point-shift tables (λ(Z6): 231,561
-gathered words for 7.0M cells, about 35 ms; all of G(Z5), 57M cells, about
-0.3 s). Every other table is gathered whole.
+gathered words for 7.0M cells, about 20–37 ms; all of G(Z5), 57M cells,
+about 0.19–0.33 s, on a shared 2-vCPU host). Every other table is gathered
+whole.
 
 Cancelability, zeros, the center and the minimal one-sided ideals are
 decided on the table, not by the classical characterizations, which stay
@@ -62,6 +63,7 @@ _INDEX = np.int16
 assert MAX_VIEW_ELEMENTS <= np.iinfo(_INDEX).max
 _LINES = 64         # table rows or columns read per block by the builder and the analyses
 _BATCH = 32         # table columns gathered, or rows derived, per batch
+_HASH = np.uint64(0x9E3779B97F4A7C15)   # odd: the multiplier of `_slot`
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,16 +253,39 @@ def _transforms(pre: np.ndarray, rights) -> np.ndarray:
     return sum(right_rows[:, p] << x for x, p in enumerate(pre))
 
 
+def _slot(words: np.ndarray, k: int) -> np.ndarray:
+    """Each word's slot among 2^k: the top k bits of words * _HASH mod 2^64
+    (multiplicative hashing, Knuth, TAOCP vol. 3, 6.4)."""
+    return (words * _HASH) >> np.uint64(64 - k)
+
+
 def _lookup(words: np.ndarray):
-    """A function sending an array of words to their indices in `words`,
-    -1 for a word not among them, found by binary search."""
+    """A function sending an array of words, of any shape and memory layout,
+    to their _INDEX indices in `words`, -1 for a word not among them.
+
+    A table of 2^k slots, the least power of two >= 8m (at most 256 KB at
+    MAX_VIEW_ELEMENTS), holds at slot `_slot(w, k)` the index of a word w
+    with that slot. A word looked up takes the index in its slot if the
+    word there is itself. The misses, absent words and those that lost
+    their slot to another word (about 5% of a view's words), are found by
+    binary search over the sorted words. Every answer is checked, so a free
+    slot may hold any index.
+    """
     m = len(words)
     order = np.argsort(words, kind="stable").astype(_INDEX)
     ranked = words[order]
+    k = (8 * m - 1).bit_length()
+    slots = np.zeros(1 << k, dtype=_INDEX)
+    slots[_slot(words, k)] = np.arange(m)
 
     def lookup(gathered: np.ndarray) -> np.ndarray:
-        pos = np.minimum(np.searchsorted(ranked, gathered), m - 1)
-        return np.where(ranked[pos] == gathered, order[pos], -1)
+        out = slots[_slot(gathered, k)]
+        miss = np.nonzero(words[out] != gathered)
+        if len(miss[0]):
+            w = gathered[miss]
+            pos = np.minimum(np.searchsorted(ranked, w), m - 1)
+            out[miss] = np.where(ranked[pos] == w, order[pos], -1)
+        return out
     return lookup
 
 
@@ -322,7 +347,8 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
 
     A gathered column j sends element words' bits through the right
     translation of words[j] (`_transforms`: x is in t[A] iff bit pre[x][A]
-    of words[j] is set), and looks the words up by binary search. Columns
+    of words[j] is set), and looks the words up (`_lookup`: one hashed slot
+    read each, a binary search for the few misses). Columns
     are gathered _BATCH at a time (`_gather_words`) at a set of rows, and
     written straight into the row-major table.
 
@@ -703,9 +729,11 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
     t, orbit_of = view.table, orbit_of.astype(_INDEX)
     qtab = orbit_of[t[np.ix_(reps, reps)]]
     # well-definedness: shifting the left factor by any point must not move
-    # the product's orbit; one R x R gather per point
-    if not all(np.array_equal(orbit_of[t[np.ix_(shift[reps, h], reps)]], qtab)
-               for h in range(g.n)):
+    # the product's orbit; per point, _LINES whole shifted rows at a time,
+    # then their representative columns
+    if not all(np.array_equal(orbit_of.take(t.take(shift[reps[lo:lo + _LINES], h], axis=0)
+                                            .take(reps, axis=1)), qtab[lo:lo + _LINES])
+               for lo in range(0, len(reps), _LINES) for h in range(g.n)):
         raise InputError(
             "quotient multiplication ill-defined: the orbit "
             "relation is not a congruence (the carrier must be "

@@ -340,6 +340,23 @@ def test_compressed_table_matches_gather(kind, name, n, magma3, monkeypatch):
             orbits(g, words)
 
 
+@pytest.mark.parametrize("kind,name,n", [("lambda", "cyclic", 6), ("lambda200", "cyclic", 6),
+                                         ("G", "magma3", 3)])
+def test_table_over_permuted_words(kind, name, n, magma3):
+    # every other table case passes its words in ascending order; here
+    # element i is words[p[i]], so cell (i, j) is the old cell (p[i], p[j])
+    # renamed by the inverse of p, and an escape stays -1
+    g = magma3 if name == "magma3" else build_builtin(name, n)
+    words = {"G": lambda: upset_words(n),
+             "lambda": lambda: class_words(g, "maxlinked", 2),
+             "lambda200": lambda: class_words(g, "maxlinked", 2)[:200]}[kind]()
+    table = subsemigroup_view(g, words).table
+    p = np.random.default_rng(len(words)).permutation(len(words))
+    inv = np.append(np.argsort(p), -1)
+    assert np.array_equal(subsemigroup_view(g, words[p]).table, inv[table[p][:, p]])
+    assert (table < 0).any() == (kind == "lambda200")
+
+
 def test_compressed_table_skips_derived_gathers(z3, z6, s3, magma3, monkeypatch):
     words = class_words(z6, "maxlinked", 2)
     m, n = len(words), z6.n
@@ -415,6 +432,38 @@ def test_escaped_representative_with_complete_shifted_column(z4):
 
 def shift_tables(g, words):
     return _shift_tables(_preimage_bits(g), words, _lookup(words))
+
+
+@pytest.mark.parametrize("kind", ["one", "G3", "lambda_z6", "G5", "G5_half"])
+def test_lookup_matches_dict(kind, z3, z5, z6):
+    census = upset_words(5)
+    half = np.random.default_rng(5).permutation(census)[:len(census) // 2]
+    g, words = {"one": lambda: (z5, census[7:8]),
+                "G3": lambda: (z3, upset_words(3)),
+                "lambda_z6": lambda: (z6, class_words(z6, "maxlinked", 2)),
+                "G5": lambda: (z5, census),
+                # absent hyperspaces queried at scale, words not in sorted order
+                "G5_half": lambda: (z5, half)}[kind]()
+    m = len(words)
+    index = {w: i for i, w in enumerate(words.tolist())}
+    rng = np.random.default_rng(m)
+    flipped = words[rng.integers(m, size=500)] ^ (
+        np.uint64(1) << rng.integers(64, size=500, dtype=np.uint64))
+    queries = np.concatenate([np.array([0, 2 ** 64 - 1], dtype=np.uint64),
+                              words, census, flipped])
+    queries = queries[:len(queries) & ~1]      # even, for the 2-D shapes
+    gathered = _gather_words(words, structure._transforms(_preimage_bits(g), words[:_BATCH]))
+    assert gathered.flags.f_contiguous     # the builder's transposed view
+    lookup = _lookup(words)
+    for q in (queries, queries.reshape(2, -1), queries.reshape(2, -1).T, gathered):
+        got = lookup(q)
+        assert got.dtype == structure._INDEX and got.shape == q.shape
+        want = [index.get(w, -1) for w in q.ravel().tolist()]
+        assert got.ravel().tolist() == want
+    # in the three large sets some words share a slot, so members reach the
+    # binary search over the misses too
+    slots = structure._slot(words, (8 * m - 1).bit_length())
+    assert (len(np.unique(slots)) < m) == (m > 18)
 
 
 @pytest.mark.parametrize("name,size", [("cyclic", None), ("symmetric-3", None),
