@@ -7,6 +7,8 @@ published small-group computations end to end. Exit codes: 0 success,
 
 Every verb writes through one `_emit` call, rendering only the format asked for;
 tables go row by row from numpy (λ(Z6) json on 2 vCPUs: 0.8–1.0 s, 51 MB peak RSS).
+Labels are rendered from the verbs' word arrays (`format_words`): one
+minimal-set pass over all the words, then one literal per subset mask.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from .classify import class_words, parse_class_token
 from .errors import BudgetExceeded, InputError
 from .groupoids import (MAX_VIEW_ELEMENTS, Groupoid, build_builtin, groupoid_properties,
                         parse_groupoid)
-from .hyperspaces import Hyperspace, format_hyperspace, parse_hyperspace
+from .hyperspaces import format_hyperspace, format_words, parse_hyperspace
 from .products import product, product_via_base
 from .structure import (SECTION_BUDGET, center, find_sections, minimal_ideal,
                         minimal_left_ideals, minimal_right_ideals, orbits,
                         special_elements, subsemigroup_view)
-from .terms import term_string
+from .terms import term_labels, term_string
 
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -69,9 +71,24 @@ def _show(g: Groupoid, f) -> str:
     return term if term is not None else format_hyperspace(f, g.names)
 
 
+def _labels(g: Groupoid, words: np.ndarray, literals: list[str]) -> list[str]:
+    """`_show` of each word: its term (n <= 3), else its literal from `literals`."""
+    terms = term_labels(g.n, g.names)
+    return [terms.get(w, lit) for w, lit in zip(words.tolist(), literals)] if terms else literals
+
+
 def _labeler(g: Groupoid, words: np.ndarray):
-    """A function sending element indices to their labels, built for those only."""
-    return lambda indices: [_show(g, Hyperspace._raw(g.n, int(words[i]))) for i in indices]
+    """A function sending element indices to their labels, rendered in one call."""
+    def labels(indices) -> list[str]:
+        picked = words[np.asarray(indices, dtype=np.intp)]
+        return _labels(g, picked, format_words(g.n, picked, g.names))
+    return labels
+
+
+def _grouped(labels, groups) -> list[list[str]]:
+    """The labels of each group of element indices, rendered in one call."""
+    flat = iter(labels([i for group in groups for i in group]))
+    return [list(itertools.islice(flat, len(group))) for group in groups]
 
 
 def _escape(g: Groupoid, view) -> dict:
@@ -165,10 +182,9 @@ def enumerate_cmd(ctx, class_spec, count_only):
     if len(words) > MAX_VIEW_ELEMENTS:
         raise InputError(f"listing {len(words)} families exceeds the cap of "
                          f"{MAX_VIEW_ELEMENTS}; use --count-only")
-    elems = [Hyperspace._raw(g.n, b) for b in words.tolist()]
-    payload = {"class": class_spec, "count": len(elems),
-               "elements": [format_hyperspace(f, g.names) for f in elems]}
-    _emit(ctx, payload, (f"{i}: {_show(g, f)}" for i, f in enumerate(elems)))
+    literals = format_words(g.n, words, g.names)
+    payload = {"class": class_spec, "count": len(words), "elements": literals}
+    _emit(ctx, payload, (f"{i}: {lab}" for i, lab in enumerate(_labels(g, words, literals))))
 
 
 @cli.command("classify")
@@ -309,7 +325,7 @@ def orbits_cmd(ctx, within):
     """Right-action orbit partition and the quotient table."""
     g = _groupoid(ctx)
     dec = orbits(g, class_words(g, *parse_class_token(within)))
-    labels = list(map(_labeler(g, dec.view.words), dec.orbits))
+    labels = _grouped(_labeler(g, dec.view.words), dec.orbits)
     payload = {
         "within": within,
         "orbit_count": len(dec.orbits),
@@ -333,7 +349,7 @@ def sections_cmd(ctx, within):
     g = _groupoid(ctx)
     search = find_sections(g, class_words(g, *parse_class_token(within)),
                            budget=ctx.obj["budget"])
-    sections = list(map(_labeler(g, search.decomposition.view.words), search.sections))
+    sections = _grouped(_labeler(g, search.decomposition.view.words), search.sections)
     payload = {
         "within": within,
         "orbit_count": len(search.decomposition.orbits),

@@ -14,7 +14,8 @@ and checked by word shifts, not by walking the 2^n subsets: shifting the
 members without point i by 2^i adds i to each. The census of all
 hyperspaces on n <= 6 points is one ascending numpy uint64 array of these
 vectors (`upset_words`), built by the half-cube decomposition;
-`enumerate_all` wraps its entries as Python ints.
+`enumerate_all` wraps its entries as Python ints, and `format_words`
+renders the literals of a word array without wrapping them.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ def _point_words(n: int) -> tuple[int, ...]:
 
 
 _BYTE_BITS = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
+_REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))     # bits of a byte reversed
 
 
 def _membership(n: int, bits: int) -> str:
@@ -147,10 +149,18 @@ class Hyperspace:
         return Hyperspace._raw(self.n, self.bits | other.bits)
 
     def transversal(self) -> "Hyperspace":
-        """Sets meeting every member: E in F^T iff the complement of E is not in F."""
-        comp = ~self.bits & ((1 << (1 << self.n)) - 1)
-        # bit A of the result is bit (full - A) of comp, i.e. the reversed string
-        return Hyperspace._raw(self.n, int(_membership(self.n, comp), 2))
+        """Sets meeting every member: E in F^T iff the complement of E is not in F.
+
+        Bit A of the result is bit (full - A) of the complement word, i.e. the
+        2^n bits reversed: each byte is reversed by a table, the byte order by
+        reading the bytes big-endian, and the padding of a word shorter than
+        its bytes (n <= 2) is shifted out.
+        """
+        nsub = 1 << self.n
+        size = (nsub + 7) // 8
+        comp = (self.bits ^ ((1 << nsub) - 1)).to_bytes(size, "little")
+        return Hyperspace._raw(self.n, int.from_bytes(comp.translate(_REVERSED), "big")
+                               >> (8 * size - nsub))
 
     # -- value semantics ------------------------------------------------------
 
@@ -236,26 +246,28 @@ def _gather_words(words, index) -> np.ndarray:
     Per gather, source bit p sets the output bits mask[p] (the A with
     index[b, A] = p), and byte s of a word is looked up whole in a 256-entry
     table: lut[s][v] is the OR of mask[8s + k] over the set bits k of v,
-    built by doubling v. A gathered word is the OR of 8 table reads, one per
-    byte; the tables of one gather take 16 KB. Each table read fetches the
-    B gathers of one byte value at once, so the result is the transpose of
-    an (N, B) array; callers bound B.
+    built by doubling v. Only the bytes that the index reads get a table
+    (one up to n = 3, 2^n / 8 on n points), so a gathered word is the OR of
+    at most 8 table reads; the tables of one gather take at most 16 KB.
+    Each table read fetches the B gathers of one byte value at once, so the
+    result is the transpose of an (N, B) array; callers bound B.
     """
     index = np.asarray(index)
     b = len(index)
-    mask = np.zeros((64, b), dtype=np.uint64)
+    nb = int(index.max(initial=0)) // 8 + 1        # bytes 0..nb-1 are read
+    mask = np.zeros((8 * nb, b), dtype=np.uint64)
     np.bitwise_or.at(mask, (index, np.arange(b)[:, None]),
                      np.uint64(1) << np.arange(64, dtype=np.uint64))
-    mask = mask.reshape(8, 8, b)                    # [byte s, bit k, gather]
-    lut = np.zeros((8, 256, b), dtype=np.uint64)    # [byte s, byte value, gather]
+    mask = mask.reshape(nb, 8, b)                   # [byte s, bit k, gather]
+    lut = np.zeros((nb, 256, b), dtype=np.uint64)   # [byte s, byte value, gather]
     for k in range(8):
         np.bitwise_or(lut[:, :1 << k], mask[:, k, None], out=lut[:, 1 << k:2 << k])
-    lut = lut.reshape(2048, b)
-    flat = np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8).T \
-        + np.arange(0, 2048, 256)[:, None]          # row 256s + byte s, per byte
+    lut = lut.reshape(256 * nb, b)
+    flat = np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8).T[:nb] \
+        + np.arange(0, 256 * nb, 256)[:, None]     # row 256s + byte s, per byte
     out = lut.take(flat[0], axis=0)
     part = np.empty_like(out)
-    for s in range(1, 8):
+    for s in range(1, nb):
         out |= lut.take(flat[s], axis=0, out=part)
     return out.T
 
@@ -298,24 +310,36 @@ def _half_cube(words: np.ndarray, bounds: np.ndarray, i: int) -> Iterator[np.nda
         yield (high[s:s + step, None] | cand)[inside]
 
 
+_UPSETS: dict[int, np.ndarray] = {}     # read-only, m <= _KEPT_UPSETS
+_KEPT_UPSETS = 5    # 7,581 words (61 KB) on 5 points; 7,828,354 (63 MB) on 6
+
+
 def _upsets(m: int) -> np.ndarray:
     """Every up-set of subsets of m points, ascending, as uint64 words.
 
-    Half-cube decomposition: an up-set on m + 1 points is a pair f0 <= f1 of
-    up-sets on m points (f0 on the masks without point m, f1 on those with
-    it), with word f1 << 2^m | f0: `_half_cube` with each f1 its own bound.
-    That builds the up-sets of every size in ascending order, written into
-    one array of the known size (a Dedekind number). The first and last
-    words are the empty family and the family holding the empty set.
+    Half-cube decomposition: an up-set on m points is a pair f0 <= f1 of
+    up-sets on m - 1 points (f0 on the masks without point m - 1, f1 on
+    those with it), with word f1 << 2^(m-1) | f0: `_half_cube` over the
+    up-sets on m - 1 points, each f1 its own bound. That builds the up-sets
+    of every size in ascending order, written into one array of the known
+    size (a Dedekind number). The first and last words are the empty family
+    and the family holding the empty set. Up to 5 points the arrays are kept,
+    read-only, and each is built once from the one below it.
     """
-    words = np.array([0, 1], dtype=np.uint64)
-    for i in range(m):
-        out, pos = np.empty(_DEDEKIND[i + 1], dtype=np.uint64), 0
-        for block in _half_cube(words, words, i):
+    if m in _UPSETS:
+        return _UPSETS[m]
+    if m == 0:
+        out = np.array([0, 1], dtype=np.uint64)
+    else:
+        words = _upsets(m - 1)
+        out, pos = np.empty(_DEDEKIND[m], dtype=np.uint64), 0
+        for block in _half_cube(words, words, m - 1):
             out[pos:pos + len(block)] = block
             pos += len(block)
-        words = out
-    return words
+    if m <= _KEPT_UPSETS:
+        out.setflags(write=False)
+        _UPSETS[m] = out
+    return out
 
 
 def upset_words(n: int) -> np.ndarray:
@@ -341,6 +365,35 @@ def format_hyperspace(f: Hyperspace, names) -> str:
     for m in f.minimal_sets():
         parts.append("[" + ",".join(names[i] for i in mask_elements(m)) + "]")
     return "<" + ",".join(parts) + ">"
+
+
+@functools.lru_cache(maxsize=32)
+def _set_literals(n: int, names: tuple[str, ...]) -> np.ndarray:
+    """The literal `[a,b],` of every subset mask of n points, comma included,
+    by mask, as a read-only object array."""
+    literals = np.array(["[" + ",".join(names[i] for i in mask_elements(m)) + "],"
+                         for m in range(1 << n)], dtype=object)
+    literals.setflags(write=False)
+    return literals
+
+
+def format_words(n: int, words: np.ndarray, names) -> list[str]:
+    """`format_hyperspace` of every hyperspace word on n <= 6 points.
+
+    The minimal sets of all the words are found at once, by the shift of
+    `Hyperspace.minimal_sets`; `np.nonzero` over their bit rows gives the
+    (word, mask) pairs, word by word and by ascending mask. Each mask is
+    one literal of a table, and each word's literals, at least one (its
+    minimal sets), are joined by one `np.add.reduceat` from its first.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    non = np.zeros_like(words)
+    for i, c in enumerate(_point_words(n)):
+        non |= (words << np.uint64(1 << i)) & np.uint64(c)
+    row, mask = np.nonzero(_bit_rows(words & ~non))
+    counts = np.bincount(row, minlength=len(words))
+    joined = np.add.reduceat(_set_literals(n, tuple(names))[mask], np.cumsum(counts) - counts)
+    return ["<" + s[:-1] + ">" for s in joined.tolist()]
 
 
 def parse_hyperspace(text: str, n: int, names) -> Hyperspace:

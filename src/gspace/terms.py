@@ -9,8 +9,9 @@ are usually written down.
 from __future__ import annotations
 
 import functools
+import operator
 
-from .hyperspaces import Hyperspace, principal
+from .hyperspaces import Hyperspace, _point_words
 
 # term syntax: int = principal of that element, ("&", t1, t2, ...) = meet,
 # ("|", t1, t2, ...) = join; chains render flat, mixed nesting parenthesized
@@ -37,14 +38,14 @@ _TERMS_3 = (
 _TERM_TABLES = {1: _TERMS_1, 2: _TERMS_2, 3: _TERMS_3}
 
 
-def _eval_term(term, n: int) -> Hyperspace:
+def _eval_term(term, n: int) -> int:
+    """The word of a term: a point's principal word, or the AND (meet) or OR
+    (join) of its arguments' words."""
     if isinstance(term, int):
-        return principal(n, term)
+        return _point_words(n)[term]
     op, *args = term
-    acc = _eval_term(args[0], n)
-    for a in args[1:]:
-        acc = (acc & _eval_term(a, n)) if op == "&" else (acc | _eval_term(a, n))
-    return acc
+    return functools.reduce(operator.and_ if op == "&" else operator.or_,
+                            (_eval_term(a, n) for a in args))
 
 
 def _render(term, names, parent: str | None = None) -> str:
@@ -58,17 +59,13 @@ def _render(term, names, parent: str | None = None) -> str:
     return body
 
 
-@functools.lru_cache(maxsize=8)
-def _term_bits(n: int) -> dict[int, object]:
-    return {_eval_term(t, n).bits: t for t in _TERM_TABLES[n]}
+@functools.lru_cache(maxsize=32)
+def term_labels(n: int, names: tuple[str, ...]) -> dict[int, str]:
+    """The meet/join term of every hyperspace word on n <= 3 points, in the
+    given element names, keyed by word; empty for n > 3."""
+    return {_eval_term(t, n): _render(t, names) for t in _TERM_TABLES.get(n, ())}
 
 
 def term_string(f: Hyperspace, names) -> str | None:
     """The meet/join term for f in the given element names, or None for n > 3."""
-    if f.n not in _TERM_TABLES:
-        return None
-    term = _term_bits(f.n).get(f.bits)
-    if term is None:
-        return None
-    return _render(term, tuple(names))
-
+    return term_labels(f.n, tuple(names)).get(f.bits)

@@ -133,6 +133,20 @@ def test_no_hyperspace_built_before_the_view_cap(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "352"
 
 
+def test_enumerate_builds_no_hyperspace(monkeypatch, capsys):
+    # labels are rendered from the class's word array
+    built = []
+    real = Hyperspace._raw.__func__
+    monkeypatch.setattr(Hyperspace, "_raw",
+                        classmethod(lambda cls, n, bits: built.append(n) or real(cls, n, bits)))
+    for spec, fmt in [("cyclic:5", "text"), ("cyclic:5", "json"), ("cyclic:3", "text"),
+                      ("cyclic:3", "json")]:
+        res = run_main(capsys, "--groupoid", spec, "--format", fmt, "enumerate",
+                       "--class", "linked:3")
+        assert res.returncode == 0 and res.stdout
+    assert built == []
+
+
 def test_table_only_format_rejected_before_any_work(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("work started before the format check")
@@ -463,6 +477,10 @@ PINNED_OUTPUT = {
         "c37dc249e6334b5361f7fa93c4c37f978f81468dccfe86b1d076a80dd61bc07b",
     ("symmetric-3", "dot", "table", "--within", "maxlinked:3"):
         "d158114e04dcf19b07e5cc31eae42a74549dc015acc06ab66a6d93d12dfe7128",
+    ("cyclic:5", "text", "enumerate", "--class", "linked:3"):
+        "d50e4df813182f855ab2dfe48ad1a95ef5da4e05475dee7a5de66f5a52ec1b97",
+    ("cyclic:4", "text", "orbits"):
+        "014027125ad051091e759035bfebb69120677fe4cfc8bb4e0072c4e8f9f747ff",
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gspace import (Hyperspace, InputError, enumerate_all, format_hyperspace,
-                    generate, largest, mask_elements, parse_hyperspace,
-                    principal, smallest, subset_mask)
-from gspace.hyperspaces import _gather_words, upset_words
+import gspace.hyperspaces as hyperspaces_mod
+from gspace import (Hyperspace, InputError, build_builtin, enumerate_all,
+                    format_hyperspace, generate, largest, mask_elements,
+                    parse_groupoid, parse_hyperspace, principal, smallest,
+                    subset_mask)
+from gspace.classify import _census_flags, class_words
+from gspace.hyperspaces import _gather_words, _membership, _upsets, format_words, upset_words
 
 
 def masks(n, *sets):
@@ -190,6 +194,31 @@ def test_involution_exhaustive_small():
             assert h.transversal().transversal() == h
 
 
+def reversed_complement(h):
+    """The transversal word by reversing the complement's binary digits."""
+    return int(_membership(h.n, ~h.bits & ((1 << (1 << h.n)) - 1)), 2)
+
+
+def test_transversal_matches_set_model_exhaustive():
+    for n in (1, 2, 3, 4):
+        for h in enumerate_all(n):
+            fam = oracles.naive_transversal(n, oracles.family_of(h))
+            assert h.transversal().bits == oracles.family_bits(n, fam)
+    for h in enumerate_all(5):
+        assert h.transversal().bits == reversed_complement(h)
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_transversal_matches_reversed_complement_seeded(n):
+    rnd = random.Random(f"transversal-{n}")
+    fams = [smallest(n), largest(n), principal(n, n - 1)]
+    fams += [generate(n, [rnd.randrange(1, 1 << n) for _ in range(rnd.randint(1, 12))])
+             for _ in range(40)]
+    for h in fams:
+        assert h.transversal().bits == reversed_complement(h)
+        assert h.transversal().transversal() == h
+
+
 @given(hyperspaces(3), hyperspaces(3))
 def test_de_morgan(u, v):
     assert (u | v).transversal() == u.transversal() & v.transversal()
@@ -345,6 +374,41 @@ def test_gather_words_matches_bit_gather_on_arbitrary_words(batch):
     check_gather(words, index)
     check_gather(words[:1], index)
 
+@pytest.mark.parametrize("top", [7, 15, 31])
+def test_gather_words_reads_only_the_indexed_bytes(top):
+    # words with every high byte set, and indices that read their first bytes only
+    rng = np.random.default_rng(top)
+    words = rng.integers(0, 1 << 64, size=300, dtype=np.uint64, endpoint=False)
+    words |= np.uint64(0xFFFF_FFFF_0000_0000) >> np.uint64(rng.integers(0, 8))
+    words = np.concatenate([words, np.array([(1 << 64) - 1, 1 << 63], dtype=np.uint64)])
+    index = rng.integers(0, top + 1, size=(33, 64))
+    index[0, 5] = top
+    check_gather(words, index)
+    check_gather(words[:1], index[:1])
+
+
+# -- the up-set arrays ------------------------------------------------------------------
+
+def test_upsets_kept_read_only_up_to_five_points(census6):
+    assert len(census6) == 7828352
+    assert sorted(hyperspaces_mod._UPSETS) == [0, 1, 2, 3, 4, 5]
+    for m, words in hyperspaces_mod._UPSETS.items():
+        assert _upsets(m) is words
+        with pytest.raises(ValueError):
+            words[0] = 1
+    assert _upsets(6) is not _upsets(6)       # 63 MB: never kept
+
+
+def test_census_table_builds_each_upset_array_once(monkeypatch):
+    steps = []
+    real = hyperspaces_mod._half_cube
+    monkeypatch.setattr(hyperspaces_mod, "_UPSETS", {})
+    monkeypatch.setattr(hyperspaces_mod, "_half_cube",
+                        lambda words, bounds, i: steps.append(i) or real(words, bounds, i))
+    _census_flags.__wrapped__(5)
+    assert steps == [0, 1, 2, 3, 4]
+
+
 # -- literals ----------------------------------------------------------------------------
 
 def test_literal_format(z5):
@@ -375,6 +439,40 @@ def test_literal_parse_error_messages(bad, message):
     with pytest.raises(InputError) as err:
         parse_hyperspace(bad, 3, ("0", "1", "2"))
     assert str(err.value) == message
+
+
+def builtins_up_to_five():
+    yield from (build_builtin(kind, n) for kind in ("cyclic", "left-zero", "right-zero")
+                for n in range(1, 6))
+    yield build_builtin("klein-4", 4)
+
+
+def test_format_words_matches_format_hyperspace_on_class_censuses():
+    for g in builtins_up_to_five():
+        bounded = [(token, k) for token in ("linked", "maxlinked") for k in range(2, g.n + 2)]
+        for token, k in [("all", None), ("filters", None), ("ultrafilters", None),
+                         ("centered", None), ("shiftinv", None), *bounded]:
+            words = class_words(g, token, k)
+            assert format_words(g.n, words, g.names) == [
+                format_hyperspace(Hyperspace._raw(g.n, w), g.names) for w in words.tolist()
+            ], (g.name, token, k)
+
+
+def test_format_words_matches_format_hyperspace_n6_named(census6):
+    names = ["id", "r60", "r120", "r180", "r240", "r300"]
+    g = parse_groupoid(json.dumps({"elements": names, "table": [
+        [names[(i + j) % 6] for j in range(6)] for i in range(6)]}))
+    rng = np.random.default_rng(6)
+    words = np.concatenate([census6[:3], census6[-3:],
+                            census6[rng.integers(0, len(census6), 3000)]])
+    assert format_words(6, words, g.names) == [
+        format_hyperspace(Hyperspace._raw(6, w), g.names) for w in words.tolist()]
+    assert format_words(6, census6[-1:], g.names) == ["<" + ",".join(
+        f"[{name}]" for name in names) + ">"]
+
+
+def test_format_words_of_no_words():
+    assert format_words(5, np.array([], dtype=np.uint64), tuple("abcde")) == []
 
 
 @given(hyperspaces(5))
