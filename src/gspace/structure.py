@@ -9,22 +9,23 @@ MAX_VIEW_ELEMENTS elements, checked before any Hyperspace is built; a view
 reads whether it is closed, and its first escape, off its own table. One
 builder, `_compose`, fills every table in row order by byte-table gathers of
 blocks of columns; over an associative carrier, when the elements are closed
-under point shifts on both sides, it gathers one column per right orbit
-{V o <h>} at one row per left orbit {<x> o U}, both found by one numpy
-reduction over a point-shift table, and if none of those cells escapes it
-derives the other cells through the point-shift tables (λ(Z6): 231,561
-gathered words for 7.0M cells, about 20–37 ms; all of G(Z5), 57M cells,
-about 0.19–0.33 s, on a shared 2-vCPU host). Every other table is gathered
-whole.
+under point shifts on both sides, it gathers one row and one column per
+right orbit {V o <h>}, the representatives found by one numpy reduction
+over the point-shift table, and if none of those cells escapes it derives
+the other cells through the point-shift tables of both sides (λ(Z6):
+231,561 gathered words for 7.0M cells, about 22–34 ms; all of G(Z5), 57M
+cells, about 0.19–0.29 s, on a shared 2-vCPU host). Every other table is
+gathered whole.
 
 Cancelability, zeros, the center and the minimal one-sided ideals are
 decided on the table, not by the classical characterizations, which stay
-checkable statements in the test suite: a cheap necessary filter (one sum
-per row and per column, a block of columns), then an exact check of the
-survivors only. The minimal one-sided ideals and the isomorphism invariants
-read each row or column as the packed set of its entries (`_line_sets`);
-like the orbit and generator checks, they hold at most the m x m/8 bytes of
-those sets and a few blocks of _LINES lines beside the table.
+checkable statements in the test suite: a cheap necessary filter on one
+block of lines (the first _LINES rows and columns), then an exact check of
+the survivors only. The minimal one-sided ideals and the isomorphism
+invariants read each row or column as the packed set of its entries
+(`_line_sets`); like the orbit and generator checks, they hold at most the
+m x m/8 bytes of those sets and a few blocks of _LINES lines beside the
+table.
 A closed view built over an associative carrier is associative by the
 source paper's theorem (G(X) is a semigroup); every other view takes Light's
 test on a greedy generating set. On an associative table the kernel K comes
@@ -352,22 +353,22 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     are gathered _BATCH at a time (`_gather_words`) at a set of rows, and
     written straight into the row-major table.
 
-    Over an associative carrier G(X) is a semigroup, so both sides of the
-    table follow from a few of its cells:
-    - right: words[i] o (V o <h>) = (words[i] o V) o <h>, and the column of
-      V o <h> is the column of V sent through the shift table;
-    - left: (<x> o U) o V = <x> o (U o V), and the row of <x> o U is the
-      row of U sent through the left shift table lshift.
-    `_plan` picks the representatives of each side from its shift table,
-    and every parent is a representative. When neither shift table holds a
-    -1, the representative columns are gathered at the representative rows;
-    if that block holds no -1 either, every input of a derivation is in the
-    view, and so the table is closed: the kid columns are derived at the
-    representative rows, _LINES rows at a time, one point h at a time, then
-    every left-kid row from its parent row, _BATCH rows at a time, one point
-    x at a time. No temporary exceeds a block of rows. Every other table
-    (an escape, or a non-associative carrier) gathers every column at every
-    row.
+    Over an associative carrier G(X) is a semigroup, so the table follows
+    from its cells on one plan of the shift table (`_plan`): every element
+    is a representative or a kid V o <h> of a representative parent V.
+    - columns: U o (V o <h>) = (U o V) o <h>, so the column of a kid is
+      its parent's column sent through the shift table;
+    - rows: (V o <h>) o W = V o (<h> o W), so the row of a kid is its
+      parent's row read at the columns lshift[:, h], where lshift[j, h]
+      indexes <h> o words[j].
+    When neither shift table holds a -1, the representative columns are
+    gathered at the representative rows; if that block holds no -1 either,
+    every input of a derivation is in the view, and so the table is closed:
+    the kid columns are derived at the representative rows, on a transposed
+    copy of _LINES rows at a time, one point h at a time, then every kid
+    row from its parent row, _BATCH rows at a time, one point h at a time.
+    No temporary exceeds a block of rows. Every other table (an escape, or
+    a non-associative carrier) gathers every column at every row.
     """
     m = len(words)
     lookup = _lookup(words)
@@ -388,26 +389,26 @@ def _compose(g: Groupoid, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
 
     if g.associative:
         shift, lshift = _shift_tables(pre, words, lookup)
-        rows, lkid, lpar, xs = _plan(lshift)
         reps, kid, parent, hs = _plan(shift)
-        derive = min(shift.min(), lshift.min()) >= 0 and gather(rows, reps)
+        derive = min(shift.min(), lshift.min()) >= 0 and gather(reps, reps)
     else:
         shift, derive = None, False
     if not derive:
         everything = np.arange(m)
         gather(everything, everything)
         return t, shift
-    shift_t, lshift_t = np.ascontiguousarray(shift.T), np.ascontiguousarray(lshift.T)
+    shift_t = np.ascontiguousarray(shift.T)
     by_point = _by_point(kid, parent, hs, g.n)
-    for lo in range(0, len(rows) if by_point else 0, _LINES):
-        at = rows[lo:lo + _LINES]
-        block = t[at]
+    for lo in range(0, len(reps) if by_point else 0, _LINES):
+        at = reps[lo:lo + _LINES]
+        block = np.ascontiguousarray(t[at].T)       # column j of the rows is block[j]
         for h, k, p in by_point:
-            block[:, k] = shift_t[h].take(block[:, p])
-        t[at] = block
-    for x, k, p in _by_point(lkid, lpar, xs, g.n):
+            block[k] = shift_t[h].take(block[p])
+        t[at] = block.T
+    for h, k, p in by_point:
+        cols = lshift[:, h].astype(np.intp)
         for lo in range(0, len(k), _BATCH):
-            t[k[lo:lo + _BATCH]] = lshift_t[x].take(t[p[lo:lo + _BATCH]])
+            t[k[lo:lo + _BATCH]] = t[p[lo:lo + _BATCH]].take(cols, axis=1)
     return t, shift
 
 
@@ -490,31 +491,39 @@ def _lines_passing(t: np.ndarray, cand: np.ndarray, axis: int, test) -> np.ndarr
     return np.concatenate(keep)
 
 
+def _all_distinct(lines: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D array has pairwise distinct entries: sorted,
+    no two neighbours are equal."""
+    s = np.sort(lines, axis=1)
+    return (s[:, 1:] != s[:, :-1]).all(axis=1)
+
+
 def special_elements(view: SemigroupView) -> SpecialElements:
     """Idempotents (the diagonal), one-sided zeros, zeros, the identity and
     the one-sided cancelable elements of a closed view.
 
     Each answer is a cheap necessary filter followed by an exact check of
-    the survivors only. One int64 sum per row and per column filters: a
-    row i of left zero i sums to m*i, a column j of right zero j to m*j,
-    and a permutation of range(m), the row of a left cancelable element or
-    the column of a right cancelable one, to m(m-1)/2. The survivors'
-    lines are then compared in full (zeros) or sorted (cancelable). The
-    identity's row and column are both the identity permutation, so its
-    candidates are the elements that are cancelable on both sides.
+    the survivors only. The filter reads one block of lines, the first
+    _LINES columns t[:, :_LINES] and the first _LINES rows t[:_LINES]: a
+    left zero i is all i on its block row, a right zero j all j on its block
+    column, and the row of a left cancelable element, or the column of a
+    right cancelable one, has pairwise distinct entries there. The
+    survivors' whole lines are then compared (zeros) or sorted
+    (cancelable). The identity's row and column are both the identity
+    permutation, so its candidates are the elements that are cancelable on
+    both sides.
     """
     t = _closed_table(view, "special_elements needs a closed view")
     m = view.size
     ar = np.arange(m)
-    row_sums, col_sums = t.sum(axis=1, dtype=np.int64), t.sum(axis=0, dtype=np.int64)
-    perm = m * (m - 1) // 2
-    lz = _lines_passing(t, np.flatnonzero(row_sums == m * ar), 1,
+    row_block, col_block = t[:, :_LINES], t[:_LINES].T     # row i, column i: line i's block
+    lz = _lines_passing(t, np.flatnonzero((row_block == ar[:, None]).all(axis=1)), 1,
                         lambda c, rows: rows == c[:, None])
-    rz = _lines_passing(t, np.flatnonzero(col_sums == m * ar), 0,
+    rz = _lines_passing(t, np.flatnonzero((col_block == ar[:, None]).all(axis=1)), 0,
                         lambda c, cols: cols == c)
-    lc = _lines_passing(t, np.flatnonzero(row_sums == perm), 1,
+    lc = _lines_passing(t, np.flatnonzero(_all_distinct(row_block)), 1,
                         lambda c, rows: np.sort(rows, axis=1) == ar)
-    rc = _lines_passing(t, np.flatnonzero(col_sums == perm), 0,
+    rc = _lines_passing(t, np.flatnonzero(_all_distinct(col_block)), 0,
                         lambda c, cols: np.sort(cols, axis=0) == ar[:, None])
     units = _lines_passing(t, np.intersect1d(lc, rc, assume_unique=True), 1,
                            lambda c, rows: rows == ar)
@@ -727,7 +736,8 @@ def orbits(g: Groupoid, elements) -> OrbitDecomposition:
                          f"{view.label(i)} o point -> {p!r}")
     reps, orbit_of = np.unique(shift.min(axis=1), return_inverse=True)
     t, orbit_of = view.table, orbit_of.astype(_INDEX)
-    qtab = orbit_of[t[np.ix_(reps, reps)]]
+    qtab = np.concatenate([orbit_of.take(t.take(reps[lo:lo + _LINES], axis=0).take(reps, axis=1))
+                           for lo in range(0, len(reps), _LINES)])
     # well-definedness: shifting the left factor by any point must not move
     # the product's orbit; per point, _LINES whole shifted rows at a time,
     # then their representative columns

@@ -301,7 +301,17 @@ def test_orbit_shift_table_matches_product(z3, z5, z6, g3_all, monkeypatch):
 TABLE_CASES = [("lambda", "cyclic", 6), ("lambda", "symmetric-3", 6), ("lambda", "cyclic", 5),
                ("G", "cyclic", 4), ("G", "klein-4", 4), ("G", "left-zero", 4),
                ("G", "right-zero", 4), ("lambda200", "cyclic", 6),
-               ("principal0", "cyclic", 3), ("G", "magma3", 3)]
+               ("principal0", "cyclic", 3), ("G", "magma3", 3), ("G", "cyclic", 2),
+               ("G", "cyclic", 3), ("G", "left-zero", 3), ("G", "right-zero", 3)]
+# words each build gathers; on left-zero:n no element is a right shift of a
+# smaller one, so every cell is gathered
+GATHERED = {("lambda", "cyclic", 6): 231_561, ("lambda", "symmetric-3", 6): 231_561,
+            ("lambda", "cyclic", 5): 1_099, ("G", "cyclic", 4): 3_929,
+            ("G", "klein-4", 4): 5_049, ("G", "left-zero", 4): 28_884,
+            ("G", "right-zero", 4): 27_572, ("lambda200", "cyclic", 6): 42_400,
+            ("principal0", "cyclic", 3): 7, ("G", "magma3", 3): 18 * 18,
+            ("G", "cyclic", 2): 25, ("G", "cyclic", 3): 172, ("G", "left-zero", 3): 432,
+            ("G", "right-zero", 3): 333}
 
 
 def count_gathers(monkeypatch) -> list[int]:
@@ -325,13 +335,15 @@ def test_compressed_table_matches_gather(kind, name, n, magma3, monkeypatch):
     built = sum(gathered)
     assert np.array_equal(view.table, oracles.gather_table(g, words, words))
     assert view.table.flags.c_contiguous
-    # cells are derived, and fewer words gathered than every cell (and both
-    # shift tables over an associative carrier), only on a closed table over
-    # elements closed under point shifts on both sides
+    # both shift tables over an associative carrier, then: on a closed table
+    # over elements closed under point shifts on both sides, the r x r cells
+    # of the r representatives of _plan(shift); on every other, every cell
     m = len(words)
-    derivable = g.associative and view.closed and min(
-        s.min() for s in shift_tables(g, words)) >= 0
-    assert (built < 2 * n * m * g.associative + m * m) == derivable
+    shifts = shift_tables(g, words) if g.associative else None
+    derivable = g.associative and view.closed and min(s.min() for s in shifts) >= 0
+    r = len(_plan(shifts[0])[0]) if derivable else m
+    assert built == (2 * n * m + r * r if derivable and r < m
+                     else 2 * n * m * g.associative + m * m) == GATHERED[kind, name, n]
     if kind == "lambda200":
         assert view.escape[:2] == (1, 2)
     if kind == "principal0":     # product-closed, not closed under shifts
@@ -488,9 +500,10 @@ def test_shift_tables_match_left_shift_and_product(name, size):
 
 @pytest.mark.parametrize("name", ["left-zero", "right-zero"])
 def test_band_left_shifts(name):
-    # left zero: <x> o F = <x>, so the point rows are the first row's kids;
-    # right zero: <x> o F = F, so no row is derived (TABLE_CASES holds both
-    # tables equal to the full gather)
+    # left zero: <x> o F = <x>, so the point rows are the first row's left
+    # kids; right zero: <x> o F = F, so no element is a left kid (the builder
+    # plans on the right shifts only; TABLE_CASES and GATHERED pin both
+    # tables and their gathers)
     g = build_builtin(name, 4)
     words = upset_words(4)
     _, lshift = shift_tables(g, words)
@@ -520,15 +533,16 @@ def test_unclosed_lambda_s3_subsets_match_gather(s3, seed):
 
 
 def test_escaped_left_representative_with_existing_kid_products(z3):
-    # words[1] = <1> o words[0], and words[0] o words[2] escapes while
-    # words[1] o words[2] = <1> o (words[0] o words[2]) = words[3] exists;
-    # that cell cannot be derived from its parent, so it is gathered (as is
-    # every cell of a table with an escape)
+    # words[1] = words[0] o <1> = <1> o words[0] (Z3 is commutative), and
+    # words[0] o words[2] escapes while words[1] o words[2] = words[3]
+    # exists; that cell cannot be derived from its parent row, so it is
+    # gathered (as is every cell of a table with an escape)
     words = np.array([generate(3, masks(3, *sets)).bits for sets in (
         [(0,), (2,)], [(0,), (1,)], [(0, 1)], [(0, 1), (1, 2)])], dtype=np.uint64)
-    _, lshift = shift_tables(z3, words)
-    rows, kid, parent, xs = _plan(lshift)
-    assert 0 in rows.tolist() and (1, 0, 1) in zip(kid.tolist(), parent.tolist(), xs.tolist())
+    shift, lshift = shift_tables(z3, words)
+    reps, kid, parent, hs = _plan(shift)
+    assert np.array_equal(shift, lshift)
+    assert 0 in reps.tolist() and (1, 0, 1) in zip(kid.tolist(), parent.tolist(), hs.tolist())
     want = oracles.gather_table(z3, words, words)
     assert want[0, 2] == -1 and want[1, 2] == 3
     view = subsemigroup_view(z3, words)
@@ -1290,6 +1304,47 @@ def test_table_analysis_matches_oracles_on_planted_tables(z2):
                     found[perm] += 1
                 if sum(line) == m * i and set(line) != {i}:
                     found[zero] += 1
+    assert min(found.values()) >= 5, found
+
+
+def block_table(rnd, m):
+    """A random table on range(m) with planted lines in a random order: rows
+    (columns) i that are all i, or a permutation of range(m), on their first
+    min(m, _LINES) entries, each whole or broken at one entry past that block
+    (anywhere when m <= _LINES): one entry i changed, or one entry repeated."""
+    t = np.array([[rnd.randrange(m) for _ in range(m)] for _ in range(m)])
+    plants = [(kind, i) for kind in ("zero row", "distinct row", "zero column", "distinct column")
+              for i in rnd.sample(range(m), rnd.randint(1, max(1, m // 8)))]
+    for kind, i in rnd.sample(plants, len(plants)):
+        line = [i] * m if kind.startswith("zero") else rnd.sample(range(m), m)
+        if m > 1 and rnd.random() < 0.7:
+            p = rnd.randrange(_LINES if m > _LINES else 0, m)
+            line[p] = (i + rnd.randrange(1, m)) % m if kind.startswith("zero") \
+                else line[rnd.choice([q for q in range(m) if q != p])]
+        if kind.endswith("row"):
+            t[i] = line
+        else:
+            t[:, i] = line
+    return t
+
+
+def test_special_elements_block_filter_on_adversarial_lines(z2):
+    # lines that pass the filter on the first _LINES rows and columns and
+    # fail past them must fall to the survivors' whole-line check; on
+    # m <= _LINES the block is the whole table
+    rnd = random.Random(36)
+    found = dict.fromkeys(("left zero", "right zero", "left cancelable", "right cancelable",
+                           "whole-table block"), 0)
+    for k in range(48):
+        m = rnd.randint(1, _LINES) if k % 4 == 0 else rnd.randint(_LINES + 1, 160)
+        t = block_table(rnd, m)
+        assert vars(special_elements(table_view(z2, t))) == oracles.naive_special_elements(t)
+        found["whole-table block"] += m <= _LINES
+        for lines, side in ((t, "left"), (t.T, "right")):
+            for i, line in enumerate(lines.tolist()):
+                block, rest = set(line[:_LINES]), set(line)
+                found[f"{side} zero"] += block == {i} != rest
+                found[f"{side} cancelable"] += len(block) == len(line[:_LINES]) and len(rest) < m
     assert min(found.values()) >= 5, found
 
 
